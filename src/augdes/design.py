@@ -137,32 +137,32 @@ def from_blocks(v: int, blocks: Iterable[Sequence[int]]) -> BlockDesign:
     return BlockDesign(v, tuple(cleaned))
 
 
-def is_connected(d: BlockDesign) -> bool:
-    """True when every treatment occurs somewhere and the treatment-block
-    incidence graph has a single component."""
-    if d.b == 0:
-        return False
-    if any(r == 0 for r in d.replications):
-        return False
-    blocks_of = [[] for _ in range(d.v)]
+def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
+    """Component labels for the blocks and the treatments of the
+    treatment-block incidence graph, and the number of components; a
+    treatment that appears nowhere forms its own component."""
+    parent = list(range(d.b + d.v))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for j, block in enumerate(d.blocks):
         for label in set(block):
-            blocks_of[label - 1].append(j)
-    seen_t = [False] * d.v
-    seen_b = [False] * d.b
-    stack = [0]
-    seen_b[0] = True
-    while stack:
-        j = stack.pop()
-        for label in set(d.blocks[j]):
-            i = label - 1
-            if not seen_t[i]:
-                seen_t[i] = True
-                for j2 in blocks_of[i]:
-                    if not seen_b[j2]:
-                        seen_b[j2] = True
-                        stack.append(j2)
-    return all(seen_t) and all(seen_b)
+            ra, rb = find(j), find(d.b + label - 1)
+            if ra != rb:
+                parent[ra] = rb
+    roots: dict[int, int] = {}
+    comp = [roots.setdefault(find(node), len(roots)) for node in range(d.b + d.v)]
+    return comp[: d.b], comp[d.b :], len(roots)
+
+
+def is_connected(d: BlockDesign) -> bool:
+    """True when the design has a block, every treatment occurs somewhere
+    and the treatment-block incidence graph has a single component."""
+    return d.b > 0 and components(d)[2] == 1
 
 
 def dual(d: BlockDesign) -> BlockDesign:

@@ -1,8 +1,9 @@
 """Dense symmetric-matrix arithmetic for intrablock computations.
 
-Matrix orders here are tiny (a few hundred at the very most), so plain
-Gaussian elimination with partial pivoting is used everywhere; robustness
-and predictable failure modes win over speed.
+Every matrix this package inverts is symmetric positive definite: an
+information matrix shifted by a projector onto its null space. The
+inverse is therefore taken from a LAPACK Cholesky factorization, whose
+failure or tiny diagonal is also the singularity test.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Disconnected, NotCentered, SingularMatrix
 
-# Pivots below this magnitude signal a numerically singular matrix.
+# Squared Cholesky pivots below this signal a numerically singular matrix.
 PIVOT_TOL = 1e-12
 # Row sums of a centered matrix must vanish to within this tolerance.
 CENTERED_TOL = 1e-9
@@ -56,27 +57,22 @@ def identity(order: int) -> SymMatrix:
 
 
 def invert(m: SymMatrix) -> SymMatrix:
-    """Inverse by Gauss-Jordan elimination with partial pivoting.
+    """Inverse of a symmetric positive definite matrix, built as
+    L^-T L^-1 from its Cholesky factor L.
 
-    Raises SingularMatrix as soon as the best available pivot magnitude
-    drops below PIVOT_TOL.
+    The input must be SPD. Raises SingularMatrix when the factorization
+    fails, which includes every indefinite input, or when the smallest
+    squared diagonal entry of L drops below PIVOT_TOL.
     """
-    n = m.order
-    aug = np.hstack([m.a.copy(), np.eye(n)])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[pivot_row, col]) < PIVOT_TOL:
-            raise SingularMatrix(
-                f"pivot {aug[pivot_row, col]:.3e} below {PIVOT_TOL:g} in column {col}"
-            )
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] = aug[col] / aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] = aug[row] - aug[row, col] * aug[col]
-    inv = aug[:, n:]
-    return SymMatrix(0.5 * (inv + inv.T))
+    try:
+        factor = np.linalg.cholesky(m.a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"Cholesky factorization failed: {exc}") from exc
+    pivot = float(np.min(np.diag(factor))) ** 2
+    if pivot < PIVOT_TOL:
+        raise SingularMatrix(f"squared Cholesky pivot {pivot:.3e} below {PIVOT_TOL:g}")
+    factor_inv = np.linalg.inv(factor)
+    return SymMatrix(factor_inv.T @ factor_inv)
 
 
 def mp_inverse_centered(m: SymMatrix, n: int) -> SymMatrix:

@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from . import criteria
-from .design import AugmentationSpec, BlockDesign, is_connected
+from .design import AugmentationSpec, BlockDesign, components, is_connected
 from .errors import (
     ClassTooLarge,
     DimensionMismatch,
@@ -38,6 +38,7 @@ from .errors import (
     NotEstimable,
 )
 from .matrix import SymMatrix, invert
+from .search import MOVE_TOL
 
 DEFAULT_ENUM_CAP = 10_000_000
 DEFAULT_PLOT_CAP = 200
@@ -98,27 +99,6 @@ class AugmentedModel:
         return c
 
 
-def _components(d: BlockDesign) -> tuple[list[int], list[int], int]:
-    """Component labels for blocks and controls of the incidence graph;
-    a control that appears nowhere forms its own component."""
-    parent = list(range(d.b + d.v))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j, block in enumerate(d.blocks):
-        for label in set(block):
-            ra, rb = find(j), find(d.b + label - 1)
-            if ra != rb:
-                parent[ra] = rb
-    roots: dict[int, int] = {}
-    comp = [roots.setdefault(find(node), len(roots)) for node in range(d.b + d.v)]
-    return comp[: d.b], comp[d.b :], len(roots)
-
-
 def _null_basis(d: BlockDesign, counts: tuple[int, ...]) -> np.ndarray:
     """Orthonormal basis of the null space of the information matrix."""
     b, v = d.b, d.v
@@ -127,7 +107,7 @@ def _null_basis(d: BlockDesign, counts: tuple[int, ...]) -> np.ndarray:
     offsets = [0]
     for c in counts[:-1]:
         offsets.append(offsets[-1] + c)
-    comp_block, comp_control, n_comp = _components(d)
+    comp_block, comp_control, n_comp = components(d)
     cols = []
     for comp in range(n_comp):
         vec = np.zeros(p)
@@ -295,7 +275,8 @@ def class_minima(
     b: int, v: int, k: int, aug: AugmentationSpec, cap: int = DEFAULT_ENUM_CAP
 ) -> ClassMinima:
     """Minimize all six criteria over the connected designs of a class,
-    recording one minimizing design per criterion."""
+    recording per criterion the first minimizing design in enumeration
+    order, with values within MOVE_TOL counted as ties."""
     best: dict[str, float] = {}
     arg: dict[str, BlockDesign] = {}
     n_raw = 0
@@ -308,7 +289,7 @@ def class_minima(
         ib = criteria.intrablock(d)
         values = criteria.a_criteria(ib, d, aug) + criteria.mv_criteria(ib, d)
         for name, value in zip(CRITERION_NAMES, values):
-            if name not in best or value < best[name]:
+            if name not in best or value < best[name] - MOVE_TOL:
                 best[name] = value
                 arg[name] = d
     return ClassMinima(b, v, k, n_raw, n_connected, best, arg)

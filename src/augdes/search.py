@@ -16,8 +16,10 @@ from . import criteria
 from .design import AugmentationSpec, BlockDesign, is_connected
 from .errors import InvalidParameters, NoConnectedStart
 
-# Objective decreases smaller than this are treated as ties and rejected,
-# which prevents cycling through numerically equal designs.
+# Objective values closer than this are ties. A move must improve by more,
+# which prevents cycling through numerically equal designs; across restarts,
+# and in oracle.class_minima, the earliest of tied designs wins, so rounding
+# noise in the criteria never picks the result.
 MOVE_TOL = 1e-12
 START_ATTEMPTS = 1000
 
@@ -113,7 +115,7 @@ def exchange_search(b: int, v: int, k: int, cfg: SearchConfig) -> SearchResult:
             if not improved:
                 break
         traces.append(tuple(trace))
-        if obj < best_obj:
+        if obj < best_obj - MOVE_TOL:
             best_design, best_obj = d, obj
     assert best_design is not None
     return SearchResult(design=best_design, objective=best_obj, traces=tuple(traces))

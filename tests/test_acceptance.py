@@ -28,7 +28,7 @@ from augdes.design import (
     repeat_blocks,
 )
 from augdes.oracle import class_minima, enumerate_class, verify_design
-from augdes.search import SearchConfig, exchange_search
+from augdes.search import MOVE_TOL, SearchConfig, exchange_search
 
 ONE = AugmentationSpec.common(1)
 TOL = 0.0015
@@ -283,6 +283,12 @@ def test_search_reaches_bib_benchmark():
     result = exchange_search(10, 5, 3, cfg)
     if result.objective > bib_objective + 1e-9:
         failures.append(f"objective {result.objective!r} above BIB benchmark {bib_objective!r}")
+    # several restarts end at the BIB objective, a few ulps apart; the
+    # earliest of those ties must win, not the one rounding made smallest
+    ends = [trace[-1] for trace in result.traces]
+    earliest = next(end for end in ends if end <= min(ends) + MOVE_TOL)
+    if result.objective != earliest:
+        failures.append(f"objective {result.objective!r} is not the earliest tied end {earliest!r}")
     rep = efficiencies(result.design, ONE)
     for label, value in [
         ("cc", rep.eff_cc),

@@ -81,6 +81,10 @@ class TestConnectivity:
     def test_single_block_touching_all(self):
         assert is_connected(all_k_subsets(4, 4))
 
+    def test_no_blocks(self):
+        # a lone treatment is one component of the incidence graph
+        assert not is_connected(from_blocks(1, []))
+
 
 class TestDual:
     def test_dual_of_lattice_parameters(self):

@@ -39,9 +39,14 @@ class TestInvert:
         inv = invert(sym([[2.0, 0.0], [0.0, 4.0]]))
         assert np.allclose(inv.a, np.diag([0.5, 0.25]), atol=1e-12)
 
-    def test_rank_deficient_raises(self):
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]],
+        ids=["rank_deficient", "indefinite"],
+    )
+    def test_rank_deficient_raises(self, rows):
         with pytest.raises(SingularMatrix):
-            invert(sym([[1.0, 1.0], [1.0, 1.0]]))
+            invert(sym(rows))
 
     def test_product_is_identity(self):
         rng = np.random.default_rng(1)

@@ -11,12 +11,14 @@ from augdes.errors import (
     NotEstimable,
 )
 from augdes.oracle import (
+    CRITERION_NAMES,
     build_model,
     class_minima,
     enumerate_class,
     gls_variance,
     verify_design,
 )
+from augdes.search import MOVE_TOL
 
 ONE = AugmentationSpec.common(1)
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
@@ -171,6 +173,17 @@ class TestClassMinima:
         assert result.minima["a_cc"] >= 1.0 - 1e-9
         for name, d in result.argmin.items():
             assert is_connected(d)
+
+    def test_argmin_is_earliest_tied_design(self):
+        from augdes.criteria import a_criteria, intrablock, mv_criteria
+
+        result = class_minima(4, 3, 2, ONE)
+        designs = list(enumerate_class(4, 3, 2, connected_only=True))
+        values = [a_criteria(intrablock(d), d, ONE) + mv_criteria(intrablock(d), d) for d in designs]
+        for pos, name in enumerate(CRITERION_NAMES):
+            low = min(row[pos] for row in values)
+            first = next(d for d, row in zip(designs, values) if row[pos] <= low + MOVE_TOL)
+            assert result.argmin[name] == first, name
 
     def test_minima_are_attained_values(self):
         from augdes.criteria import a_criteria, intrablock
