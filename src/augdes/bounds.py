@@ -114,7 +114,11 @@ def a_bounds(b: int, v: int, k: int, aug: AugmentationSpec) -> tuple[float, floa
 
 def efficiencies(d: BlockDesign, aug: AugmentationSpec) -> EfficiencyReport:
     """All efficiency ratios of a primal for the given augmentation."""
-    ib = criteria.intrablock(d)
+    return efficiency_report(criteria.intrablock(d), d, aug)
+
+
+def efficiency_report(ib: criteria.Intrablock, d: BlockDesign, aug: AugmentationSpec) -> EfficiencyReport:
+    """All efficiency ratios of a primal whose intrablock matrices are `ib`."""
     a_cc, a_tt_s, a_ct_s = criteria.a_criteria(ib, d, aug)
     single = AugmentationSpec.common(1)
     _, a_tt_1, a_ct_1 = criteria.a_criteria(ib, d, single)

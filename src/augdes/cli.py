@@ -17,8 +17,9 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import chain
 
 import click
 
@@ -36,13 +37,7 @@ from .design import (
     read_design,
     repeat_blocks,
 )
-from .errors import (
-    AugdesError,
-    DesignFormatError,
-    EmptyBlock,
-    LabelOutOfRange,
-    NonUniformBlockSize,
-)
+from .errors import AugdesError, DesignFormatError, EmptyBlock, LabelOutOfRange
 
 VERIFY_TOL = 1e-6
 ENUM_CAP_ENV = "AUGDES_ENUM_CAP"
@@ -84,10 +79,6 @@ def fmt3(x: float) -> str:
     return f"{round3(x):.3f}"
 
 
-def _load_design(path: str) -> BlockDesign:
-    return read_design(path)
-
-
 def _parse_aug(s_common: int | None, s_list: str | None) -> AugmentationSpec:
     if s_common is not None and s_list is not None:
         _fail(1, "give either --s or --s-list, not both")
@@ -118,6 +109,14 @@ def _write_or_echo(text: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _params_json(b: int, v: int, k: int, aug: AugmentationSpec) -> dict:
+    return {"b": b, "v": v, "k": k, "s": aug.s if aug.is_common else list(aug.s_list)}
+
+
+def _bounds_json(q: bounds.BoundQuantities, acc: float, att: float, act: float) -> dict:
+    return {**asdict(q), "acc": acc, "att": att, "act": act}
+
+
 @dataclass(frozen=True)
 class ReportDocument:
     """Everything `eval` reports for one design and augmentation."""
@@ -135,27 +134,10 @@ class ReportDocument:
     provenance: dict
 
     def to_json_dict(self) -> dict:
-        s_value = self.aug.s if self.aug.is_common else list(self.aug.s_list)
         return {
-            "params": {"b": self.design.b, "v": self.design.v, "k": self.k, "s": s_value},
-            "criteria": {
-                "a_cc": self.criteria.a_cc,
-                "a_tt": self.criteria.a_tt,
-                "a_ct": self.criteria.a_ct,
-                "mv_cc": self.criteria.mv_cc,
-                "mv_tt": self.criteria.mv_tt,
-                "mv_ct": self.criteria.mv_ct,
-            },
-            "bounds": {
-                "L": self.quantities.L,
-                "Ltilde": self.quantities.Ltilde,
-                "H": self.quantities.H,
-                "f": self.quantities.f,
-                "h": self.quantities.h,
-                "acc": self.acc_bound,
-                "att": self.att_bound,
-                "act": self.act_bound,
-            },
+            "params": _params_json(self.design.b, self.design.v, self.k, self.aug),
+            "criteria": asdict(self.criteria),
+            "bounds": _bounds_json(self.quantities, self.acc_bound, self.att_bound, self.act_bound),
             "eff": {
                 "cc": self.eff.eff_cc,
                 "tt_s": self.eff.eff_tt_at_s,
@@ -171,16 +153,15 @@ class ReportDocument:
 
 
 def build_report(d: BlockDesign, aug: AugmentationSpec, source: str) -> ReportDocument:
-    k = d.uniform_block_size()
-    if k is None:
-        raise NonUniformBlockSize(f"block sizes {sorted(set(d.block_sizes))} are not constant")
-    report = criteria.evaluate(d, aug)
+    ib = criteria.intrablock(d)
+    k = ib.k
+    report = criteria.CriteriaReport(*criteria.a_criteria(ib, d, aug), *criteria.mv_criteria(ib, d))
     quantities = bounds.bound_quantities(d.b, d.v, k)
     acc_b, att_b, act_b = bounds.a_bounds(d.b, d.v, k, aug)
-    eff = bounds.efficiencies(d, aug)
+    eff = bounds.efficiency_report(ib, d, aug)
     # classification is a property of the design alone: it uses the
     # conservative tt efficiency and the count-free ct efficiency
-    class_eff = eff if aug.is_common else bounds.efficiencies(d, AugmentationSpec.common(1))
+    class_eff = eff if aug.is_common else bounds.efficiency_report(ib, d, AugmentationSpec.common(1))
     return ReportDocument(
         design=d,
         aug=aug,
@@ -244,26 +225,14 @@ def cli():
 @_handle_errors
 def eval_cmd(design_file, s_common, s_list, fmt, partial_rep):
     """Report criteria, bounds and efficiencies for a design file."""
-    d = _load_design(design_file)
+    d = read_design(design_file)
     aug = _parse_aug(s_common, s_list)
     if partial_rep:
-        rep = criteria.partial_replication_eval(d, aug)
+        values = asdict(criteria.partial_replication_eval(d, aug))
         if fmt == "json":
             payload = {
-                "params": {
-                    "b": d.b,
-                    "v": d.v,
-                    "k": d.uniform_block_size(),
-                    "s": aug.s if aug.is_common else list(aug.s_list),
-                },
-                "criteria": {
-                    "a_rr": rep.a_rr,
-                    "a_tt": rep.a_tt,
-                    "a_rt": rep.a_rt,
-                    "mv_rr": rep.mv_rr,
-                    "mv_tt": rep.mv_tt,
-                    "mv_rt": rep.mv_rt,
-                },
+                "params": _params_json(d.b, d.v, d.uniform_block_size(), aug),
+                "criteria": values,
                 "mode": "partial_replication",
             }
             click.echo(json.dumps(payload, indent=2))
@@ -274,14 +243,9 @@ def eval_cmd(design_file, s_common, s_list, fmt, partial_rep):
                 "",
                 f"{'criterion':<8}{'value':>10}",
             ]
-            for name, value in [
-                ("A_rr", rep.a_rr),
-                ("A_tt", rep.a_tt),
-                ("A_rt", rep.a_rt),
-                ("MV_rr", rep.mv_rr),
-                ("MV_tt", rep.mv_tt),
-                ("MV_rt", rep.mv_rt),
-            ]:
+            for key, value in values.items():
+                kind, _, pair = key.partition("_")
+                name = f"{kind.upper()}_{pair}"
                 lines.append(f"{name:<8}{fmt3(value):>10}")
             click.echo("\n".join(lines))
         return
@@ -306,19 +270,7 @@ def bounds_cmd(b, v, k, s_common, s_list, fmt):
     q = bounds.bound_quantities(b, v, k)
     acc, att, act = bounds.a_bounds(b, v, k, aug)
     if fmt == "json":
-        payload = {
-            "params": {"b": b, "v": v, "k": k, "s": aug.s if aug.is_common else list(aug.s_list)},
-            "bounds": {
-                "L": q.L,
-                "Ltilde": q.Ltilde,
-                "H": q.H,
-                "f": q.f,
-                "h": q.h,
-                "acc": acc,
-                "att": att,
-                "act": act,
-            },
-        }
+        payload = {"params": _params_json(b, v, k, aug), "bounds": _bounds_json(q, acc, att, act)}
         click.echo(json.dumps(payload, indent=2))
         return
     lines = [
@@ -337,7 +289,12 @@ def bounds_cmd(b, v, k, s_common, s_list, fmt):
 @_handle_errors
 def dual_cmd(design_file, out):
     """Write the dual of a design (treatments and blocks interchange)."""
-    d = _load_design(design_file)
+    d = read_design(design_file)
+    # a treatment that occurs nowhere would become an empty block, which
+    # the design format cannot express
+    unused = d.v - len(set(chain.from_iterable(d.blocks)))
+    if unused:
+        raise EmptyBlock(f"{unused} of {d.v} treatments occur in no block; the dual would have an empty block")
     _write_or_echo(format_design(dual(d)), out)
 
 
@@ -361,7 +318,7 @@ def modify_cmd(design_file, delete_raw, repeat_raw, auto_delete, auto_repeat, ou
     modes = [m for m in (delete_raw, repeat_raw, auto_delete, auto_repeat) if m is not None]
     if len(modes) != 1:
         _fail(1, "give exactly one of --delete, --repeat, --auto-delete, --auto-repeat")
-    d = _load_design(design_file)
+    d = read_design(design_file)
     if delete_raw is not None:
         result = delete_blocks(d, _parse_index_list(delete_raw))
     elif repeat_raw is not None:
@@ -405,7 +362,7 @@ def make_cmd(subsets, lattice_q, out):
 @_handle_errors
 def verify_cmd(design_file, s_common, s_list, max_plots, fmt):
     """Check the closed-form variances against the plot-level GLS oracle."""
-    d = _load_design(design_file)
+    d = read_design(design_file)
     aug = _parse_aug(s_common, s_list)
     report = oracle.verify_design(d, aug, max_plots=max_plots)
     if fmt == "json":
@@ -454,7 +411,7 @@ def enumerate_cmd(b, v, k, s_common, minima, fmt):
         result = None
     if fmt == "json":
         payload = {
-            "params": {"b": b, "v": v, "k": k, "s": aug.s},
+            "params": _params_json(b, v, k, aug),
             "designs": n_raw,
             "connected": n_connected,
         }

@@ -240,9 +240,7 @@ def equireplicate_identities(
 def evaluate(d: BlockDesign, aug: AugmentationSpec) -> CriteriaReport:
     """Full report of the A- and MV-criteria for a primal."""
     ib = intrablock(d)
-    a_cc_val, a_tt_val, a_ct_val = a_criteria(ib, d, aug)
-    mv_cc_val, mv_tt_val, mv_ct_val = mv_criteria(ib, d)
-    return CriteriaReport(a_cc_val, a_tt_val, a_ct_val, mv_cc_val, mv_tt_val, mv_ct_val)
+    return CriteriaReport(*a_criteria(ib, d, aug), *mv_criteria(ib, d))
 
 
 def partial_replication_eval(d_rep: BlockDesign, aug: AugmentationSpec) -> PartialReplicationReport:

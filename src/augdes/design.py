@@ -161,8 +161,12 @@ def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
 
 def is_connected(d: BlockDesign) -> bool:
     """True when the design has a block, every treatment occurs somewhere
-    and the treatment-block incidence graph has a single component."""
-    return d.b > 0 and components(d)[2] == 1
+    and the treatment-block incidence graph has a single component.
+
+    Fewer plots than treatments leave some treatment unused; that case is
+    rejected before `components` allocates anything of order v.
+    """
+    return 0 < d.b and d.v <= sum(d.block_sizes) and components(d)[2] == 1
 
 
 def dual(d: BlockDesign) -> BlockDesign:

@@ -10,7 +10,8 @@ class DimensionMismatch(AugdesError):
 
 
 class SingularMatrix(AugdesError):
-    """A pivot fell below the singularity tolerance during elimination."""
+    """The Cholesky factorization failed, or the smallest squared diagonal
+    entry of its factor fell below the singularity tolerance."""
 
 
 class NotCentered(AugdesError):

@@ -5,8 +5,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from augdes import oracle
-from augdes.cli import cli, round3
+from augdes import AugmentationSpec, criteria, oracle
+from augdes.bounds import efficiencies, threshold_class
+from augdes.cli import build_report, cli, round3
 from augdes.design import format_design, from_blocks, all_k_subsets, delete_blocks
 
 RCBD2_TEXT = "v 2\nblock 1 2\nblock 1 2\n"
@@ -112,6 +113,30 @@ class TestEval:
         assert result.exit_code == 2
 
 
+class TestBuildReport:
+    def test_matches_library_entry_points(self, corpus):
+        one = AugmentationSpec.common(1)
+        for d, aug in corpus:
+            doc = build_report(d, aug, "corpus")
+            assert doc.criteria == criteria.evaluate(d, aug)
+            assert doc.eff == efficiencies(d, aug)
+            assert doc.classification is threshold_class(efficiencies(d, one))
+
+    def test_one_intrablock_per_report(self, corpus, monkeypatch):
+        calls = []
+        original = criteria.intrablock
+
+        def counting(d):
+            calls.append(d)
+            return original(d)
+
+        monkeypatch.setattr(criteria, "intrablock", counting)
+        for d, aug in corpus:
+            calls.clear()
+            build_report(d, aug, "corpus")
+            assert len(calls) == 1
+
+
 class TestBounds:
     def test_table_values(self, runner):
         result = runner.invoke(cli, ["bounds", "--b", "10", "--v", "5", "--k", "3", "--s", "1"])
@@ -175,6 +200,16 @@ class TestMakeDualModify:
         runner.invoke(cli, ["dual", src, "-o", once])
         runner.invoke(cli, ["dual", once, "-o", twice])
         assert open(twice).read() == open(src).read()
+
+    def test_dual_rejects_unused_treatment(self, runner, tmp_path):
+        # treatment 3 occurs nowhere, so its dual block would be empty and
+        # the written file could not be read back
+        src = write(tmp_path, "d.design", "v 3\nblock 1 2\nblock 1 2\n")
+        out = tmp_path / "dual.design"
+        result = runner.invoke(cli, ["dual", src, "-o", str(out)])
+        assert result.exit_code == 1
+        assert "occur in no block" in result.output
+        assert not out.exists()
 
     def test_modify_delete(self, runner, tmp_path):
         bib = str(tmp_path / "bib.design")

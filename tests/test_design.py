@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ class TestConnectivity:
     def test_no_blocks(self):
         # a lone treatment is one component of the incidence graph
         assert not is_connected(from_blocks(1, []))
+
+    def test_huge_v_rejected_without_allocation(self):
+        # fewer plots than treatments: rejected before any order-v storage
+        d = BlockDesign(10**6, ((1, 2), (1, 2)))
+        tracemalloc.start()
+        try:
+            assert not is_connected(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDual:
