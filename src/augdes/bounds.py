@@ -30,6 +30,8 @@ from .errors import InvalidParameters
 # Efficiency thresholds (tt, ct, cc) for the two quality classes.
 HIGH_THRESHOLDS = (0.99, 0.97, 0.95)
 GOOD_THRESHOLDS = (0.97, 0.95, 0.93)
+# One test treatment per block: the count of the conservative tt bound.
+SINGLE = AugmentationSpec.common(1)
 
 
 class ThresholdClass(enum.Enum):
@@ -114,31 +116,47 @@ def a_bounds(b: int, v: int, k: int, aug: AugmentationSpec) -> tuple[float, floa
 
 def efficiencies(d: BlockDesign, aug: AugmentationSpec) -> EfficiencyReport:
     """All efficiency ratios of a primal for the given augmentation."""
-    return efficiency_report(criteria.intrablock(d), d, aug)
+    ib = criteria.intrablock(d)
+    crit = criteria.criteria_report(ib, d, aug)
+    return efficiency_report(d, ib.k, aug, crit, single_count_criteria(ib, d, aug, crit))
 
 
-def efficiency_report(ib: criteria.Intrablock, d: BlockDesign, aug: AugmentationSpec) -> EfficiencyReport:
-    """All efficiency ratios of a primal whose intrablock matrices are `ib`."""
-    a_cc, a_tt_s, a_ct_s = criteria.a_criteria(ib, d, aug)
-    single = AugmentationSpec.common(1)
-    _, a_tt_1, a_ct_1 = criteria.a_criteria(ib, d, single)
-    mv_cc, mv_tt, mv_ct = criteria.mv_criteria(ib, d)
-    acc_b, att_b_s, act_b_s = a_bounds(d.b, d.v, ib.k, aug)
-    _, att_b_1, act_b_1 = a_bounds(d.b, d.v, ib.k, single)
+def single_count_criteria(
+    ib: criteria.Intrablock, d: BlockDesign, aug: AugmentationSpec, crit: criteria.CriteriaReport
+) -> criteria.CriteriaReport:
+    """The criteria `crit`, found at `aug`, restated at one test treatment
+    per block: the A-criteria are computed again unless `aug` already is
+    that count, and the MV-criteria do not depend on the counts."""
+    if aug == SINGLE:
+        return crit
+    return criteria.CriteriaReport(*criteria.a_criteria(ib, d, SINGLE), crit.mv_cc, crit.mv_tt, crit.mv_ct)
+
+
+def efficiency_report(
+    d: BlockDesign,
+    k: int,
+    aug: AugmentationSpec,
+    crit: criteria.CriteriaReport,
+    crit_single: criteria.CriteriaReport,
+) -> EfficiencyReport:
+    """All efficiency ratios of a primal with block size k, from its
+    criteria at `aug` and at one test treatment per block."""
+    acc_b, att_b_s, act_b_s = a_bounds(d.b, d.v, k, aug)
+    _, att_b_1, act_b_1 = a_bounds(d.b, d.v, k, SINGLE)
     return EfficiencyReport(
-        eff_cc=acc_b / a_cc,
-        eff_tt_at_s=att_b_s / a_tt_s,
-        eff_tt_conservative=att_b_1 / a_tt_1,
-        eff_ct=act_b_s / a_ct_s,
-        mv_eff_cc=acc_b / mv_cc,
-        mv_eff_tt=att_b_1 / mv_tt,
-        mv_eff_ct=act_b_1 / mv_ct,
+        eff_cc=acc_b / crit.a_cc,
+        eff_tt_at_s=att_b_s / crit.a_tt,
+        eff_tt_conservative=att_b_1 / crit_single.a_tt,
+        eff_ct=act_b_s / crit.a_ct,
+        mv_eff_cc=acc_b / crit.mv_cc,
+        mv_eff_tt=att_b_1 / crit.mv_tt,
+        mv_eff_ct=act_b_1 / crit.mv_ct,
     )
 
 
 def mv_efficiencies(d: BlockDesign) -> tuple[float, float, float]:
     """The three MV efficiency ratios (cc, tt, ct) of a primal."""
-    rep = efficiencies(d, AugmentationSpec.common(1))
+    rep = efficiencies(d, SINGLE)
     return rep.mv_eff_cc, rep.mv_eff_tt, rep.mv_eff_ct
 
 

@@ -155,13 +155,14 @@ class ReportDocument:
 def build_report(d: BlockDesign, aug: AugmentationSpec, source: str) -> ReportDocument:
     ib = criteria.intrablock(d)
     k = ib.k
-    report = criteria.CriteriaReport(*criteria.a_criteria(ib, d, aug), *criteria.mv_criteria(ib, d))
+    report = criteria.criteria_report(ib, d, aug)
+    single = bounds.single_count_criteria(ib, d, aug, report)
     quantities = bounds.bound_quantities(d.b, d.v, k)
     acc_b, att_b, act_b = bounds.a_bounds(d.b, d.v, k, aug)
-    eff = bounds.efficiency_report(ib, d, aug)
+    eff = bounds.efficiency_report(d, k, aug, report, single)
     # classification is a property of the design alone: it uses the
     # conservative tt efficiency and the count-free ct efficiency
-    class_eff = eff if aug.is_common else bounds.efficiency_report(ib, d, AugmentationSpec.common(1))
+    class_eff = eff if aug.is_common else bounds.efficiency_report(d, k, bounds.SINGLE, single, single)
     return ReportDocument(
         design=d,
         aug=aug,
@@ -185,7 +186,7 @@ def render_table(doc: ReportDocument) -> str:
     d, eff, rep = doc.design, doc.eff, doc.criteria
     s_label = doc.aug.describe()
     # MV bounds are the common-count bounds at a single test treatment per block.
-    _, att_b_1, act_b_1 = bounds.a_bounds(d.b, d.v, doc.k, AugmentationSpec.common(1))
+    _, att_b_1, act_b_1 = bounds.a_bounds(d.b, d.v, doc.k, bounds.SINGLE)
     lines = [
         f"design: {doc.provenance['input']}",
         f"parameters: b={d.b} v={d.v} k={doc.k} s={s_label}",

@@ -197,6 +197,61 @@ def a_criteria(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> tuple[f
     return a_cc, a_tt, a_ct
 
 
+def dual_inverse(p: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
+    """Q = C_dual+ from P = C+ through the identity
+
+        Q = Pi_b (I/k + N^T P N / k^2) Pi_b,   Pi_b = I - J/b,
+
+    for one v x b incidence N with block size k, or for a stack of them
+    (shape (m, v, b), with P of shape (m, v, v)).
+    """
+    b = n.shape[-1]
+    q = np.swapaxes(n, -1, -2) @ p @ n / k**2
+    q[..., range(b), range(b)] += 1.0 / k
+    q -= q.mean(axis=-1, keepdims=True)
+    q -= q.mean(axis=-2, keepdims=True)
+    return q
+
+
+def stacked_a_criteria(n: np.ndarray, k: int, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A-criteria (cc, tt, ct) of a stack of connected primals, given as
+    an (m, v, b) float incidence with block size k, under the per-block
+    test-treatment counts `counts`.
+
+    One stacked inverse of C + J/v gives every P; Q follows from
+    `dual_inverse`. With s the count vector, T its sum and G = R^-1 N,
+
+        A_tt = 2 + 2 (T s^T diag(Q) - s^T Q s) / (T (T - 1))
+        A_ct = 1 + mean(1/r) + s^T diag(Q) / T - 2 (1^T G Q s) / (v T) + tr(G Q G^T) / v
+
+    which is the pairwise definition for per-block counts and reduces to
+    the trace forms of `a_criteria` when the counts are equal. The stack
+    is not checked for connectivity; a disconnected member has no
+    meaningful value.
+    """
+    _, v, b = n.shape
+    r = n.sum(axis=2)
+    c = -(n @ np.swapaxes(n, 1, 2)) / k
+    c[:, range(v), range(v)] += r
+    p = np.linalg.inv(c + 1.0 / v) - 1.0 / v
+    q = dual_inverse(p, n, k)
+    s = np.asarray(counts, dtype=float)
+    total = float(s.sum())
+    s_diag = np.diagonal(q, axis1=1, axis2=2) @ s
+    a_cc = 2.0 * np.trace(p, axis1=1, axis2=2) / (v - 1)
+    a_tt = 2.0 + 2.0 * (total * s_diag - (q @ s) @ s) / (total * (total - 1.0))
+    g = n / r[:, :, None]
+    gq = g @ q
+    a_ct = (
+        1.0
+        + np.mean(1.0 / r, axis=1)
+        + s_diag / total
+        - 2.0 * (gq.sum(axis=1) @ s) / (v * total)
+        + np.sum(gq * g, axis=(1, 2)) / v
+    )
+    return a_cc, a_tt, a_ct
+
+
 def mv_criteria(ib: Intrablock, d: BlockDesign) -> tuple[float, float, float]:
     """Maximum variance multipliers (cc, tt, ct); these do not depend on
     how many test treatments each block receives."""
@@ -237,10 +292,14 @@ def equireplicate_identities(
     return first, second
 
 
+def criteria_report(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> CriteriaReport:
+    """The A- and MV-criteria of a primal whose intrablock matrices are `ib`."""
+    return CriteriaReport(*a_criteria(ib, d, aug), *mv_criteria(ib, d))
+
+
 def evaluate(d: BlockDesign, aug: AugmentationSpec) -> CriteriaReport:
     """Full report of the A- and MV-criteria for a primal."""
-    ib = intrablock(d)
-    return CriteriaReport(*a_criteria(ib, d, aug), *mv_criteria(ib, d))
+    return criteria_report(intrablock(d), d, aug)
 
 
 def partial_replication_eval(d_rep: BlockDesign, aug: AugmentationSpec) -> PartialReplicationReport:

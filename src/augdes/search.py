@@ -4,6 +4,23 @@ Minimizes a weighted sum of the three average-variance criteria by
 repeatedly replacing a single treatment occurrence in a single block,
 accepting the first strict improvement found in a fixed scan order, from
 random connected restarts. Fully deterministic for a fixed seed.
+
+The v - 1 replacements of one occurrence are screened together. One
+union-find on the design without that occurrence decides which
+replacements keep the design connected: t must lie in the component of
+the treatment it replaces. The connected ones are scored by
+`criteria.stacked_a_criteria`, which takes one stacked inverse of order
+v and gets the dual inverse from the identity
+Q = Pi_b (I/k + N^T P N / k^2) Pi_b, with no design object per candidate.
+The screen only filters. Walking the batch in scan order, a candidate
+whose screened objective lies below the acceptance limit plus SCREEN_TOL
+is built and scored by the same exact objective as a start design, and
+the acceptance rule sees only that exact value; after an accepted move
+the scan goes on from the next label on the new design. Since the screen
+agrees with the exact objective far more closely than SCREEN_TOL, no
+candidate that the exact objective would accept is ever filtered out, so
+designs, objectives and traces are the same, bit for bit, as when every
+candidate is scored exactly.
 """
 
 from __future__ import annotations
@@ -12,8 +29,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import criteria
-from .design import AugmentationSpec, BlockDesign, is_connected
+from .design import AugmentationSpec, BlockDesign, components, is_connected
 from .errors import InvalidParameters, NoConnectedStart
 
 # Objective values closer than this are ties. A move must improve by more,
@@ -21,6 +40,10 @@ from .errors import InvalidParameters, NoConnectedStart
 # and in oracle.class_minima, the earliest of tied designs wins, so rounding
 # noise in the criteria never picks the result.
 MOVE_TOL = 1e-12
+# A screened objective is confirmed exactly when it lies below the
+# acceptance limit plus this margin, relative to the objective's scale; the
+# screen agrees with the exact objective to about 1e-15 relative.
+SCREEN_TOL = 1e-9
 START_ATTEMPTS = 1000
 
 
@@ -74,26 +97,67 @@ def _random_connected(b: int, v: int, k: int, rng: random.Random) -> BlockDesign
     raise NoConnectedStart(f"no connected start in {START_ATTEMPTS} draws for ({b}, {v}, {k})")
 
 
+def _screen(cfg: SearchConfig, d: BlockDesign, j: int, pos: int, ts: list[int]) -> np.ndarray:
+    """Objectives of the designs that replace the occurrence at `pos` of
+    block j by each treatment of ts, from one stacked evaluation."""
+    a = d.blocks[j][pos]
+    n = np.repeat(d.incidence[None, :, :].astype(float), len(ts), axis=0)
+    n[:, a - 1, j] -= 1.0
+    n[np.arange(len(ts)), np.asarray(ts) - 1, j] += 1.0
+    a_cc, a_tt, a_ct = criteria.stacked_a_criteria(n, len(d.blocks[j]), cfg.aug.counts(d.b))
+    return cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct
+
+
+def _connected_replacements(d: BlockDesign, j: int, pos: int, t_from: int) -> list[int]:
+    """The labels t >= t_from, other than the one at `pos` of block j, whose
+    replacement of that occurrence leaves the connected design d connected.
+
+    Removing the occurrence leaves at most two components, the replaced
+    treatment's and block j's; the new occurrence joins them again exactly
+    when t lies in the replaced treatment's component.
+    """
+    block = d.blocks[j]
+    a = block[pos]
+    rest = block[:pos] + block[pos + 1 :]
+    comp = components(BlockDesign(d.v, d.blocks[:j] + (rest,) + d.blocks[j + 1 :]))[1]
+    return [t for t in range(t_from, d.v + 1) if t != a and comp[t - 1] == comp[a - 1]]
+
+
+def _first_improvement(
+    cfg: SearchConfig, d: BlockDesign, obj: float, j: int, pos: int, t_from: int
+) -> tuple[int, BlockDesign, float] | None:
+    """The first t >= t_from, in label order, whose replacement of the
+    occurrence at `pos` of block j improves on obj by more than MOVE_TOL,
+    with the new design and its exact objective; None when there is none."""
+    ts = _connected_replacements(d, j, pos, t_from)
+    if not ts:
+        return None
+    rest = d.blocks[j][:pos] + d.blocks[j][pos + 1 :]
+    limit = obj - MOVE_TOL + SCREEN_TOL * max(1.0, abs(obj))
+    for t, screened in zip(ts, _screen(cfg, d, j, pos, ts)):
+        if screened >= limit:  # False for NaN, which is confirmed too
+            continue
+        cand = BlockDesign(d.v, d.blocks[:j] + (tuple(sorted(rest + (t,))),) + d.blocks[j + 1 :])
+        cand_obj = _objective(cfg, cand)
+        if cand_obj < obj - MOVE_TOL:
+            return t, cand, cand_obj
+    return None
+
+
 def _improvement_pass(
     cfg: SearchConfig, d: BlockDesign, obj: float, trace: list[float]
 ) -> tuple[BlockDesign, float, bool]:
-    """One full first-improvement scan; the design may change mid-scan."""
+    """One full first-improvement scan; the design may change mid-scan,
+    after which the scan of the same block position goes on from t + 1."""
     improved = False
     for j in range(d.b):
         for pos in range(len(d.blocks[j])):
-            for t in range(1, d.v + 1):
-                block = d.blocks[j]
-                if block[pos] == t:
-                    continue
-                new_block = tuple(sorted(block[:pos] + (t,) + block[pos + 1 :]))
-                cand = BlockDesign(d.v, d.blocks[:j] + (new_block,) + d.blocks[j + 1 :])
-                if not is_connected(cand):
-                    continue
-                cand_obj = _objective(cfg, cand)
-                if cand_obj < obj - MOVE_TOL:
-                    d, obj = cand, cand_obj
-                    trace.append(obj)
-                    improved = True
+            t_from = 1
+            while (move := _first_improvement(cfg, d, obj, j, pos, t_from)) is not None:
+                t, d, obj = move
+                trace.append(obj)
+                improved = True
+                t_from = t + 1
     return d, obj, improved
 
 
@@ -102,6 +166,11 @@ def exchange_search(b: int, v: int, k: int, cfg: SearchConfig) -> SearchResult:
     connected design with small weighted A-criteria."""
     if b < 2 or v < 2 or k < 1:
         raise InvalidParameters(f"need b >= 2, v >= 2 and k >= 1; got ({b}, {v}, {k})")
+    if b * k < v + b - 1:
+        raise NoConnectedStart(
+            f"no design in ({b}, {v}, {k}) is connected: linking {v} treatments and "
+            f"{b} blocks takes at least {v + b - 1} plots, the class has {b * k}"
+        )
     best_design: BlockDesign | None = None
     best_obj = math.inf
     traces: list[tuple[float, ...]] = []

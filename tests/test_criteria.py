@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from augdes.criteria import (
     a_criteria,
+    dual_inverse,
     equireplicate_identities,
     evaluate,
     intrablock,
@@ -17,7 +21,15 @@ from augdes.criteria import (
     v_tt,
     v_tt_matrix,
 )
-from augdes.design import AugmentationSpec, all_k_subsets, from_blocks, is_connected, lattice_bib
+from augdes.design import (
+    AugmentationSpec,
+    BlockDesign,
+    all_k_subsets,
+    dual,
+    from_blocks,
+    is_connected,
+    lattice_bib,
+)
 from augdes.errors import (
     Disconnected,
     IndexOutOfRange,
@@ -180,6 +192,31 @@ class TestACriteria:
             assert other[0] == base[0]
             assert abs(other[2] - base[2]) <= 1e-12
             assert other[1] != base[1]
+
+
+class TestDualInverse:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dual_inverse_from_primal(self, data):
+        v = data.draw(st.integers(2, 7))
+        b = data.draw(st.integers(2, 7))
+        k = data.draw(st.integers(2, 4))
+        assume(b * k >= v + b - 1)
+        blocks = data.draw(
+            st.lists(st.lists(st.integers(1, v), min_size=k, max_size=k), min_size=b, max_size=b)
+        )
+        d = BlockDesign(v, tuple(tuple(sorted(block)) for block in blocks))
+        assume(is_connected(d))
+        ib = intrablock(d)
+        q = dual_inverse(ib.c_plus.a, d.incidence.astype(float), k)
+        want = ib.c_dual_plus.a
+        assert np.max(np.abs(q - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_lattice_and_its_dual(self):
+        for d in (lattice_bib(5), dual(lattice_bib(3))):
+            ib = intrablock(d)
+            q = dual_inverse(ib.c_plus.a, d.incidence.astype(float), ib.k)
+            assert np.max(np.abs(q - ib.c_dual_plus.a)) <= 1e-12 * np.max(np.abs(ib.c_dual_plus.a))
 
 
 class TestMVCriteria:
