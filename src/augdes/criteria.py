@@ -140,18 +140,20 @@ def v_ct(ib: Intrablock, d: BlockDesign, i: int, j: int) -> float:
     return 1.0 + 1.0 / r_i + quad_form(ib.c_dual_plus, xi)
 
 
+def _pairwise(m: np.ndarray) -> np.ndarray:
+    """(e_a - e_b)^T M (e_a - e_b) for every pair (a, b) of a symmetric M."""
+    dg = np.diag(m)
+    return dg[:, None] + dg[None, :] - 2.0 * m
+
+
 def v_cc_matrix(ib: Intrablock) -> np.ndarray:
     """All pairwise control-control multipliers (zero diagonal)."""
-    p = ib.c_plus.a
-    dg = np.diag(p)
-    return dg[:, None] + dg[None, :] - 2.0 * p
+    return _pairwise(ib.c_plus.a)
 
 
 def v_tt_matrix(ib: Intrablock) -> np.ndarray:
     """All pairwise block-contrast parts of test-test comparisons."""
-    q = ib.c_dual_plus.a
-    dg = np.diag(q)
-    return dg[:, None] + dg[None, :] - 2.0 * q
+    return _pairwise(ib.c_dual_plus.a)
 
 
 def v_ct_matrix(ib: Intrablock, d: BlockDesign) -> np.ndarray:

@@ -141,7 +141,8 @@ def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
     """Component labels for the blocks and the treatments of the
     treatment-block incidence graph, and the number of components; a
     treatment that appears nowhere forms its own component."""
-    parent = list(range(d.b + d.v))
+    b = d.b
+    parent = list(range(b + d.v))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -151,12 +152,12 @@ def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
 
     for j, block in enumerate(d.blocks):
         for label in set(block):
-            ra, rb = find(j), find(d.b + label - 1)
+            ra, rb = find(j), find(b + label - 1)
             if ra != rb:
                 parent[ra] = rb
     roots: dict[int, int] = {}
-    comp = [roots.setdefault(find(node), len(roots)) for node in range(d.b + d.v)]
-    return comp[: d.b], comp[d.b :], len(roots)
+    comp = [roots.setdefault(find(node), len(roots)) for node in range(b + d.v)]
+    return comp[:b], comp[b:], len(roots)
 
 
 def is_connected(d: BlockDesign) -> bool:

@@ -4,8 +4,8 @@
 design, one row per plot: a control plot in block j carries a one for the
 block effect and a one for its control effect; a test plot carries a one
 for the block effect and a one for its own (unreplicated) effect.
-`gls_variance` then computes exact generalized-least-squares contrast
-variances from a Moore-Penrose inverse of the information matrix X^T X.
+`gls_variance` then computes the exact GLS variance of one treatment
+contrast from a Moore-Penrose inverse of the information matrix X^T X.
 
 That information matrix is singular exactly because block and treatment
 effects are aliased within each connected component of the plot
@@ -13,6 +13,11 @@ structure. Its pseudo-inverse is therefore obtained without any
 eigensolver: add the known orthonormal null basis (one vector per
 component, +1 on its blocks and -1 on its treatments, normalized), invert
 with the dense routine, and subtract the same rank-one pieces again.
+
+`verify_design` checks all pairs at once: with G the treatment block of
+that pseudo-inverse, diag(G) 1^T + 1 diag(G)^T - 2G holds every pairwise
+GLS variance, and the largest row range of X^T X G' - I' over the
+treatment columns is the largest projection residual of any pair.
 
 `enumerate_class` walks every design of a small class, blockwise and as a
 multiset of blocks, so that bounds and criterion minima can be checked
@@ -99,14 +104,11 @@ class AugmentedModel:
         return c
 
 
-def _null_basis(d: BlockDesign, counts: tuple[int, ...]) -> np.ndarray:
-    """Orthonormal basis of the null space of the information matrix."""
+def _null_basis(d: BlockDesign, counts: tuple[int, ...], offsets: tuple[int, ...]) -> np.ndarray:
+    """Orthonormal basis of the null space of the information matrix;
+    `offsets[j]` is the position of block j's first test effect."""
     b, v = d.b, d.v
-    total = sum(counts)
-    p = b + v + total
-    offsets = [0]
-    for c in counts[:-1]:
-        offsets.append(offsets[-1] + c)
+    p = b + v + sum(counts)
     comp_block, comp_control, n_comp = components(d)
     cols = []
     for comp in range(n_comp):
@@ -134,9 +136,7 @@ def build_model(
         raise InvalidParameters(f"model would need {n_plots} plots, cap is {max_plots}")
     b, v = d.b, d.v
     p = b + v + total
-    offsets = [0]
-    for c in counts[:-1]:
-        offsets.append(offsets[-1] + c)
+    offsets = (0, *itertools.accumulate(counts[:-1]))
     x = np.zeros((n_plots, p))
     row = 0
     for j, block in enumerate(d.blocks):
@@ -149,17 +149,10 @@ def build_model(
             x[row, b + v + offsets[j] + w] = 1.0
             row += 1
     info = x.T @ x
-    basis = _null_basis(d, counts)
+    basis = _null_basis(d, counts, offsets)
     shift = basis @ basis.T
     pinv = invert(SymMatrix(info + shift)).a - shift
-    return AugmentedModel(
-        design=d,
-        aug=aug,
-        x=x,
-        info=0.5 * (info + info.T),
-        info_pinv=0.5 * (pinv + pinv.T),
-        test_offsets=tuple(offsets),
-    )
+    return AugmentedModel(design=d, aug=aug, x=x, info=info, info_pinv=pinv, test_offsets=offsets)
 
 
 def gls_variance(m: AugmentedModel, contrast) -> float:
@@ -202,35 +195,32 @@ def verify_design(
     d: BlockDesign, aug: AugmentationSpec, max_plots: int = DEFAULT_PLOT_CAP
 ) -> VerificationReport:
     """Compare every cc, tt and ct contrast variance of the closed forms
-    against the plot-level GLS value; same-block test pairs are checked
-    against the constant 2."""
-    ib = criteria.intrablock(d)
+    against the plot-level GLS value, all pairs in one matrix: controls
+    against `criteria.v_cc_matrix`, tests in different blocks against
+    2 + `criteria.v_tt_matrix`, tests sharing a block against the constant
+    2, control-test pairs against `criteria.v_ct_matrix`. The plot cap is
+    checked before anything of order v or b is built."""
     model = build_model(d, aug, max_plots=max_plots)
-    counts = aug.counts(d.b)
-    dev_cc = dev_tt_same = dev_tt_cross = dev_ct = 0.0
-    n = 0
-    for i in range(1, d.v + 1):
-        for i_star in range(i + 1, d.v + 1):
-            got = gls_variance(model, model.cc_contrast(i, i_star))
-            dev_cc = max(dev_cc, abs(got - criteria.v_cc(ib, i, i_star)))
-            n += 1
-    tests = [(j, w) for j in range(1, d.b + 1) for w in range(1, counts[j - 1] + 1)]
-    for a_idx in range(len(tests)):
-        for b_idx in range(a_idx + 1, len(tests)):
-            j, w = tests[a_idx]
-            j_star, w_star = tests[b_idx]
-            got = gls_variance(model, model.tt_contrast(j, w, j_star, w_star))
-            if j == j_star:
-                dev_tt_same = max(dev_tt_same, abs(got - 2.0))
-            else:
-                dev_tt_cross = max(dev_tt_cross, abs(got - (2.0 + criteria.v_tt(ib, j, j_star))))
-            n += 1
-    for i in range(1, d.v + 1):
-        for j, w in tests:
-            got = gls_variance(model, model.ct_contrast(i, j, w))
-            dev_ct = max(dev_ct, abs(got - criteria.v_ct(ib, d, i, j)))
-            n += 1
-    return VerificationReport(dev_cc, dev_tt_same, dev_tt_cross, dev_ct, n)
+    ib = criteria.intrablock(d)
+    b, v = d.b, d.v
+    residual = model.info @ model.info_pinv[:, b:] - np.eye(len(model.info))[:, b:]
+    worst = float(np.max(np.ptp(residual, axis=1)))
+    if worst > ESTIMABLE_TOL:
+        raise NotEstimable(f"some contrast is not estimable (projection residual {worst:.3e})")
+    gls = criteria._pairwise(model.info_pinv[b:, b:])
+    slot = np.repeat(np.arange(b), aug.counts(b))
+    iu = np.triu_indices(slot.size, k=1)
+    first, second = slot[iu[0]], slot[iu[1]]
+    same = first == second
+    want_tt = np.where(same, 2.0, 2.0 + criteria.v_tt_matrix(ib)[first, second])
+    dev_tt = np.abs(gls[v:, v:][iu] - want_tt)
+    return VerificationReport(
+        max_dev_cc=float(np.max(np.abs(gls[:v, :v] - criteria.v_cc_matrix(ib)))),
+        max_dev_tt_same=float(np.max(dev_tt[same], initial=0.0)),
+        max_dev_tt_cross=float(np.max(dev_tt[~same], initial=0.0)),
+        max_dev_ct=float(np.max(np.abs(gls[:v, v:] - criteria.v_ct_matrix(ib, d)[:, slot]))),
+        n_contrasts=math.comb(v, 2) + math.comb(slot.size, 2) + v * slot.size,
+    )
 
 
 def enumerate_class(

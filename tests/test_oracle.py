@@ -1,9 +1,22 @@
 import itertools
+import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from augdes.design import AugmentationSpec, all_k_subsets, delete_blocks, from_blocks, is_connected
+from augdes import criteria, oracle
+from augdes.design import (
+    AugmentationSpec,
+    all_k_subsets,
+    delete_blocks,
+    dual,
+    from_blocks,
+    is_connected,
+    lattice_bib,
+    read_design,
+)
 from augdes.errors import (
     ClassTooLarge,
     Disconnected,
@@ -22,6 +35,24 @@ from augdes.search import MOVE_TOL
 
 ONE = AugmentationSpec.common(1)
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
+DESIGNS = Path(__file__).resolve().parent.parent / "designs"
+
+
+def _catalogue():
+    """Every lattice and its dual at s=1, every shipped design file at s=1
+    and s=3, and one per-block count list."""
+    cases = []
+    for q in (2, 3, 5, 7, 11, 13):
+        cases += [(f"lattice_q{q}", lattice_bib(q), ONE), (f"dual_q{q}", dual(lattice_bib(q)), ONE)]
+    for path in sorted(DESIGNS.glob("*.design")):
+        d = read_design(path)
+        cases += [(f"{path.stem}-s1", d, ONE), (f"{path.stem}-s3", d, AugmentationSpec.common(3))]
+    d = read_design(DESIGNS / "lattice_q5.design")
+    cases.append(("lattice_q5-s_list", d, AugmentationSpec.per_block([1 + j % 3 for j in range(d.b)])))
+    return cases
+
+
+CATALOGUE = _catalogue()
 
 
 class TestModel:
@@ -96,6 +127,57 @@ class TestVerifyDesign:
     def test_corpus(self, corpus):
         for d, aug in corpus:
             assert verify_design(d, aug).max_deviation <= 1e-8
+
+
+class TestVerifyBatched:
+    @pytest.mark.parametrize("d, aug", [c[1:] for c in CATALOGUE], ids=[c[0] for c in CATALOGUE])
+    def test_full_catalogue(self, d, aug):
+        tests = aug.total(d.b)
+        rep = verify_design(d, aug, max_plots=sum(d.block_sizes) + tests)
+        assert rep.max_deviation <= 1e-9
+        assert rep.n_contrasts == math.comb(d.v, 2) + math.comb(tests, 2) + d.v * tests
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [("v_cc_matrix", "max_dev_cc"), ("v_tt_matrix", "max_dev_tt_cross"), ("v_ct_matrix", "max_dev_ct")],
+    )
+    def test_compares_the_reported_matrices(self, monkeypatch, name, field):
+        # a bias on the matrices the criteria read must show in its own field
+        original = getattr(criteria, name)
+        monkeypatch.setattr(criteria, name, lambda *args: original(*args) + 1e-3)
+        rep = verify_design(all_k_subsets(5, 3), AugmentationSpec.common(2))
+        for other in ("max_dev_cc", "max_dev_tt_same", "max_dev_tt_cross", "max_dev_ct"):
+            if other == field:
+                assert getattr(rep, other) == pytest.approx(1e-3, abs=1e-12)
+            else:
+                assert getattr(rep, other) <= 1e-12
+
+    def test_no_per_contrast_gls_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify_design reached the per-contrast oracle")
+
+        monkeypatch.setattr(oracle, "gls_variance", refuse)
+        assert verify_design(all_k_subsets(5, 3), AugmentationSpec.common(2)).max_deviation <= 1e-9
+
+    def test_unestimable_pair_raises(self, monkeypatch):
+        # with the connectivity check out of the way, the batched residual
+        # alone must catch the contrasts that cross the two components
+        monkeypatch.setattr(criteria, "intrablock", lambda d: None)
+        with pytest.raises(NotEstimable):
+            verify_design(from_blocks(4, [[1, 2], [3, 4]]), ONE)
+
+    def test_plot_cap_checked_before_intrablock(self):
+        # a 1,001-treatment path needs 3,000 plots; the cap rejects it
+        # before any dense order-v or order-b matrix exists
+        d = from_blocks(1001, [[i, i + 1] for i in range(1, 1001)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameters):
+                verify_design(d, ONE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
 
 
 class TestCriteriaAgainstModelMeans:
