@@ -1,18 +1,20 @@
 """Ground truth for the closed-form criteria.
 
-`build_model` lays out the full fixed-effects model of an augmented
-design, one row per plot: a control plot in block j carries a one for the
-block effect and a one for its control effect; a test plot carries a one
-for the block effect and a one for its own (unreplicated) effect.
-`gls_variance` then computes the exact GLS variance of one treatment
-contrast from a Moore-Penrose inverse of the information matrix X^T X.
+`build_model` lays out the fixed-effects model of an augmented design as
+one (block column, effect column) pair per plot: a control plot in block
+j carries block effect j and its control effect, a test plot block
+effect j and its own (unreplicated) effect. X^T X is accumulated from
+those pairs; the n_plots x p model matrix X is built only when
+`AugmentedModel.x` is read. `gls_variance` computes the exact GLS
+variance of one treatment contrast from a Moore-Penrose inverse of X^T X.
 
-That information matrix is singular exactly because block and treatment
-effects are aliased within each connected component of the plot
-structure. Its pseudo-inverse is therefore obtained without any
-eigensolver: add the known orthonormal null basis (one vector per
-component, +1 on its blocks and -1 on its treatments, normalized), invert
-with the dense routine, and subtract the same rank-one pieces again.
+X^T X is singular exactly because block and treatment effects are
+aliased within each connected component of the plot structure. Its
+pseudo-inverse is therefore obtained without any eigensolver: label each
+parameter with its component, take the columns of +1 on a component's
+blocks and -1 on its controls and tests, normalized, as the orthonormal
+null basis, add its rank-one pieces, invert with the dense routine, and
+subtract the same pieces again.
 
 `verify_design` checks all pairs at once: with G the treatment block of
 that pseudo-inverse, diag(G) 1^T + 1 diag(G)^T - 2G holds every pairwise
@@ -29,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -38,6 +41,7 @@ from .design import AugmentationSpec, BlockDesign, components, is_connected
 from .errors import (
     ClassTooLarge,
     DimensionMismatch,
+    Disconnected,
     IndexOutOfRange,
     InvalidParameters,
     NotEstimable,
@@ -54,21 +58,31 @@ CRITERION_NAMES = ("a_cc", "a_tt", "a_ct", "mv_cc", "mv_tt", "mv_ct")
 
 @dataclass(frozen=True, eq=False)
 class AugmentedModel:
-    """Model matrix of an augmented design plus the pseudo-inverse of its
-    information matrix.
+    """Plot layout of an augmented design, its information matrix X^T X
+    and the pseudo-inverse of that matrix.
 
     Parameter layout: b block effects, then v control effects, then one
-    effect per test treatment, blockwise in plot order. `test_offsets[j]`
-    is the position of block j+1's first test effect within the combined
-    (control, test) coefficient vector, counted after the v controls.
+    effect per test treatment, blockwise. `plots` holds the (block column,
+    effect column) pair of every control plot and then of every test
+    plot, block by block; `info` is accumulated from it and `x` is built
+    from it when read. `test_offsets[j]` is the position of block j+1's
+    first test effect among the (control, test) coefficients, counted
+    after the v controls.
     """
 
     design: BlockDesign
     aug: AugmentationSpec
-    x: np.ndarray
+    plots: np.ndarray
     info: np.ndarray
     info_pinv: np.ndarray
     test_offsets: tuple[int, ...]
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """The n_plots x p model matrix: a one in each plot's two columns."""
+        x = np.zeros((len(self.plots), len(self.info)))
+        x[np.arange(len(self.plots))[:, None], self.plots] = 1.0
+        return x
 
     @property
     def n_tests(self) -> int:
@@ -82,77 +96,60 @@ class AugmentedModel:
             raise IndexOutOfRange(f"test slot {w} outside 1..{counts[j - 1]} in block {j}")
         return self.design.v + self.test_offsets[j - 1] + (w - 1)
 
+    def _contrast(self, plus: int, minus: int) -> np.ndarray:
+        c = np.zeros(self.design.v + self.n_tests)
+        c[plus] = 1.0
+        c[minus] -= 1.0
+        return c
+
     def cc_contrast(self, i: int, i_star: int) -> np.ndarray:
         """Coefficients of control i minus control i* over (controls, tests)."""
-        c = np.zeros(self.design.v + self.n_tests)
-        c[i - 1] = 1.0
-        c[i_star - 1] -= 1.0
-        return c
+        return self._contrast(i - 1, i_star - 1)
 
     def tt_contrast(self, j: int, w: int, j_star: int, w_star: int) -> np.ndarray:
         """Coefficients of test (j, w) minus test (j*, w*)."""
-        c = np.zeros(self.design.v + self.n_tests)
-        c[self._test_pos(j, w)] = 1.0
-        c[self._test_pos(j_star, w_star)] -= 1.0
-        return c
+        return self._contrast(self._test_pos(j, w), self._test_pos(j_star, w_star))
 
     def ct_contrast(self, i: int, j: int, w: int) -> np.ndarray:
         """Coefficients of control i minus test (j, w)."""
-        c = np.zeros(self.design.v + self.n_tests)
-        c[i - 1] = 1.0
-        c[self._test_pos(j, w)] -= 1.0
-        return c
-
-
-def _null_basis(d: BlockDesign, counts: tuple[int, ...], offsets: tuple[int, ...]) -> np.ndarray:
-    """Orthonormal basis of the null space of the information matrix;
-    `offsets[j]` is the position of block j's first test effect."""
-    b, v = d.b, d.v
-    p = b + v + sum(counts)
-    comp_block, comp_control, n_comp = components(d)
-    cols = []
-    for comp in range(n_comp):
-        vec = np.zeros(p)
-        for j in range(b):
-            if comp_block[j] == comp:
-                vec[j] = 1.0
-                start = b + v + offsets[j]
-                vec[start : start + counts[j]] = -1.0
-        for i in range(v):
-            if comp_control[i] == comp:
-                vec[b + i] = -1.0
-        cols.append(vec / math.sqrt(float(vec @ vec)))
-    return np.column_stack(cols)
+        return self._contrast(i - 1, self._test_pos(j, w))
 
 
 def build_model(
     d: BlockDesign, aug: AugmentationSpec, max_plots: int = DEFAULT_PLOT_CAP
 ) -> AugmentedModel:
-    """Assemble the plot-level model matrix and pseudo-invert X^T X."""
+    """Lay out the plots and pseudo-invert X^T X without forming X.
+
+    The plot cap is checked first, then a design with more treatments
+    than control plots is rejected as disconnected, so p = b + v + T is
+    at most twice the plot count before anything of order p is built.
+    """
     counts = aug.counts(d.b)
-    total = sum(counts)
-    n_plots = sum(d.block_sizes) + total
+    n_controls = sum(d.block_sizes)
+    n_plots = n_controls + sum(counts)
     if n_plots > max_plots:
         raise InvalidParameters(f"model would need {n_plots} plots, cap is {max_plots}")
+    if d.v > n_controls:
+        raise Disconnected(f"{d.v} treatments cannot all occur in {n_controls} control plots")
     b, v = d.b, d.v
-    p = b + v + total
-    offsets = (0, *itertools.accumulate(counts[:-1]))
-    x = np.zeros((n_plots, p))
-    row = 0
-    for j, block in enumerate(d.blocks):
-        for label in block:
-            x[row, j] = 1.0
-            x[row, b + label - 1] = 1.0
-            row += 1
-        for w in range(counts[j]):
-            x[row, j] = 1.0
-            x[row, b + v + offsets[j] + w] = 1.0
-            row += 1
-    info = x.T @ x
-    basis = _null_basis(d, counts, offsets)
+    test_block = np.repeat(np.arange(b), counts)
+    p = b + v + test_block.size
+    block_col = np.concatenate((np.repeat(np.arange(b), d.block_sizes), test_block))
+    effect_col = np.concatenate((np.concatenate(d.blocks) + (b - 1), np.arange(b + v, p)))
+    plots = np.column_stack((block_col, effect_col))
+    # X^T X = M + M^T + diag(plots per column), M counting (block, effect) pairs
+    info = np.zeros((p, p))
+    np.add.at(info, (plots[:, 0], plots[:, 1]), 1.0)
+    info += info.T
+    info[np.diag_indices(p)] = np.bincount(plots.ravel(), minlength=p)
+    comp_block, comp_control, n_comp = components(d)
+    label = np.concatenate((comp_block, comp_control, np.asarray(comp_block)[test_block]))
+    basis = np.zeros((p, n_comp))
+    basis[np.arange(p), label] = np.where(np.arange(p) < b, 1.0, -1.0)
+    basis /= np.sqrt(np.bincount(label))
     shift = basis @ basis.T
     pinv = invert(SymMatrix(info + shift)).a - shift
-    return AugmentedModel(design=d, aug=aug, x=x, info=info, info_pinv=pinv, test_offsets=offsets)
+    return AugmentedModel(d, aug, plots, info, pinv, (0, *itertools.accumulate(counts[:-1])))
 
 
 def gls_variance(m: AugmentedModel, contrast) -> float:
@@ -165,7 +162,7 @@ def gls_variance(m: AugmentedModel, contrast) -> float:
     """
     c = np.asarray(contrast, dtype=float)
     b = m.design.b
-    expected = m.x.shape[1] - b
+    expected = len(m.info) - b
     if c.shape != (expected,):
         raise DimensionMismatch(f"expected {expected} coefficients, got shape {c.shape}")
     full = np.concatenate([np.zeros(b), c])
@@ -198,8 +195,8 @@ def verify_design(
     against the plot-level GLS value, all pairs in one matrix: controls
     against `criteria.v_cc_matrix`, tests in different blocks against
     2 + `criteria.v_tt_matrix`, tests sharing a block against the constant
-    2, control-test pairs against `criteria.v_ct_matrix`. The plot cap is
-    checked before anything of order v or b is built."""
+    2, control-test pairs against `criteria.v_ct_matrix`. `build_model`
+    runs first, so its guards precede anything of order v or b."""
     model = build_model(d, aug, max_plots=max_plots)
     ib = criteria.intrablock(d)
     b, v = d.b, d.v
@@ -208,7 +205,7 @@ def verify_design(
     if worst > ESTIMABLE_TOL:
         raise NotEstimable(f"some contrast is not estimable (projection residual {worst:.3e})")
     gls = criteria._pairwise(model.info_pinv[b:, b:])
-    slot = np.repeat(np.arange(b), aug.counts(b))
+    slot = model.plots[-model.n_tests :, 0]
     iu = np.triu_indices(slot.size, k=1)
     first, second = slot[iu[0]], slot[iu[1]]
     same = first == second
@@ -273,12 +270,14 @@ def class_minima(
     n_connected = 0
     for d in enumerate_class(b, v, k, cap=cap):
         n_raw += 1
-        if not is_connected(d):
+        try:
+            ib = criteria.intrablock(d)
+        except Disconnected:
             continue
         n_connected += 1
-        ib = criteria.intrablock(d)
-        values = criteria.a_criteria(ib, d, aug) + criteria.mv_criteria(ib, d)
-        for name, value in zip(CRITERION_NAMES, values):
+        report = criteria.criteria_report(ib, d, aug)
+        for name in CRITERION_NAMES:
+            value = getattr(report, name)
             if name not in best or value < best[name] - MOVE_TOL:
                 best[name] = value
                 arg[name] = d

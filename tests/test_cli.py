@@ -1,10 +1,14 @@
+import ast
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import augdes
 from augdes import AugmentationSpec, criteria, oracle
 from augdes.bounds import efficiencies, threshold_class
 from augdes.cli import build_report, cli, round3
@@ -250,6 +254,29 @@ def test_broken_pipe_is_quiet():
     assert "Exception ignored" not in proc.stderr
 
 
+def test_runtime_needs_only_numpy_and_click():
+    # a fresh interpreter running `eval` must not pull in test-only or
+    # undeclared packages
+    design = Path(__file__).resolve().parent.parent / "designs" / "lattice_q5.design"
+    script = (
+        "import sys\n"
+        "import augdes.cli\n"
+        f"sys.argv = ['augdes', 'eval', {str(design)!r}, '--format', 'json']\n"
+        "try:\n"
+        "    augdes.cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules}), file=sys.stderr)\n"
+    )
+    src = str(Path(augdes.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["eff"]["cc"] > 0.99
+    loaded = set(ast.literal_eval(proc.stderr.strip().splitlines()[-1]))
+    assert not loaded & {"scipy", "pytest", "_pytest", "hypothesis"}
+
+
 class TestVerify:
     def test_passes_on_good_design(self, runner, tmp_path):
         path = write(tmp_path, "d.design", RCBD2_TEXT)
@@ -278,6 +305,14 @@ class TestVerify:
         path = write(tmp_path, "d.design", RCBD2_TEXT)
         result = runner.invoke(cli, ["verify", path, "--max-plots", "3"])
         assert result.exit_code == 2
+
+    def test_huge_v_in_tiny_file_exits_2(self, runner, tmp_path):
+        # three plots cannot hold a billion treatments: rejected as
+        # disconnected before anything of order v is allocated
+        path = write(tmp_path, "d.design", "v 1000000000\nblock 1 2\n")
+        result = runner.invoke(cli, ["verify", path])
+        assert result.exit_code == 2
+        assert "treatments cannot all occur" in result.output
 
 
 class TestEnumerate:

@@ -74,6 +74,56 @@ class TestModel:
         assert np.max(np.abs(g @ a @ g - g)) <= 1e-9
 
 
+class TestPlotLayout:
+    @pytest.mark.parametrize("d, aug", [c[1:] for c in CATALOGUE], ids=[c[0] for c in CATALOGUE])
+    def test_info_is_x_transpose_x(self, d, aug):
+        m = build_model(d, aug, max_plots=sum(d.block_sizes) + aug.total(d.b))
+        assert "x" not in vars(m)
+        assert np.array_equal(m.info, m.x.T @ m.x)
+
+    @pytest.mark.parametrize(
+        "d",
+        [from_blocks(4, [[1, 2], [3, 4]]), from_blocks(3, [[1, 1], [2, 2]]), lattice_bib(3)],
+        ids=["two-components", "unused-treatment", "lattice_q3"],
+    )
+    def test_moore_penrose_conditions(self, d):
+        # the component labels must give the orthonormal null basis, one
+        # column per component, so that the shifted inverse is the MP inverse
+        m = build_model(d, AugmentationSpec.common(2))
+        a, g = m.info, m.info_pinv
+        tol = 1e-12 * len(a) * np.max(np.abs(a))
+        assert np.max(np.abs(a @ g @ a - a)) <= tol
+        assert np.max(np.abs(g @ a @ g - g)) <= tol
+        assert np.max(np.abs(a @ g - (a @ g).T)) <= tol
+        assert np.max(np.abs(g @ a - (g @ a).T)) <= tol
+
+    def test_long_blocks_build_no_model_matrix(self):
+        # (b, v, k) = (10, 10, 300) at s=1: 3,010 plots but only 30
+        # parameters, so nothing of order n_plots x p may be allocated
+        d = from_blocks(10, [[1 + i % 10 for i in range(300)]] * 10)
+        tracemalloc.start()
+        try:
+            m = build_model(d, ONE, max_plots=3010)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+        assert "x" not in vars(m)
+        assert m.x.shape == (3010, 30)
+
+    def test_unused_treatments_rejected_before_order_v(self):
+        # one block of two plots cannot reach 1,000 treatments
+        d = from_blocks(1000, [[1, 2]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(Disconnected):
+                verify_design(d, ONE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestGlsVariance:
     def test_rcbd_values(self):
         m = build_model(RCBD2, ONE)
@@ -266,6 +316,19 @@ class TestClassMinima:
             low = min(row[pos] for row in values)
             first = next(d for d, row in zip(designs, values) if row[pos] <= low + MOVE_TOL)
             assert result.argmin[name] == first, name
+
+    def test_connectivity_checked_once_per_design(self, monkeypatch):
+        calls = []
+        original = criteria.is_connected
+
+        def counting(d):
+            calls.append(d)
+            return original(d)
+
+        monkeypatch.setattr(criteria, "is_connected", counting)
+        monkeypatch.setattr(oracle, "is_connected", counting)
+        result = class_minima(4, 3, 2, ONE)
+        assert len(calls) == result.n_designs == 126
 
     def test_minima_are_attained_values(self):
         from augdes.criteria import a_criteria, intrablock
