@@ -141,9 +141,10 @@ def v_ct(ib: Intrablock, d: BlockDesign, i: int, j: int) -> float:
 
 
 def _pairwise(m: np.ndarray) -> np.ndarray:
-    """(e_a - e_b)^T M (e_a - e_b) for every pair (a, b) of a symmetric M."""
-    dg = np.diag(m)
-    return dg[:, None] + dg[None, :] - 2.0 * m
+    """(e_a - e_b)^T M (e_a - e_b) for every pair (a, b) of a symmetric M,
+    or of each matrix in a stack of them (shape (..., n, n))."""
+    dg = np.diagonal(m, axis1=-2, axis2=-1)
+    return dg[..., :, None] + dg[..., None, :] - 2.0 * m
 
 
 def v_cc_matrix(ib: Intrablock) -> np.ndarray:
@@ -156,14 +157,20 @@ def v_tt_matrix(ib: Intrablock) -> np.ndarray:
     return _pairwise(ib.c_dual_plus.a)
 
 
+def _ct_matrix(q: np.ndarray, n: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """v x b control-vs-test multipliers from Q, the incidence N and the
+    replications r, or a stack of them (shapes (..., b, b), (..., v, b)
+    and (..., v))."""
+    g = n / r[..., :, None]
+    gq = g @ q
+    own = np.einsum("...ij,...ij->...i", gq, g)
+    dq = np.diagonal(q, axis1=-2, axis2=-1)
+    return 1.0 + (1.0 / r)[..., :, None] + dq[..., None, :] - 2.0 * gq + own[..., :, None]
+
+
 def v_ct_matrix(ib: Intrablock, d: BlockDesign) -> np.ndarray:
     """v x b matrix of control-vs-test multipliers."""
-    q = ib.c_dual_plus.a
-    r = np.asarray(d.replications, dtype=float)
-    g = d.incidence / r[:, None]
-    gq = g @ q
-    own = np.einsum("ij,ij->i", gq, g)
-    return 1.0 + (1.0 / r)[:, None] + np.diag(q)[None, :] - 2.0 * gq + own[:, None]
+    return _ct_matrix(ib.c_dual_plus.a, d.incidence, np.asarray(d.replications, dtype=float))
 
 
 def a_criteria(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> tuple[float, float, float]:
@@ -215,28 +222,21 @@ def dual_inverse(p: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
     return q
 
 
-def stacked_a_criteria(n: np.ndarray, k: int, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A-criteria (cc, tt, ct) of a stack of connected primals, given as
-    an (m, v, b) float incidence with block size k, under the per-block
-    test-treatment counts `counts`.
-
-    One stacked inverse of C + J/v gives every P; Q follows from
-    `dual_inverse`. With s the count vector, T its sum and G = R^-1 N,
-
-        A_tt = 2 + 2 (T s^T diag(Q) - s^T Q s) / (T (T - 1))
-        A_ct = 1 + mean(1/r) + s^T diag(Q) / T - 2 (1^T G Q s) / (v T) + tr(G Q G^T) / v
-
-    which is the pairwise definition for per-block counts and reduces to
-    the trace forms of `a_criteria` when the counts are equal. The stack
-    is not checked for connectivity; a disconnected member has no
-    meaningful value.
-    """
-    _, v, b = n.shape
+def _stacked_inverses(n: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replications r, P = C+ and Q = C_dual+ of a stack of connected
+    primals, given as an (m, v, b) float incidence with block size k: one
+    stacked inverse of C + J/v gives every P, and Q follows from
+    `dual_inverse`."""
+    v = n.shape[1]
     r = n.sum(axis=2)
     c = -(n @ np.swapaxes(n, 1, 2)) / k
     c[:, range(v), range(v)] += r
     p = np.linalg.inv(c + 1.0 / v) - 1.0 / v
-    q = dual_inverse(p, n, k)
+    return r, p, dual_inverse(p, n, k)
+
+
+def _stacked_a(n, r, p, q, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    _, v, _ = n.shape
     s = np.asarray(counts, dtype=float)
     total = float(s.sum())
     s_diag = np.diagonal(q, axis1=1, axis2=2) @ s
@@ -252,6 +252,44 @@ def stacked_a_criteria(n: np.ndarray, k: int, counts) -> tuple[np.ndarray, np.nd
         + np.sum(gq * g, axis=(1, 2)) / v
     )
     return a_cc, a_tt, a_ct
+
+
+def stacked_a_criteria(n: np.ndarray, k: int, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A-criteria (cc, tt, ct) of a stack of connected primals, given as
+    an (m, v, b) float incidence with block size k, under the per-block
+    test-treatment counts `counts`.
+
+    P and Q come from `_stacked_inverses`. With s the count vector, T its
+    sum and G = R^-1 N,
+
+        A_tt = 2 + 2 (T s^T diag(Q) - s^T Q s) / (T (T - 1))
+        A_ct = 1 + mean(1/r) + s^T diag(Q) / T - 2 (1^T G Q s) / (v T) + tr(G Q G^T) / v
+
+    which is the pairwise definition for per-block counts and reduces to
+    the trace forms of `a_criteria` when the counts are equal. The stack
+    is not checked for connectivity; a disconnected member has no
+    meaningful value.
+    """
+    return _stacked_a(n, *_stacked_inverses(n, k), counts)
+
+
+def stacked_criteria(n: np.ndarray, k: int, counts) -> np.ndarray:
+    """All six criteria (a_cc, a_tt, a_ct, mv_cc, mv_tt, mv_ct) of a stack
+    of connected primals as an (m, 6) array, from one P and Q per member:
+    the A-criteria as in `stacked_a_criteria`, the MV-criteria as the
+    largest off-diagonal entries of the same pairwise and control-test
+    matrices `mv_criteria` reads."""
+    m, v, b = n.shape
+    r, p, q = _stacked_inverses(n, k)
+    iu_v = np.triu_indices(v, k=1)
+    mv_cc = _pairwise(p)[:, iu_v[0], iu_v[1]].max(axis=1)
+    if b >= 2:
+        iu_b = np.triu_indices(b, k=1)
+        mv_tt = 2.0 + _pairwise(q)[:, iu_b[0], iu_b[1]].max(axis=1)
+    else:
+        mv_tt = np.full(m, 2.0)
+    mv_ct = _ct_matrix(q, n, r).max(axis=(1, 2))
+    return np.column_stack((*_stacked_a(n, r, p, q, counts), mv_cc, mv_tt, mv_ct))
 
 
 def mv_criteria(ib: Intrablock, d: BlockDesign) -> tuple[float, float, float]:

@@ -23,7 +23,9 @@ treatment columns is the largest projection residual of any pair.
 
 `enumerate_class` walks every design of a small class, blockwise and as a
 multiset of blocks, so that bounds and criterion minima can be checked
-exhaustively.
+exhaustively. `class_minima` scores the connected designs of the walk in
+stacked chunks and scores exactly only those that could move a minimum,
+so its minima and argmins are those of one exact score per design.
 """
 
 from __future__ import annotations
@@ -47,11 +49,13 @@ from .errors import (
     NotEstimable,
 )
 from .matrix import SymMatrix, invert
-from .search import MOVE_TOL
+from .search import MOVE_TOL, SCREEN_TOL
 
 DEFAULT_ENUM_CAP = 10_000_000
 DEFAULT_PLOT_CAP = 200
 ESTIMABLE_TOL = 1e-8
+# Connected designs scored per stacked evaluation in class_minima.
+CHUNK = 512
 
 CRITERION_NAMES = ("a_cc", "a_tt", "a_ct", "mv_cc", "mv_tt", "mv_ct")
 
@@ -200,7 +204,8 @@ def verify_design(
     model = build_model(d, aug, max_plots=max_plots)
     ib = criteria.intrablock(d)
     b, v = d.b, d.v
-    residual = model.info @ model.info_pinv[:, b:] - np.eye(len(model.info))[:, b:]
+    residual = model.info @ model.info_pinv[:, b:]
+    residual[b:, :][np.diag_indices(len(residual) - b)] -= 1.0
     worst = float(np.max(np.ptp(residual, axis=1)))
     if worst > ESTIMABLE_TOL:
         raise NotEstimable(f"some contrast is not estimable (projection residual {worst:.3e})")
@@ -220,6 +225,20 @@ def verify_design(
     )
 
 
+def _class_size(b: int, v: int, k: int, cap: int) -> int:
+    """Number of designs with b blocks of size k on v treatments, after
+    checking the parameters and the cap."""
+    if b < 1 or v < 1 or k < 1:
+        raise InvalidParameters(f"need b, v, k >= 1; got ({b}, {v}, {k})")
+    n_blocks = math.comb(v + k - 1, k)
+    if n_blocks > cap:
+        raise ClassTooLarge(f"{n_blocks} candidate blocks exceed the cap {cap}")
+    n_designs = math.comb(n_blocks + b - 1, b)
+    if n_designs > cap:
+        raise ClassTooLarge(f"{n_designs} designs exceed the cap {cap}")
+    return n_designs
+
+
 def enumerate_class(
     b: int, v: int, k: int, connected_only: bool = False, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[BlockDesign]:
@@ -229,14 +248,7 @@ def enumerate_class(
     blocks, so non-binary and non-equireplicate designs are included and
     each design appears exactly once.
     """
-    if b < 1 or v < 1 or k < 1:
-        raise InvalidParameters(f"need b, v, k >= 1; got ({b}, {v}, {k})")
-    n_blocks = math.comb(v + k - 1, k)
-    if n_blocks > cap:
-        raise ClassTooLarge(f"{n_blocks} candidate blocks exceed the cap {cap}")
-    n_designs = math.comb(n_blocks + b - 1, b)
-    if n_designs > cap:
-        raise ClassTooLarge(f"{n_designs} designs exceed the cap {cap}")
+    _class_size(b, v, k, cap)
     pool = list(itertools.combinations_with_replacement(range(1, v + 1), k))
     for chosen in itertools.combinations_with_replacement(pool, b):
         d = BlockDesign(v, chosen)
@@ -258,27 +270,80 @@ class ClassMinima:
     argmin: dict[str, BlockDesign]
 
 
+def _check_scorable(b: int, v: int, k: int, aug: AugmentationSpec) -> None:
+    """Make up front the checks `criteria.a_criteria` makes on every
+    design. They apply only when the class has a connected design, which
+    needs a spanning tree of v + b - 1 treatment-block links among its
+    b k plots."""
+    if b * k < v + b - 1:
+        return
+    if v < 2:
+        raise InvalidParameters("control comparisons need at least two controls")
+    if aug.total(b) < 2:
+        raise InvalidParameters("test comparisons need at least two test treatments")
+
+
 def class_minima(
     b: int, v: int, k: int, aug: AugmentationSpec, cap: int = DEFAULT_ENUM_CAP
 ) -> ClassMinima:
     """Minimize all six criteria over the connected designs of a class,
     recording per criterion the first minimizing design in enumeration
-    order, with values within MOVE_TOL counted as ties."""
+    order, with values within MOVE_TOL counted as ties.
+
+    Connected designs are screened CHUNK at a time and only those that
+    `_confirm_chunk` admits are scored exactly; the update uses exact
+    values only. This is exact: a design updates only if its exact value
+    is below best_t - MOVE_TOL, best_t being the running best before it.
+    best_t is at most the chunk-start best, and at most exact(e) + MOVE_TOL
+    for every earlier design e. So, with every criterion positive and the
+    screen's drift below SCREEN_TOL, both confirm limits admit every
+    design that would update, and skipping the rest moves no running best.
+    """
+    n_designs = _class_size(b, v, k, cap)
+    _check_scorable(b, v, k, aug)
     best: dict[str, float] = {}
     arg: dict[str, BlockDesign] = {}
-    n_raw = 0
     n_connected = 0
+    chunk: list[BlockDesign] = []
     for d in enumerate_class(b, v, k, cap=cap):
-        n_raw += 1
-        try:
-            ib = criteria.intrablock(d)
-        except Disconnected:
+        if not is_connected(d):
             continue
         n_connected += 1
-        report = criteria.criteria_report(ib, d, aug)
+        chunk.append(d)
+        if len(chunk) == CHUNK:
+            _confirm_chunk(chunk, k, aug, best, arg)
+            chunk = []
+    if chunk:
+        _confirm_chunk(chunk, k, aug, best, arg)
+    return ClassMinima(b, v, k, n_designs, n_connected, best, arg)
+
+
+def _confirm_chunk(
+    chunk: list[BlockDesign],
+    k: int,
+    aug: AugmentationSpec,
+    best: dict[str, float],
+    arg: dict[str, BlockDesign],
+) -> None:
+    """Score exactly, in order, each design of the chunk whose screened
+    value of some criterion is NaN or lies below both (a) the chunk-start
+    best - MOVE_TOL + SCREEN_TOL max(1, |best|) and (b) the smallest
+    screened value earlier in the chunk + 2 SCREEN_TOL max(1, |that|)."""
+    m, v, b = len(chunk), chunk[0].v, chunk[0].b
+    n = np.zeros((m, v, b))
+    labels = np.array([d.blocks for d in chunk]) - 1
+    np.add.at(n, (np.arange(m)[:, None, None], labels, np.arange(b)[:, None]), 1.0)
+    screened = criteria.stacked_criteria(n, k, aug.counts(b))
+    start = np.array([best.get(name, np.inf) for name in CRITERION_NAMES])
+    below_best = screened < start - MOVE_TOL + SCREEN_TOL * np.maximum(1.0, np.abs(start))
+    earlier = np.fmin.accumulate(np.vstack((np.full(len(start), np.inf), screened[:-1])))
+    below_earlier = screened < earlier + 2.0 * SCREEN_TOL * np.maximum(1.0, np.abs(earlier))
+    confirm = np.isnan(screened) | (below_best & below_earlier)
+    for i in np.flatnonzero(confirm.any(axis=1)):
+        d = chunk[i]
+        report = criteria.criteria_report(criteria.intrablock(d), d, aug)
         for name in CRITERION_NAMES:
             value = getattr(report, name)
             if name not in best or value < best[name] - MOVE_TOL:
                 best[name] = value
                 arg[name] = d
-    return ClassMinima(b, v, k, n_raw, n_connected, best, arg)

@@ -15,6 +15,7 @@ from augdes.cli import build_report, cli, round3
 from augdes.design import format_design, from_blocks, all_k_subsets, delete_blocks
 
 RCBD2_TEXT = "v 2\nblock 1 2\nblock 1 2\n"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture()
@@ -330,6 +331,13 @@ class TestEnumerate:
         assert doc["connected"] == 51
         assert doc["minima"]["a_cc"]["value"] >= 1.0 - 1e-9
         assert doc["minima"]["a_cc"]["blocks"]
+
+    def test_minima_json_golden(self, runner):
+        result = runner.invoke(
+            cli, ["enumerate", "--b", "5", "--v", "4", "--k", "2", "--minima", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        assert result.output == (DATA / "enumerate_b5_v4_k2_minima.json").read_text(encoding="utf-8")
 
     def test_env_cap(self, runner):
         result = runner.invoke(

@@ -318,17 +318,26 @@ class TestClassMinima:
             assert result.argmin[name] == first, name
 
     def test_connectivity_checked_once_per_design(self, monkeypatch):
-        calls = []
-        original = criteria.is_connected
+        connectivity = []
+        exact = []
+        original_connected = oracle.is_connected
+        original_intrablock = criteria.intrablock
 
-        def counting(d):
-            calls.append(d)
-            return original(d)
+        def counting_connected(d):
+            connectivity.append(d)
+            return original_connected(d)
 
-        monkeypatch.setattr(criteria, "is_connected", counting)
-        monkeypatch.setattr(oracle, "is_connected", counting)
+        def counting_intrablock(d):
+            exact.append(d)
+            return original_intrablock(d)
+
+        monkeypatch.setattr(oracle, "is_connected", counting_connected)
+        monkeypatch.setattr(criteria, "intrablock", counting_intrablock)
         result = class_minima(4, 3, 2, ONE)
-        assert len(calls) == result.n_designs == 126
+        assert len(connectivity) == result.n_designs == 126
+        assert len(set(connectivity)) == 126
+        assert 0 < len(exact) < result.n_connected == 51
+        assert all(is_connected(d) for d in exact)
 
     def test_minima_are_attained_values(self):
         from augdes.criteria import a_criteria, intrablock
@@ -337,3 +346,100 @@ class TestClassMinima:
         d = result.argmin["a_cc"]
         ib = intrablock(d)
         assert abs(a_criteria(ib, d, ONE)[0] - result.minima["a_cc"]) <= 1e-12
+
+
+def reference_class_minima(b, v, k, aug, cap=oracle.DEFAULT_ENUM_CAP):
+    """The unchunked loop: one exact intrablock and criteria report per
+    enumerated design, in enumeration order, with the same update rule."""
+    best, arg = {}, {}
+    n_raw = n_connected = 0
+    for d in enumerate_class(b, v, k, cap=cap):
+        n_raw += 1
+        try:
+            ib = criteria.intrablock(d)
+        except Disconnected:
+            continue
+        n_connected += 1
+        report = criteria.criteria_report(ib, d, aug)
+        for name in CRITERION_NAMES:
+            value = getattr(report, name)
+            if name not in best or value < best[name] - MOVE_TOL:
+                best[name] = value
+                arg[name] = d
+    return n_raw, n_connected, best, arg
+
+
+class TestStackedClassMinima:
+    @pytest.mark.parametrize(
+        "cls, aug",
+        [
+            ((4, 3, 2), ONE),
+            ((3, 4, 2), ONE),
+            ((5, 4, 2), ONE),
+            ((5, 4, 2), AugmentationSpec.common(3)),
+            ((5, 4, 2), AugmentationSpec.per_block([1, 2, 3, 1, 4])),
+        ],
+        ids=["4-3-2", "3-4-2", "5-4-2", "5-4-2-s3", "5-4-2-s_list"],
+    )
+    def test_matches_one_exact_score_per_design(self, cls, aug):
+        n_raw, n_connected, best, arg = reference_class_minima(*cls, aug)
+        result = class_minima(*cls, aug)
+        assert (result.n_designs, result.n_connected) == (n_raw, n_connected)
+        assert {n: x.hex() for n, x in result.minima.items()} == {n: x.hex() for n, x in best.items()}
+        assert result.argmin == arg
+
+    def test_chunks_span_the_class(self, monkeypatch):
+        # 574 connected designs in chunks of 7: the running best crosses 82 chunk starts
+        _, _, best, arg = reference_class_minima(5, 4, 2, ONE)
+        monkeypatch.setattr(oracle, "CHUNK", 7)
+        result = class_minima(5, 4, 2, ONE)
+        assert result.minima == best and result.argmin == arg
+
+    def test_nan_screen_is_confirmed(self, monkeypatch):
+        def nan_screen(n, k, counts):
+            return np.full((len(n), len(CRITERION_NAMES)), np.nan)
+
+        monkeypatch.setattr(criteria, "stacked_criteria", nan_screen)
+        _, _, best, arg = reference_class_minima(4, 3, 2, ONE)
+        result = class_minima(4, 3, 2, ONE)
+        assert result.minima == best and result.argmin == arg
+
+    @pytest.mark.parametrize(
+        "args, kwargs, error",
+        [
+            ((3, 1, 2, ONE), {}, InvalidParameters),
+            ((1, 2, 2, ONE), {}, InvalidParameters),
+            ((5, 4, 2, AugmentationSpec.per_block([1, 2])), {}, InvalidParameters),
+            ((0, 2, 2, ONE), {}, InvalidParameters),
+            ((5, 4, 2, ONE), {"cap": 100}, ClassTooLarge),
+        ],
+        ids=["v1", "one-test", "s_list-length", "b0", "cap"],
+    )
+    def test_bad_parameters_raise_as_before(self, args, kwargs, error):
+        with pytest.raises(error) as got:
+            class_minima(*args, **kwargs)
+        with pytest.raises(error) as want:
+            reference_class_minima(*args, **kwargs)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1, 2, 2, AugmentationSpec.common(2)),
+            (1, 3, 2, ONE),
+            (1, 3, 2, AugmentationSpec.per_block([1, 2])),
+            (2, 3, 2, AugmentationSpec.per_block([1, 1])),
+        ],
+        ids=["b1-s2", "no-connected", "no-connected-s_list", "2-3-2-s_list"],
+    )
+    def test_small_classes_keep_results(self, args):
+        n_raw, n_connected, best, arg = reference_class_minima(*args)
+        result = class_minima(*args)
+        assert (result.n_designs, result.n_connected) == (n_raw, n_connected)
+        assert result.minima == best and result.argmin == arg
+
+    def test_single_block_minima(self):
+        result = class_minima(1, 2, 2, AugmentationSpec.common(2))
+        assert result.minima == dict.fromkeys(CRITERION_NAMES, 2.0)
+        empty = class_minima(1, 3, 2, ONE)
+        assert (empty.n_connected, empty.minima, empty.argmin) == (0, {}, {})

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from augdes.bounds import a_bounds
-from augdes.criteria import a_criteria, equireplicate_identities, intrablock
+from augdes.criteria import a_criteria, criteria_report, equireplicate_identities, intrablock, stacked_criteria
 from augdes.design import AugmentationSpec, BlockDesign, is_connected
 
 REL = 1e-12
@@ -76,3 +76,18 @@ def test_a_bounds_below_a_criteria(d, data):
     achieved = a_criteria(intrablock(d), d, aug)
     for got, bound in zip(achieved, a_bounds(d.b, d.v, k, aug)):
         assert got >= bound - REL * bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_designs(), st.data())
+def test_stacked_criteria_match_exact_report(d, data):
+    # the premise of the screen-then-confirm rule in oracle.class_minima
+    if data.draw(st.booleans()):
+        aug = AugmentationSpec.common(data.draw(st.integers(1, 5)))
+    else:
+        aug = AugmentationSpec.per_block(data.draw(st.lists(st.integers(1, 5), min_size=d.b, max_size=d.b)))
+    n = d.incidence[None, :, :].astype(float)
+    screened = stacked_criteria(n, d.uniform_block_size(), aug.counts(d.b))[0]
+    exact = criteria_report(intrablock(d), d, aug)
+    for got, want in zip(screened, (exact.a_cc, exact.a_tt, exact.a_ct, exact.mv_cc, exact.mv_tt, exact.mv_ct)):
+        assert abs(got - want) <= REL * abs(want)
