@@ -58,6 +58,7 @@ from .oracle import (
     ClassMinima,
     VerificationReport,
     build_model,
+    class_counts,
     class_minima,
     enumerate_class,
     gls_variance,
@@ -85,6 +86,7 @@ __all__ = [
     "all_k_subsets",
     "bound_quantities",
     "build_model",
+    "class_counts",
     "class_minima",
     "delete_blocks",
     "dual",

@@ -31,7 +31,6 @@ from .design import (
     delete_blocks,
     dual,
     format_design,
-    is_connected,
     lattice_bib,
     low_overlap_indices,
     read_design,
@@ -403,12 +402,7 @@ def enumerate_cmd(b, v, k, s_common, minima, fmt):
         result = oracle.class_minima(b, v, k, aug, cap=cap)
         n_raw, n_connected = result.n_designs, result.n_connected
     else:
-        n_raw = 0
-        n_connected = 0
-        for d in oracle.enumerate_class(b, v, k, cap=cap):
-            n_raw += 1
-            if is_connected(d):
-                n_connected += 1
+        n_raw, n_connected = oracle.class_counts(b, v, k, cap=cap)
         result = None
     if fmt == "json":
         payload = {

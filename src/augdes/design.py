@@ -170,6 +170,28 @@ def is_connected(d: BlockDesign) -> bool:
     return 0 < d.b and d.v <= sum(d.block_sizes) and components(d)[2] == 1
 
 
+def stacked_connected(n: np.ndarray) -> np.ndarray:
+    """`is_connected` for every member of an (m, v, b) incidence stack, as
+    an (m,) boolean array.
+
+    Starting from treatment 1, each round hops from the reached treatments
+    to their blocks and back, as two boolean matrix products over the
+    whole stack, until no member reaches anything new. A member is
+    connected when it reaches every treatment and every block. On a
+    single design the union-find of `is_connected` is faster.
+    """
+    m, v, b = n.shape
+    links = n.astype(bool, copy=False)
+    reach = np.zeros((m, 1, v), dtype=bool)
+    reach[:, 0, 0] = True
+    while True:
+        blocks = reach @ links
+        grown = reach | blocks @ np.swapaxes(links, 1, 2)
+        if np.array_equal(grown, reach):
+            return (b > 0) & reach.all(axis=(1, 2)) & blocks.all(axis=(1, 2))
+        reach = grown
+
+
 def dual(d: BlockDesign) -> BlockDesign:
     """Interchange the roles of treatments and blocks (the incidence
     matrix transposes); applying it twice restores the design."""

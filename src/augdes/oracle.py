@@ -21,11 +21,16 @@ that pseudo-inverse, diag(G) 1^T + 1 diag(G)^T - 2G holds every pairwise
 GLS variance, and the largest row range of X^T X G' - I' over the
 treatment columns is the largest projection residual of any pair.
 
-`enumerate_class` walks every design of a small class, blockwise and as a
-multiset of blocks, so that bounds and criterion minima can be checked
-exhaustively. `class_minima` scores the connected designs of the walk in
-stacked chunks and scores exactly only those that could move a minimum,
-so its minima and argmins are those of one exact score per design.
+One walk enumerates a small class, so that bounds and criterion minima
+can be checked exhaustively: a design is a multiset of b blocks from the
+pool of k-multisets over 1..v, walked as non-decreasing tuples of pool
+indices WALK_SLICE designs at a time. Each slice's incidence stack is a
+gather of pool rows, and `design.stacked_connected` decides the
+connectivity of the whole slice at once. `enumerate_class` builds a
+design object per yielded design, `class_counts` builds none, and
+`class_minima` scores the connected designs in stacked chunks and builds
+and scores exactly only those that could move a minimum, so its minima
+and argmins are those of one exact score per design.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from . import criteria
-from .design import AugmentationSpec, BlockDesign, components, is_connected
+from .design import AugmentationSpec, BlockDesign, components, stacked_connected
 from .errors import (
     ClassTooLarge,
     DimensionMismatch,
@@ -54,6 +59,8 @@ from .search import MOVE_TOL, SCREEN_TOL
 DEFAULT_ENUM_CAP = 10_000_000
 DEFAULT_PLOT_CAP = 200
 ESTIMABLE_TOL = 1e-8
+# Designs per slice of the index walk over a class.
+WALK_SLICE = 4096
 # Connected designs scored per stacked evaluation in class_minima.
 CHUNK = 512
 
@@ -239,22 +246,72 @@ def _class_size(b: int, v: int, k: int, cap: int) -> int:
     return n_designs
 
 
+class _ClassWalk:
+    """The designs of a class, walked by index in enumeration order.
+
+    The pool holds the k-multisets over 1..v in lexicographic order. A
+    design is a non-decreasing b-tuple of pool indices, so the designs are
+    `itertools.combinations_with_replacement(range(n_pool), b)` and the
+    incidence of a stack of them is a gather of pool rows; no design
+    object is built until one is asked for.
+    """
+
+    def __init__(self, b: int, v: int, k: int, cap: int):
+        self.n_designs = _class_size(b, v, k, cap)
+        self.b, self.v, self.k = b, v, k
+        self.pool = list(itertools.combinations_with_replacement(range(1, v + 1), k))
+
+    @cached_property
+    def pool_inc(self) -> np.ndarray:
+        """The (n_pool, v) incidence counts of the pool, built when first
+        read; a class without connected designs never reads them."""
+        labels = np.fromiter(itertools.chain.from_iterable(self.pool), dtype=np.intp)
+        inc = np.zeros((len(self.pool), self.v), dtype=np.min_scalar_type(self.k))
+        np.add.at(inc, (np.arange(len(self.pool)).repeat(self.k), labels - 1), 1)
+        return inc
+
+    def slices(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The designs WALK_SLICE at a time: an (m, b) array of pool indices
+        and the (m,) mask of the connected ones. When b k < v + b - 1 no
+        design has the v + b - 1 plots a spanning tree needs, and the mask
+        is all False without any reachability run."""
+        b = self.b
+        flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(len(self.pool)), b))
+        possible = b * self.k >= self.v + b - 1
+        while (idx := np.fromiter(itertools.islice(flat, WALK_SLICE * b), dtype=np.intp)).size:
+            idx = idx.reshape(-1, b)
+            yield idx, stacked_connected(self.incidence(idx)) if possible else np.zeros(len(idx), bool)
+
+    def incidence(self, idx: np.ndarray) -> np.ndarray:
+        """The (m, v, b) incidence counts of the designs with pool indices idx."""
+        return np.swapaxes(self.pool_inc[idx], 1, 2)
+
+    def design(self, row) -> BlockDesign:
+        return BlockDesign(self.v, tuple(self.pool[i] for i in row))
+
+
 def enumerate_class(
     b: int, v: int, k: int, connected_only: bool = False, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[BlockDesign]:
-    """Yield every design with b blocks of size k on v treatments.
+    """Yield every design with b blocks of size k on v treatments, or only
+    the connected ones.
 
     Blocks are k-multisets over 1..v and a design is a multiset of such
     blocks, so non-binary and non-equireplicate designs are included and
-    each design appears exactly once.
+    each design appears exactly once. Connectivity is decided per slice of
+    the index walk by `stacked_connected`.
     """
-    _class_size(b, v, k, cap)
-    pool = list(itertools.combinations_with_replacement(range(1, v + 1), k))
-    for chosen in itertools.combinations_with_replacement(pool, b):
-        d = BlockDesign(v, chosen)
-        if connected_only and not is_connected(d):
-            continue
-        yield d
+    walk = _ClassWalk(b, v, k, cap)
+    for idx, connected in walk.slices():
+        for row, ok in zip(idx.tolist(), connected.tolist()):
+            if ok or not connected_only:
+                yield walk.design(row)
+
+
+def class_counts(b: int, v: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, int]:
+    """Number of designs of a class and number of connected ones."""
+    walk = _ClassWalk(b, v, k, cap)
+    return walk.n_designs, sum(int(connected.sum()) for _, connected in walk.slices())
 
 
 @dataclass(frozen=True)
@@ -299,48 +356,44 @@ def class_minima(
     screen's drift below SCREEN_TOL, both confirm limits admit every
     design that would update, and skipping the rest moves no running best.
     """
-    n_designs = _class_size(b, v, k, cap)
+    walk = _ClassWalk(b, v, k, cap)
     _check_scorable(b, v, k, aug)
     best: dict[str, float] = {}
     arg: dict[str, BlockDesign] = {}
     n_connected = 0
-    chunk: list[BlockDesign] = []
-    for d in enumerate_class(b, v, k, cap=cap):
-        if not is_connected(d):
-            continue
-        n_connected += 1
-        chunk.append(d)
-        if len(chunk) == CHUNK:
-            _confirm_chunk(chunk, k, aug, best, arg)
-            chunk = []
-    if chunk:
-        _confirm_chunk(chunk, k, aug, best, arg)
-    return ClassMinima(b, v, k, n_designs, n_connected, best, arg)
+    pending = np.empty((0, b), dtype=np.intp)
+    for idx, connected in walk.slices():
+        n_connected += int(connected.sum())
+        pending = np.concatenate((pending, idx[connected]))
+        while len(pending) >= CHUNK:
+            _confirm_chunk(walk, pending[:CHUNK], aug, best, arg)
+            pending = pending[CHUNK:]
+    if len(pending):
+        _confirm_chunk(walk, pending, aug, best, arg)
+    return ClassMinima(b, v, k, walk.n_designs, n_connected, best, arg)
 
 
 def _confirm_chunk(
-    chunk: list[BlockDesign],
-    k: int,
+    walk: _ClassWalk,
+    rows: np.ndarray,
     aug: AugmentationSpec,
     best: dict[str, float],
     arg: dict[str, BlockDesign],
 ) -> None:
-    """Score exactly, in order, each design of the chunk whose screened
-    value of some criterion is NaN or lies below both (a) the chunk-start
-    best - MOVE_TOL + SCREEN_TOL max(1, |best|) and (b) the smallest
-    screened value earlier in the chunk + 2 SCREEN_TOL max(1, |that|)."""
-    m, v, b = len(chunk), chunk[0].v, chunk[0].b
-    n = np.zeros((m, v, b))
-    labels = np.array([d.blocks for d in chunk]) - 1
-    np.add.at(n, (np.arange(m)[:, None, None], labels, np.arange(b)[:, None]), 1.0)
-    screened = criteria.stacked_criteria(n, k, aug.counts(b))
+    """Score exactly, in order, each design of the chunk (given by its pool
+    index rows) whose screened value of some criterion is NaN or lies
+    below both (a) the chunk-start best - MOVE_TOL + SCREEN_TOL
+    max(1, |best|) and (b) the smallest screened value earlier in the
+    chunk + 2 SCREEN_TOL max(1, |that|)."""
+    n = np.ascontiguousarray(walk.incidence(rows), dtype=float)
+    screened = criteria.stacked_criteria(n, walk.k, aug.counts(walk.b))
     start = np.array([best.get(name, np.inf) for name in CRITERION_NAMES])
     below_best = screened < start - MOVE_TOL + SCREEN_TOL * np.maximum(1.0, np.abs(start))
     earlier = np.fmin.accumulate(np.vstack((np.full(len(start), np.inf), screened[:-1])))
     below_earlier = screened < earlier + 2.0 * SCREEN_TOL * np.maximum(1.0, np.abs(earlier))
     confirm = np.isnan(screened) | (below_best & below_earlier)
     for i in np.flatnonzero(confirm.any(axis=1)):
-        d = chunk[i]
+        d = walk.design(rows[i])
         report = criteria.criteria_report(criteria.intrablock(d), d, aug)
         for name in CRITERION_NAMES:
             value = getattr(report, name)

@@ -87,6 +87,8 @@ def _objective(cfg: SearchConfig, d: BlockDesign) -> float:
 
 
 def _random_connected(b: int, v: int, k: int, rng: random.Random) -> BlockDesign:
+    """A uniform draw of the class that is connected, or, when
+    START_ATTEMPTS draws all fail, `_spanning_start` from the same rng."""
     for _ in range(START_ATTEMPTS):
         blocks = tuple(
             tuple(sorted(rng.randrange(1, v + 1) for _ in range(k))) for _ in range(b)
@@ -94,7 +96,31 @@ def _random_connected(b: int, v: int, k: int, rng: random.Random) -> BlockDesign
         d = BlockDesign(v, blocks)
         if is_connected(d):
             return d
-    raise NoConnectedStart(f"no connected start in {START_ATTEMPTS} draws for ({b}, {v}, {k})")
+    return _spanning_start(b, v, k, rng)
+
+
+def _spanning_start(b: int, v: int, k: int, rng: random.Random) -> BlockDesign:
+    """A connected design built on a random spanning tree of the
+    treatment-block graph, with the remaining plots filled uniformly.
+
+    The blocks join the tree in random order. Each block after the first
+    links to a random treatment already in the tree, and every block then
+    takes treatments not yet in the tree, in random order, while it has
+    room. That places k + (b - 1)(k - 1) treatments at most, which is at
+    least v whenever b k >= v + b - 1.
+    """
+    fresh = rng.sample(range(1, v + 1), v)
+    placed: list[int] = []
+    blocks: list[list[int]] = [[] for _ in range(b)]
+    for j in rng.sample(range(b), b):
+        if placed:
+            blocks[j].append(rng.choice(placed))
+        while fresh and len(blocks[j]) < k:
+            placed.append(fresh.pop())
+            blocks[j].append(placed[-1])
+    for block in blocks:
+        block += [rng.randrange(1, v + 1) for _ in range(k - len(block))]
+    return BlockDesign(v, tuple(tuple(sorted(block)) for block in blocks))
 
 
 def _screen(cfg: SearchConfig, d: BlockDesign, j: int, pos: int, ts: list[int]) -> np.ndarray:

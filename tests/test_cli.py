@@ -339,6 +339,13 @@ class TestEnumerate:
         assert result.exit_code == 0
         assert result.output == (DATA / "enumerate_b5_v4_k2_minima.json").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("cls", [(4, 3, 2), (5, 4, 2), (1, 3, 2)], ids=lambda c: "-".join(map(str, c)))
+    def test_counts_json_golden(self, runner, cls):
+        b, v, k = map(str, cls)
+        result = runner.invoke(cli, ["enumerate", "--b", b, "--v", v, "--k", k, "--format", "json"])
+        assert result.exit_code == 0
+        assert result.output == (DATA / f"enumerate_b{b}_v{v}_k{k}.json").read_text(encoding="utf-8")
+
     def test_env_cap(self, runner):
         result = runner.invoke(
             cli,

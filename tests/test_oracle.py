@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from augdes import criteria, oracle
+from augdes import design as design_module
 from augdes.design import (
     AugmentationSpec,
     all_k_subsets,
@@ -16,6 +17,7 @@ from augdes.design import (
     is_connected,
     lattice_bib,
     read_design,
+    stacked_connected,
 )
 from augdes.errors import (
     ClassTooLarge,
@@ -26,6 +28,7 @@ from augdes.errors import (
 from augdes.oracle import (
     CRITERION_NAMES,
     build_model,
+    class_counts,
     class_minima,
     enumerate_class,
     gls_variance,
@@ -295,6 +298,21 @@ class TestEnumerateClass:
         with pytest.raises(InvalidParameters):
             list(enumerate_class(0, 3, 2))
 
+    @pytest.mark.parametrize("cls", [(4, 3, 2), (3, 4, 2), (4, 4, 2), (5, 4, 2), (2, 3, 2), (1, 3, 2)])
+    def test_stacked_connectivity_matches_is_connected(self, cls):
+        designs = list(enumerate_class(*cls))
+        want = [is_connected(d) for d in designs]
+        stack = np.array([d.incidence for d in designs])
+        assert stacked_connected(stack).tolist() == want
+        assert list(enumerate_class(*cls, connected_only=True)) == [d for d, ok in zip(designs, want) if ok]
+        assert class_counts(*cls) == (len(designs), sum(want))
+
+    def test_walk_slices_span_the_class(self, monkeypatch):
+        designs = list(enumerate_class(5, 4, 2))
+        monkeypatch.setattr(oracle, "WALK_SLICE", 7)
+        assert list(enumerate_class(5, 4, 2)) == designs
+        assert class_counts(5, 4, 2) == (len(designs), 574)
+
 
 class TestClassMinima:
     def test_4_3_2_minimum_respects_bound(self):
@@ -318,25 +336,30 @@ class TestClassMinima:
             assert result.argmin[name] == first, name
 
     def test_connectivity_checked_once_per_design(self, monkeypatch):
+        # the index walk decides connectivity on the stacked slice; the only
+        # union-finds left are those of the exact confirms
         connectivity = []
+        union_finds = []
         exact = []
-        original_connected = oracle.is_connected
+        original_components = design_module.components
         original_intrablock = criteria.intrablock
 
-        def counting_connected(d):
-            connectivity.append(d)
-            return original_connected(d)
+        def counting_components(d):
+            union_finds.append(d)
+            return original_components(d)
 
         def counting_intrablock(d):
             exact.append(d)
             return original_intrablock(d)
 
-        monkeypatch.setattr(oracle, "is_connected", counting_connected)
+        monkeypatch.setattr(oracle, "is_connected", connectivity.append, raising=False)
+        monkeypatch.setattr(design_module, "components", counting_components)
         monkeypatch.setattr(criteria, "intrablock", counting_intrablock)
         result = class_minima(4, 3, 2, ONE)
-        assert len(connectivity) == result.n_designs == 126
-        assert len(set(connectivity)) == 126
-        assert 0 < len(exact) < result.n_connected == 51
+        assert (result.n_designs, result.n_connected) == (126, 51)
+        assert connectivity == []
+        assert 0 < len(exact) < result.n_connected
+        assert union_finds == exact
         assert all(is_connected(d) for d in exact)
 
     def test_minima_are_attained_values(self):

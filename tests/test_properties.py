@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from augdes.bounds import a_bounds
 from augdes.criteria import a_criteria, criteria_report, equireplicate_identities, intrablock, stacked_criteria
-from augdes.design import AugmentationSpec, BlockDesign, is_connected
+from augdes.design import AugmentationSpec, BlockDesign, is_connected, stacked_connected
 
 REL = 1e-12
 
@@ -91,3 +91,22 @@ def test_stacked_criteria_match_exact_report(d, data):
     exact = criteria_report(intrablock(d), d, aug)
     for got, want in zip(screened, (exact.a_cc, exact.a_tt, exact.a_ct, exact.mv_cc, exact.mv_tt, exact.mv_ct)):
         assert abs(got - want) <= REL * abs(want)
+
+
+@st.composite
+def design_stacks(draw):
+    """Up to six designs on the same v <= 8 treatments and b blocks; blocks
+    may repeat a treatment and may differ in size, and a treatment may
+    occur nowhere."""
+    v = draw(st.integers(1, 8))
+    b = draw(st.integers(1, 6))
+    block = st.lists(st.integers(1, v), min_size=1, max_size=5).map(lambda x: tuple(sorted(x)))
+    stack = draw(st.lists(st.lists(block, min_size=b, max_size=b), min_size=1, max_size=6))
+    return [BlockDesign(v, tuple(blocks)) for blocks in stack]
+
+
+@settings(max_examples=200, deadline=None)
+@given(design_stacks())
+def test_stacked_connected_matches_is_connected(designs):
+    stack = np.array([d.incidence for d in designs])
+    assert stacked_connected(stack).tolist() == [is_connected(d) for d in designs]
