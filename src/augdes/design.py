@@ -160,14 +160,25 @@ def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
     return comp[:b], comp[b:], len(roots)
 
 
+def can_connect(v: int, b: int, n_plots: int) -> bool:
+    """Whether n_plots plots can connect v treatments and b blocks.
+
+    A connected treatment-block graph has a spanning tree of v + b - 1
+    edges, and each plot is at most one edge, so a connected design needs
+    n_plots >= v + b - 1. For a class of b blocks of size k this is exact:
+    when b k >= v + b - 1, `search._spanning_start` builds a member.
+    """
+    return n_plots >= v + b - 1
+
+
 def is_connected(d: BlockDesign) -> bool:
     """True when the design has a block, every treatment occurs somewhere
     and the treatment-block incidence graph has a single component.
 
-    Fewer plots than treatments leave some treatment unused; that case is
+    A design with too few plots for a spanning tree (`can_connect`) is
     rejected before `components` allocates anything of order v.
     """
-    return 0 < d.b and d.v <= sum(d.block_sizes) and components(d)[2] == 1
+    return 0 < d.b and can_connect(d.v, d.b, sum(d.block_sizes)) and components(d)[2] == 1
 
 
 def stacked_connected(n: np.ndarray) -> np.ndarray:

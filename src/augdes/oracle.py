@@ -44,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from . import criteria
-from .design import AugmentationSpec, BlockDesign, components, stacked_connected
+from .design import AugmentationSpec, BlockDesign, can_connect, components, stacked_connected
 from .errors import (
     ClassTooLarge,
     DimensionMismatch,
@@ -272,12 +272,11 @@ class _ClassWalk:
 
     def slices(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The designs WALK_SLICE at a time: an (m, b) array of pool indices
-        and the (m,) mask of the connected ones. When b k < v + b - 1 no
-        design has the v + b - 1 plots a spanning tree needs, and the mask
-        is all False without any reachability run."""
+        and the (m,) mask of the connected ones. When the class fails
+        `can_connect`, the mask is all False without any reachability run."""
         b = self.b
         flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(len(self.pool)), b))
-        possible = b * self.k >= self.v + b - 1
+        possible = can_connect(self.v, b, b * self.k)
         while (idx := np.fromiter(itertools.islice(flat, WALK_SLICE * b), dtype=np.intp)).size:
             idx = idx.reshape(-1, b)
             yield idx, stacked_connected(self.incidence(idx)) if possible else np.zeros(len(idx), bool)
@@ -329,10 +328,9 @@ class ClassMinima:
 
 def _check_scorable(b: int, v: int, k: int, aug: AugmentationSpec) -> None:
     """Make up front the checks `criteria.a_criteria` makes on every
-    design. They apply only when the class has a connected design, which
-    needs a spanning tree of v + b - 1 treatment-block links among its
-    b k plots."""
-    if b * k < v + b - 1:
+    design. They apply only when the class has a connected design, that
+    is when its b k plots pass `can_connect`."""
+    if not can_connect(v, b, b * k):
         return
     if v < 2:
         raise InvalidParameters("control comparisons need at least two controls")

@@ -5,12 +5,11 @@ repeatedly replacing a single treatment occurrence in a single block,
 accepting the first strict improvement found in a fixed scan order, from
 random connected restarts. Fully deterministic for a fixed seed.
 
-The v - 1 replacements of one occurrence are screened together. One
-union-find on the design without that occurrence decides which
-replacements keep the design connected: t must lie in the component of
-the treatment it replaces. The connected ones are scored by
-`criteria.stacked_a_criteria`, which takes one stacked inverse of order
-v and gets the dual inverse from the identity
+The replacements of one occurrence are screened together, as one
+integer stack of their incidences. `design.stacked_connected` masks out
+the members that would leave the design disconnected, and the rest are
+scored by `criteria.stacked_a_criteria`, which takes one stacked inverse
+of order v and gets the dual inverse from the identity
 Q = Pi_b (I/k + N^T P N / k^2) Pi_b, with no design object per candidate.
 The screen only filters. Walking the batch in scan order, a candidate
 whose screened objective lies below the acceptance limit plus SCREEN_TOL
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import criteria
-from .design import AugmentationSpec, BlockDesign, components, is_connected
+from .design import AugmentationSpec, BlockDesign, can_connect, is_connected, stacked_connected
 from .errors import InvalidParameters, NoConnectedStart
 
 # Objective values closer than this are ties. A move must improve by more,
@@ -107,7 +106,7 @@ def _spanning_start(b: int, v: int, k: int, rng: random.Random) -> BlockDesign:
     links to a random treatment already in the tree, and every block then
     takes treatments not yet in the tree, in random order, while it has
     room. That places k + (b - 1)(k - 1) treatments at most, which is at
-    least v whenever b k >= v + b - 1.
+    least v whenever the b k plots pass `can_connect`.
     """
     fresh = rng.sample(range(1, v + 1), v)
     placed: list[int] = []
@@ -123,30 +122,24 @@ def _spanning_start(b: int, v: int, k: int, rng: random.Random) -> BlockDesign:
     return BlockDesign(v, tuple(tuple(sorted(block)) for block in blocks))
 
 
-def _screen(cfg: SearchConfig, d: BlockDesign, j: int, pos: int, ts: list[int]) -> np.ndarray:
-    """Objectives of the designs that replace the occurrence at `pos` of
-    block j by each treatment of ts, from one stacked evaluation."""
-    a = d.blocks[j][pos]
-    n = np.repeat(d.incidence[None, :, :].astype(float), len(ts), axis=0)
-    n[:, a - 1, j] -= 1.0
-    n[np.arange(len(ts)), np.asarray(ts) - 1, j] += 1.0
-    a_cc, a_tt, a_ct = criteria.stacked_a_criteria(n, len(d.blocks[j]), cfg.aug.counts(d.b))
-    return cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct
-
-
-def _connected_replacements(d: BlockDesign, j: int, pos: int, t_from: int) -> list[int]:
+def _screen(
+    cfg: SearchConfig, d: BlockDesign, j: int, pos: int, t_from: int
+) -> tuple[list[int], np.ndarray]:
     """The labels t >= t_from, other than the one at `pos` of block j, whose
-    replacement of that occurrence leaves the connected design d connected.
-
-    Removing the occurrence leaves at most two components, the replaced
-    treatment's and block j's; the new occurrence joins them again exactly
-    when t lies in the replaced treatment's component.
-    """
-    block = d.blocks[j]
-    a = block[pos]
-    rest = block[:pos] + block[pos + 1 :]
-    comp = components(BlockDesign(d.v, d.blocks[:j] + (rest,) + d.blocks[j + 1 :]))[1]
-    return [t for t in range(t_from, d.v + 1) if t != a and comp[t - 1] == comp[a - 1]]
+    replacement of that occurrence leaves d connected, in label order, and
+    the screened objectives of those replacements."""
+    a = d.blocks[j][pos]
+    ts = np.arange(t_from, d.v + 1)
+    ts = ts[ts != a]
+    n = np.repeat(d.incidence[None, :, :], len(ts), axis=0)
+    n[:, a - 1, j] -= 1
+    n[np.arange(len(ts)), ts - 1, j] += 1
+    keep = stacked_connected(n)
+    if not keep.any():
+        return [], np.empty(0)
+    n = n[keep].astype(float)
+    a_cc, a_tt, a_ct = criteria.stacked_a_criteria(n, len(d.blocks[j]), cfg.aug.counts(d.b))
+    return ts[keep].tolist(), cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct
 
 
 def _first_improvement(
@@ -155,12 +148,9 @@ def _first_improvement(
     """The first t >= t_from, in label order, whose replacement of the
     occurrence at `pos` of block j improves on obj by more than MOVE_TOL,
     with the new design and its exact objective; None when there is none."""
-    ts = _connected_replacements(d, j, pos, t_from)
-    if not ts:
-        return None
     rest = d.blocks[j][:pos] + d.blocks[j][pos + 1 :]
     limit = obj - MOVE_TOL + SCREEN_TOL * max(1.0, abs(obj))
-    for t, screened in zip(ts, _screen(cfg, d, j, pos, ts)):
+    for t, screened in zip(*_screen(cfg, d, j, pos, t_from)):
         if screened >= limit:  # False for NaN, which is confirmed too
             continue
         cand = BlockDesign(d.v, d.blocks[:j] + (tuple(sorted(rest + (t,))),) + d.blocks[j + 1 :])
@@ -192,7 +182,7 @@ def exchange_search(b: int, v: int, k: int, cfg: SearchConfig) -> SearchResult:
     connected design with small weighted A-criteria."""
     if b < 2 or v < 2 or k < 1:
         raise InvalidParameters(f"need b >= 2, v >= 2 and k >= 1; got ({b}, {v}, {k})")
-    if b * k < v + b - 1:
+    if not can_connect(v, b, b * k):
         raise NoConnectedStart(
             f"no design in ({b}, {v}, {k}) is connected: linking {v} treatments and "
             f"{b} blocks takes at least {v + b - 1} plots, the class has {b * k}"

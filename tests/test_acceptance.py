@@ -17,6 +17,7 @@ from augdes.bounds import (
     mv_efficiencies,
     threshold_class,
 )
+from augdes.cli import round3
 from augdes.criteria import a_criteria, equireplicate_identities, intrablock, mv_criteria, v_tt_matrix
 from augdes.design import (
     AugmentationSpec,
@@ -298,3 +299,33 @@ def test_search_reaches_bib_benchmark():
         if value < 0.97:
             failures.append(f"search result {label} efficiency {value:.4f} < 0.97")
     _report("supporting: exchange search reaches the BIB benchmark at (10,5,3)", failures)
+
+
+# Partial lattices: the first m parallel classes of lattice_bib(q), a
+# PBIB(2) design, and its dual at s=1, as (q, m, rounded (cc, tt, ct)
+# efficiencies and class of the partial lattice, the same of its dual).
+PARTIAL_LATTICES = (
+    (3, 2, (0.889, 0.972, 0.933), "NEITHER", (0.926, 0.952, 0.917), "NEITHER"),
+    (3, 3, (0.970, 0.990, 0.973), "HIGH", (0.970, 0.990, 0.973), "HIGH"),
+    (5, 2, (0.900, 0.987, 0.952), "NEITHER", (0.953, 0.960, 0.928), "NEITHER"),
+    (5, 3, (0.960, 0.996, 0.981), "HIGH", (0.980, 0.988, 0.975), "GOOD"),
+    (5, 4, (0.982, 0.998, 0.990), "HIGH", (0.989, 0.996, 0.988), "HIGH"),
+    (5, 5, (0.993, 0.999, 0.993), "HIGH", (0.993, 0.999, 0.993), "HIGH"),
+    (7, 2, (0.914, 0.993, 0.963), "NEITHER", (0.966, 0.967, 0.939), "NEITHER"),
+    (7, 3, (0.962, 0.997, 0.985), "HIGH", (0.985, 0.989, 0.978), "GOOD"),
+    (7, 4, (0.980, 0.999, 0.992), "HIGH", (0.992, 0.995, 0.989), "HIGH"),
+    (7, 5, (0.988, 0.999, 0.995), "HIGH", (0.995, 0.998, 0.994), "HIGH"),
+    (7, 6, (0.994, 0.999, 0.997), "HIGH", (0.996, 0.999, 0.996), "HIGH"),
+    (7, 7, (0.997, 1.000, 0.997), "HIGH", (0.997, 1.000, 0.997), "HIGH"),
+)
+
+
+@pytest.mark.parametrize("case", PARTIAL_LATTICES, ids=lambda c: f"q{c[0]}-m{c[1]}")
+def test_partial_lattice_golden(case):
+    q, m, primal_eff, primal_class, dual_eff, dual_class = case
+    primal = delete_blocks(lattice_bib(q), range(m * q + 1, q * (q + 1) + 1))
+    assert primal.b == m * q and primal.replications == (m,) * q * q
+    for d, want_eff, want_class in [(primal, primal_eff, primal_class), (dual(primal), dual_eff, dual_class)]:
+        rep = efficiencies(d, ONE)
+        assert tuple(round3(e) for e in (rep.eff_cc, rep.eff_tt_conservative, rep.eff_ct)) == want_eff
+        assert threshold_class(rep).value == want_class

@@ -12,10 +12,11 @@ import augdes
 from augdes import AugmentationSpec, criteria, oracle
 from augdes.bounds import efficiencies, threshold_class
 from augdes.cli import build_report, cli, round3
-from augdes.design import format_design, from_blocks, all_k_subsets, delete_blocks
+from augdes.design import format_design, from_blocks, all_k_subsets, delete_blocks, read_design
 
 RCBD2_TEXT = "v 2\nblock 1 2\nblock 1 2\n"
 DATA = Path(__file__).resolve().parent / "data"
+DESIGNS = Path(__file__).resolve().parent.parent / "designs"
 
 
 @pytest.fixture()
@@ -50,6 +51,24 @@ class TestEval:
         assert lines["A_tt(s=1)"][-1] == "0.997"
         assert lines["A_ct"][-1] == "0.994"
         assert "classification: HIGH" in result.output
+
+    @pytest.mark.parametrize("path", sorted(DESIGNS.glob("*.design")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("counts", ["s1", "s3", "slist"])
+    def test_json_golden(self, runner, path, counts):
+        # every shipped design at a common count of 1 and 3 and at the
+        # per-block counts 1, 2, 3, 1, ...; provenance names the run, so it
+        # is left out of the comparison
+        args = {
+            "s1": ["--s", "1"],
+            "s3": ["--s", "3"],
+            "slist": ["--s-list", ",".join(str(1 + j % 3) for j in range(read_design(path).b))],
+        }[counts]
+        result = runner.invoke(cli, ["eval", str(path), *args, "--format", "json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        del doc["provenance"]
+        golden = DATA / f"eval_{path.stem}_{counts}.json"
+        assert json.dumps(doc, indent=2) + "\n" == golden.read_text(encoding="utf-8")
 
     def test_json_schema(self, runner, tmp_path):
         result = runner.invoke(cli, ["eval", eight_block_file(tmp_path), "--format", "json"])

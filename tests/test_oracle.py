@@ -11,6 +11,8 @@ from augdes import design as design_module
 from augdes.design import (
     AugmentationSpec,
     all_k_subsets,
+    can_connect,
+    components,
     delete_blocks,
     dual,
     from_blocks,
@@ -312,6 +314,15 @@ class TestEnumerateClass:
         monkeypatch.setattr(oracle, "WALK_SLICE", 7)
         assert list(enumerate_class(5, 4, 2)) == designs
         assert class_counts(5, 4, 2) == (len(designs), 574)
+
+    def test_plot_rule_is_exact_on_small_classes(self):
+        # a class of b blocks of size k has a connected design exactly when
+        # its b k plots can hold a spanning tree; the walk skips its
+        # reachability run by this rule, so a single-component count over
+        # the unfiltered class checks it independently
+        for b, v, k in itertools.product(range(1, 5), range(1, 5), range(1, 4)):
+            any_connected = any(components(d)[2] == 1 for d in enumerate_class(b, v, k))
+            assert can_connect(v, b, b * k) == (class_counts(b, v, k)[1] > 0) == any_connected, (b, v, k)
 
 
 class TestClassMinima:
