@@ -236,6 +236,12 @@ def _stacked_inverses(n: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _stacked_a(n, r, p, q, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A-criteria (cc, tt, ct) of a stack of primals from r, P and Q: with s
+    the per-block counts, T their sum and G = R^-1 N, the pairwise
+    definitions (the trace forms of `a_criteria` for equal counts) are
+        A_tt = 2 + 2 (T s^T diag(Q) - s^T Q s) / (T (T - 1))
+        A_ct = 1 + mean(1/r) + s^T diag(Q) / T - 2 (1^T G Q s) / (v T) + tr(G Q G^T) / v
+    """
     _, v, _ = n.shape
     s = np.asarray(counts, dtype=float)
     total = float(s.sum())
@@ -254,29 +260,74 @@ def _stacked_a(n, r, p, q, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a_cc, a_tt, a_ct
 
 
-def stacked_a_criteria(n: np.ndarray, k: int, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A-criteria (cc, tt, ct) of a stack of connected primals, given as
-    an (m, v, b) float incidence with block size k, under the per-block
-    test-treatment counts `counts`.
+def exchange_a_criteria(p: np.ndarray, n: np.ndarray, k: int, counts, j, a, t) -> tuple[np.ndarray, ...]:
+    """A-criteria (cc, tt, ct) of the designs that replace treatment a by t
+    in block j of one connected primal with P = C+ and v x b float
+    incidence n, for equal-length 0-based index arrays j, a, t.
 
-    P and Q come from `_stacked_inverses`. With s the count vector, T its
-    sum and G = R^-1 N,
+    The move changes C by u y^T + y u^T, with u = e_t - e_a and
+    y = (e_t + e_a)/2 - (n_j + u/2)/k. Both sum to zero, so Woodbury on
+    C + J/v gives P' = P - Z D Z^T, Z = P [u, y], D = (S + [u, y]^T Z)^-1,
+    S = [[0, 1], [1, 0]]. With c = Pi_b s and M' = I/k + N'^T P' N'/k^2,
+    so that Q' = Pi_b M' Pi_b, the terms of `_stacked_a` are s^T Q' s =
+    c^T M' c, s^T diag(Q') = s^T diag(M') - 2 c^T M' 1/b - T 1^T M' 1/b^2
+    and, since P'C' = I - J/v gives M' G'^T 1 = sum(1/r') 1/v,
 
-        A_tt = 2 + 2 (T s^T diag(Q) - s^T Q s) / (T (T - 1))
-        A_ct = 1 + mean(1/r) + s^T diag(Q) / T - 2 (1^T G Q s) / (v T) + tr(G Q G^T) / v
+        A_ct = 1 + tr P'/v + 1^T M' 1/b^2 + s^T diag(Q')/T + 2 c^T M' 1/(b T).
 
-    which is the pairwise definition for per-block counts and reduces to
-    the trace forms of `a_criteria` when the counts are equal. The stack
-    is not checked for connectivity; a disconnected member has no
-    meaningful value.
+    All are gathers from products of P, N and s made once per primal. A
+    disconnecting move has no meaningful value.
     """
-    return _stacked_a(n, *_stacked_inverses(n, k), counts)
+    v, b = n.shape
+    s = np.asarray(counts, dtype=float)
+    total = float(s.sum())
+    ct, ca = (k - 1) / (2 * k), (k + 1) / (2 * k)  # y = ct e_t + ca e_a - n_j / k
+
+    def forms(x, xn, dg):  # [u, y]^T X [u, y] and [u, y]^T X n_j of a symmetric X; xn = X N
+        xtt, xaa, xta, nt, na = x[t, t], x[a, a], x[t, a], xn[t, j], xn[a, j]
+        yn = ct * nt + ca * na - dg[j] / k  # dg = diag(N^T X N)
+        uy = ct * (xtt - xta) + ca * (xta - xaa) - (nt - na) / k
+        yy = ct * ct * xtt + ca * ca * xaa + 2 * ct * ca * xta - (ct * nt + ca * na + yn) / k
+        return xtt + xaa - 2 * xta, uy, yy, nt - na, yn
+
+    def dot(f, g):  # f^T D g for pairs f, g
+        return d_uu * f[0] * g[0] + d_uy * (f[0] * g[1] + f[1] * g[0]) + d_yy * f[1] * g[1]
+
+    def tr_d(x):  # tr(D X) for forms x of X
+        return d_uu * x[0] + 2.0 * d_uy * x[1] + d_yy * x[2]
+
+    def image(al):  # al, P N al and Z^T N' al, where N' al = N al + al_j u
+        pa = pn @ al
+        z = (pa[t] - pa[a] + al[j] * w_uu, ct * pa[t] + ca * pa[a] - (npn @ al)[j] / k + al[j] * w_uy)
+        return al, pa, z
+
+    def m_form(x, y):  # al^T M' be from the images of al and be
+        (al, pa, za), (be, pb, zb) = x, y
+        npn_ab = al @ npn @ be + al[j] * (pb[t] - pb[a]) + be[j] * (pa[t] - pa[a]) + al[j] * be[j] * w_uu
+        return al @ be / k + (npn_ab - dot(za, zb)) / k**2
+
+    pn = p @ n
+    npn = n.T @ pn
+    w_uu, w_uy, w_yy, h_u, h_y = forms(p, pn, np.diagonal(npn))
+    det = w_uu * w_yy - (1.0 + w_uy) ** 2
+    d_uu, d_uy, d_yy = w_yy / det, -(1.0 + w_uy) / det, w_uu / det
+    tr_p = np.trace(p) - tr_d(forms(p @ p, p @ pn, np.sum(pn * pn, axis=0)))
+    e, c = image(np.ones(b)), image(s - total / b)
+    m_ee, m_ec, m_cc = m_form(e, e), m_form(e, c), m_form(c, c)
+    h, h_new = (h_u, h_y), (h_u + w_uu, h_y + w_uy)  # Z^T n_j and Z^T n'_j
+    s_npn = s @ np.diagonal(npn) + s[j] * (2.0 * h_u + w_uu + dot(h, h) - dot(h_new, h_new))
+    s_npn -= tr_d(forms((pn * s) @ pn.T, (pn * s) @ npn, (npn * npn) @ s))  # s^T diag(N'^T P' N')
+    s_diag = total / k + s_npn / k**2 - 2.0 * m_ec / b - total * m_ee / b**2
+    a_cc = 2.0 * tr_p / (v - 1)
+    a_tt = 2.0 + 2.0 * (total * s_diag - m_cc) / (total * (total - 1.0))
+    a_ct = 1.0 + tr_p / v + m_ee / b**2 + s_diag / total + 2.0 * m_ec / (b * total)
+    return a_cc, a_tt, a_ct
 
 
 def stacked_criteria(n: np.ndarray, k: int, counts) -> np.ndarray:
     """All six criteria (a_cc, a_tt, a_ct, mv_cc, mv_tt, mv_ct) of a stack
     of connected primals as an (m, 6) array, from one P and Q per member:
-    the A-criteria as in `stacked_a_criteria`, the MV-criteria as the
+    the A-criteria as in `_stacked_a`, the MV-criteria as the
     largest off-diagonal entries of the same pairwise and control-test
     matrices `mv_criteria` reads."""
     m, v, b = n.shape

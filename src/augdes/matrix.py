@@ -26,7 +26,8 @@ class SymMatrix:
 
     Construction symmetrizes the input as 0.5 * (A + A^T) after rejecting
     anything whose asymmetry exceeds a small relative tolerance, so the
-    stored entries always satisfy a[i, j] == a[j, i] exactly.
+    stored entries always satisfy a[i, j] == a[j, i] exactly. An input
+    that is already bitwise symmetric is stored as it is.
     """
 
     a: np.ndarray
@@ -37,12 +38,14 @@ class SymMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionMismatch("matrix order must be at least 1")
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if float(np.max(np.abs(arr - arr.T))) > 1e-8 * scale:
-            raise ValueError("matrix is not symmetric within tolerance")
-        sym = 0.5 * (arr + arr.T)
-        sym.setflags(write=False)
-        object.__setattr__(self, "a", sym)
+        bits = arr.view(np.uint64)
+        if not np.array_equal(bits, bits.T):  # else 0.5 * (A + A^T) would be A, bit for bit
+            scale = max(1.0, float(np.max(np.abs(arr))))
+            if float(np.max(np.abs(arr - arr.T))) > 1e-8 * scale:
+                raise ValueError("matrix is not symmetric within tolerance")
+            arr = 0.5 * (arr + arr.T)
+        arr.setflags(write=False)
+        object.__setattr__(self, "a", arr)
 
     @property
     def order(self) -> int:

@@ -5,21 +5,18 @@ repeatedly replacing a single treatment occurrence in a single block,
 accepting the first strict improvement found in a fixed scan order, from
 random connected restarts. Fully deterministic for a fixed seed.
 
-The replacements of one occurrence are screened together, as one
-integer stack of their incidences. `design.stacked_connected` masks out
-the members that would leave the design disconnected, and the rest are
-scored by `criteria.stacked_a_criteria`, which takes one stacked inverse
-of order v and gets the dual inverse from the identity
-Q = Pi_b (I/k + N^T P N / k^2) Pi_b, with no design object per candidate.
-The screen only filters. Walking the batch in scan order, a candidate
-whose screened objective lies below the acceptance limit plus SCREEN_TOL
-is built and scored by the same exact objective as a start design, and
-the acceptance rule sees only that exact value; after an accepted move
-the scan goes on from the next label on the new design. Since the screen
-agrees with the exact objective far more closely than SCREEN_TOL, no
-candidate that the exact objective would accept is ever filtered out, so
-designs, objectives and traces are the same, bit for bit, as when every
-candidate is scored exactly.
+The rest of a pass is screened as one batch from the current design's
+exact P = C+: a move changes C by a symmetric rank-2 term, so
+`criteria.exchange_a_criteria` scores every move to the end of the pass
+by a Woodbury update, with no inverse and no design object per move. The
+screen only filters: walking the batch in scan order, a move whose
+screened objective is NaN or below the acceptance limit plus SCREEN_TOL
+is built and scored exactly, and only that value decides acceptance. A
+move whose exact step raises `Disconnected` is skipped once
+`design.is_connected` rejects it too. An accepted move's P starts a new
+batch at the next label of the same occurrence. The screen agrees with the
+exact objective far more closely than SCREEN_TOL, so designs, objectives
+and traces are the same, bit for bit, as when every move is scored exactly.
 """
 
 from __future__ import annotations
@@ -31,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import criteria
-from .design import AugmentationSpec, BlockDesign, can_connect, is_connected, stacked_connected
-from .errors import InvalidParameters, NoConnectedStart
+from .design import AugmentationSpec, BlockDesign, can_connect, is_connected
+from .errors import Disconnected, InvalidParameters, NoConnectedStart
 
 # Objective values closer than this are ties. A move must improve by more,
 # which prevents cycling through numerically equal designs; across restarts,
@@ -79,10 +76,11 @@ class SearchResult:
     traces: tuple[tuple[float, ...], ...]
 
 
-def _objective(cfg: SearchConfig, d: BlockDesign) -> float:
+def _objective(cfg: SearchConfig, d: BlockDesign) -> tuple[float, np.ndarray]:
+    """The exact objective of d, with the P = C+ it was computed from."""
     ib = criteria.intrablock(d)
     a_cc, a_tt, a_ct = criteria.a_criteria(ib, d, cfg.aug)
-    return cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct
+    return cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct, ib.c_plus.a
 
 
 def _random_connected(b: int, v: int, k: int, rng: random.Random) -> BlockDesign:
@@ -122,59 +120,56 @@ def _spanning_start(b: int, v: int, k: int, rng: random.Random) -> BlockDesign:
     return BlockDesign(v, tuple(tuple(sorted(block)) for block in blocks))
 
 
-def _screen(
-    cfg: SearchConfig, d: BlockDesign, j: int, pos: int, t_from: int
-) -> tuple[list[int], np.ndarray]:
-    """The labels t >= t_from, other than the one at `pos` of block j, whose
-    replacement of that occurrence leaves d connected, in label order, and
-    the screened objectives of those replacements."""
-    a = d.blocks[j][pos]
-    ts = np.arange(t_from, d.v + 1)
-    ts = ts[ts != a]
-    n = np.repeat(d.incidence[None, :, :], len(ts), axis=0)
-    n[:, a - 1, j] -= 1
-    n[np.arange(len(ts)), ts - 1, j] += 1
-    keep = stacked_connected(n)
-    if not keep.any():
-        return [], np.empty(0)
-    n = n[keep].astype(float)
-    a_cc, a_tt, a_ct = criteria.stacked_a_criteria(n, len(d.blocks[j]), cfg.aug.counts(d.b))
-    return ts[keep].tolist(), cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct
-
-
-def _first_improvement(
-    cfg: SearchConfig, d: BlockDesign, obj: float, j: int, pos: int, t_from: int
-) -> tuple[int, BlockDesign, float] | None:
-    """The first t >= t_from, in label order, whose replacement of the
-    occurrence at `pos` of block j improves on obj by more than MOVE_TOL,
-    with the new design and its exact objective; None when there is none."""
-    rest = d.blocks[j][:pos] + d.blocks[j][pos + 1 :]
-    limit = obj - MOVE_TOL + SCREEN_TOL * max(1.0, abs(obj))
-    for t, screened in zip(*_screen(cfg, d, j, pos, t_from)):
-        if screened >= limit:  # False for NaN, which is confirmed too
-            continue
-        cand = BlockDesign(d.v, d.blocks[:j] + (tuple(sorted(rest + (t,))),) + d.blocks[j + 1 :])
-        cand_obj = _objective(cfg, cand)
-        if cand_obj < obj - MOVE_TOL:
-            return t, cand, cand_obj
-    return None
+def _batch(
+    cfg: SearchConfig, d: BlockDesign, p: np.ndarray, o_from: int, t_from: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rest of a pass on d from occurrence o_from (index j k + pos) and
+    label t_from on, in scan order: each move's occurrence index, label and
+    screened objective from d's P = C+, for every t != a, connected or not."""
+    k = len(d.blocks[0])
+    o = np.repeat(np.arange(o_from, d.b * k), d.v)
+    t = np.tile(np.arange(1, d.v + 1), d.b * k - o_from)
+    a = np.asarray(d.blocks).reshape(-1)[o]
+    keep = (t != a) & ((o > o_from) | (t >= t_from))
+    o, a, t = o[keep], a[keep], t[keep]
+    with np.errstate(all="ignore"):  # a disconnecting move may divide by zero
+        a_cc, a_tt, a_ct = criteria.exchange_a_criteria(
+            p, d.incidence.astype(float), k, cfg.aug.counts(d.b), o // k, a - 1, t - 1
+        )
+        return o, t, cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct
 
 
 def _improvement_pass(
-    cfg: SearchConfig, d: BlockDesign, obj: float, trace: list[float]
-) -> tuple[BlockDesign, float, bool]:
-    """One full first-improvement scan; the design may change mid-scan,
-    after which the scan of the same block position goes on from t + 1."""
+    cfg: SearchConfig, d: BlockDesign, obj: float, p: np.ndarray, trace: list[float]
+) -> tuple[BlockDesign, float, np.ndarray, bool]:
+    """One full first-improvement scan over the occurrences (j, pos) and
+    labels t; the design may change mid-scan, after which the scan of the
+    same occurrence goes on from t + 1, in a new batch on the new design."""
+    k = len(d.blocks[0])
     improved = False
-    for j in range(d.b):
-        for pos in range(len(d.blocks[j])):
-            t_from = 1
-            while (move := _first_improvement(cfg, d, obj, j, pos, t_from)) is not None:
-                t, d, obj = move
+    o_from, t_from = 0, 1
+    while True:
+        limit = obj - MOVE_TOL + SCREEN_TOL * max(1.0, abs(obj))
+        moves, labels, screened = _batch(cfg, d, p, o_from, t_from)
+        for i in np.flatnonzero(~(screened >= limit)):  # NaN is confirmed too
+            o, t = int(moves[i]), int(labels[i])
+            j, pos = divmod(o, k)
+            rest = d.blocks[j][:pos] + d.blocks[j][pos + 1 :]
+            cand = BlockDesign(d.v, d.blocks[:j] + (tuple(sorted(rest + (t,))),) + d.blocks[j + 1 :])
+            try:
+                cand_obj, cand_p = _objective(cfg, cand)
+            except Disconnected:
+                if is_connected(cand):
+                    raise
+                continue
+            if cand_obj < obj - MOVE_TOL:
+                d, obj, p = cand, cand_obj, cand_p
                 trace.append(obj)
                 improved = True
-                t_from = t + 1
-    return d, obj, improved
+                o_from, t_from = o, t + 1
+                break
+        else:
+            return d, obj, p, improved
 
 
 def exchange_search(b: int, v: int, k: int, cfg: SearchConfig) -> SearchResult:
@@ -193,10 +188,10 @@ def exchange_search(b: int, v: int, k: int, cfg: SearchConfig) -> SearchResult:
     for restart in range(cfg.restarts):
         rng = random.Random(cfg.rng_seed * 1_000_003 + restart)
         d = _random_connected(b, v, k, rng)
-        obj = _objective(cfg, d)
+        obj, p = _objective(cfg, d)
         trace = [obj]
         for _ in range(cfg.max_passes):
-            d, obj, improved = _improvement_pass(cfg, d, obj, trace)
+            d, obj, p, improved = _improvement_pass(cfg, d, obj, p, trace)
             if not improved:
                 break
         traces.append(tuple(trace))

@@ -25,6 +25,24 @@ class TestSymMatrix:
         m = SymMatrix(np.array([[1.0, 2.0 + 1e-14], [2.0, 1.0]]))
         assert m.a[0, 1] == m.a[1, 0]
 
+    def test_exactly_symmetric_input_is_stored_as_is(self):
+        base = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 6)) / 3.0
+        x = base + base.T
+        assert np.array_equal(x, x.T)
+        assert SymMatrix(x).a.tobytes() == x.tobytes()
+
+    def test_slightly_asymmetric_input_is_symmetrized(self):
+        base = np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 6))
+        x = base + base.T
+        x[1, 4] += 1e-12
+        assert SymMatrix(x).a.tobytes() == (0.5 * (x + x.T)).tobytes()
+
+    def test_rejects_asymmetry_beyond_relative_tolerance(self):
+        x = np.full((3, 3), 1e3)
+        x[0, 2] += 1e-4  # 1e-7 relative to the largest entry, above 1e-8
+        with pytest.raises(ValueError):
+            SymMatrix(x)
+
     def test_entries_read_only(self):
         m = identity(2)
         with pytest.raises(ValueError):
