@@ -22,6 +22,8 @@ MV-criteria take the maximum; none of this ever touches observed yields.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,7 @@ from .errors import (
     NotEquireplicate,
     SameIndex,
 )
-from .matrix import SymMatrix, mp_inverse_centered, quad_form, trace
+from .matrix import SymMatrix, mp_inverse_centered, quad_form, stacked_mp_inverse_centered, trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +88,8 @@ def intrablock(d: BlockDesign) -> Intrablock:
         raise NonUniformBlockSize(f"block sizes {sorted(set(d.block_sizes))} are not constant")
     if not is_connected(d):
         raise Disconnected("criteria are defined only for connected primals")
-    n = d.incidence.astype(float)
     r = np.asarray(d.replications, dtype=float)
-    c = SymMatrix(np.diag(r) - (n @ n.T) / k)
-    c_dual = SymMatrix(k * np.eye(d.b) - n.T @ (n / r[:, None]))
+    c, c_dual = map(SymMatrix, _information(d.incidence.astype(float), r, k))
     return Intrablock(
         c=c,
         c_dual=c_dual,
@@ -97,6 +97,15 @@ def intrablock(d: BlockDesign) -> Intrablock:
         c_dual_plus=mp_inverse_centered(c_dual, d.b),
         k=k,
     )
+
+
+def _information(n: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """C = diag(r) - N N^T / k and C_dual = k I - N^T (N / r) of a float
+    incidence N with replications r and block size k, or of a stack of
+    them (shapes (..., v, b) and (..., v)), before SymMatrix's rule."""
+    v, b = n.shape[-2:]
+    nt = n.swapaxes(-1, -2)
+    return np.eye(v) * r[..., None, :] - (n @ nt) / k, k * np.eye(b) - nt @ (n / r[..., :, None])
 
 
 def _check_index(value: int, limit: int, what: str) -> None:
@@ -173,6 +182,48 @@ def v_ct_matrix(ib: Intrablock, d: BlockDesign) -> np.ndarray:
     return _ct_matrix(ib.c_dual_plus.a, d.incidence, np.asarray(d.replications, dtype=float))
 
 
+@functools.cache
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, k=1)
+
+
+def _upper(m: np.ndarray) -> np.ndarray:
+    """The entries above the diagonal of a square matrix, or of each
+    matrix in a stack, row by row."""
+    rows, cols = _triu(m.shape[-1])
+    return m[..., rows, cols]
+
+
+def _sum(x: np.ndarray, axes: int = 1) -> np.ndarray:
+    """Sum over the last `axes` axes of a C-contiguous copy of x, so that
+    each member of a stack is summed in the order its single-matrix form
+    is; numpy sums a strided stack, such as an `_upper` gather, member by
+    member in a different order."""
+    x = np.ascontiguousarray(x)
+    split = x.ndim - axes
+    return x.reshape(*x.shape[:split], math.prod(x.shape[split:])).sum(axis=-1)
+
+
+def _a_values(p, q, n, r, aug: AugmentationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arithmetic of `a_criteria` on P = C+, Q = C_dual+, the incidence
+    N and the replications r of one primal, or of a stack of them."""
+    v, b = n.shape[-2:]
+    counts = aug.counts(b)
+    total = sum(counts)
+    a_cc = 2.0 * _sum(p.diagonal(axis1=-2, axis2=-1)) / (v - 1)
+    if aug.is_common:
+        s = aug.s
+        t_dual = _sum(q.diagonal(axis1=-2, axis2=-1))
+        a_tt = 2.0 * (1.0 + s / (b * s - 1.0) * t_dual)
+        g = n / r[..., :, None]
+        a_ct = 1.0 + (1.0 / r).mean(axis=-1) + t_dual / b + _sum((g @ q) * g, 2) / v
+    else:
+        svec = np.asarray(counts, dtype=float)
+        a_tt = 2.0 + 2.0 * _sum(_upper(np.outer(svec, svec)) * _upper(_pairwise(q))) / (total * (total - 1.0))
+        a_ct = _sum(_ct_matrix(q, n, r) * svec, 2) / (v * total)
+    return a_cc, a_tt, a_ct
+
+
 def a_criteria(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> tuple[float, float, float]:
     """Average variance multipliers (cc, tt, ct) under an augmentation.
 
@@ -181,29 +232,12 @@ def a_criteria(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> tuple[f
     With genuinely per-block counts the pairwise definitions are evaluated
     directly, weighting block pairs by the counts they carry.
     """
-    v, b = d.v, d.b
-    if v < 2:
+    if d.v < 2:
         raise InvalidParameters("control comparisons need at least two controls")
-    counts = aug.counts(b)
-    total = sum(counts)
-    if total < 2:
+    if aug.total(d.b) < 2:
         raise InvalidParameters("test comparisons need at least two test treatments")
-    a_cc = 2.0 * trace(ib.c_plus) / (v - 1)
-    if aug.is_common:
-        s = aug.s
-        t_dual = trace(ib.c_dual_plus)
-        a_tt = 2.0 * (1.0 + s / (b * s - 1.0) * t_dual)
-        r = np.asarray(d.replications, dtype=float)
-        g = d.incidence / r[:, None]
-        sandwich = float(np.sum((g @ ib.c_dual_plus.a) * g))
-        a_ct = 1.0 + float(np.mean(1.0 / r)) + t_dual / b + sandwich / v
-    else:
-        svec = np.asarray(counts, dtype=float)
-        iu = np.triu_indices(b, k=1)
-        weighted = np.outer(svec, svec)[iu] * v_tt_matrix(ib)[iu]
-        a_tt = 2.0 + 2.0 * float(np.sum(weighted)) / (total * (total - 1.0))
-        a_ct = float(np.sum(v_ct_matrix(ib, d) * svec[None, :])) / (v * total)
-    return a_cc, a_tt, a_ct
+    r = np.asarray(d.replications, dtype=float)
+    return tuple(float(x) for x in _a_values(ib.c_plus.a, ib.c_dual_plus.a, d.incidence, r, aug))
 
 
 def dual_inverse(p: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
@@ -327,20 +361,35 @@ def exchange_a_criteria(p: np.ndarray, n: np.ndarray, k: int, counts, j, a, t) -
 def stacked_criteria(n: np.ndarray, k: int, counts) -> np.ndarray:
     """All six criteria (a_cc, a_tt, a_ct, mv_cc, mv_tt, mv_ct) of a stack
     of connected primals as an (m, 6) array, from one P and Q per member:
-    the A-criteria as in `_stacked_a`, the MV-criteria as the
-    largest off-diagonal entries of the same pairwise and control-test
-    matrices `mv_criteria` reads."""
-    m, v, b = n.shape
+    the A-criteria as in `_stacked_a`, the MV-criteria by `_mv_values`,
+    as `mv_criteria` takes them. It screens: P comes from np.linalg.inv
+    and Q from `dual_inverse`, so the values agree with the exact ones
+    to rounding only."""
     r, p, q = _stacked_inverses(n, k)
-    iu_v = np.triu_indices(v, k=1)
-    mv_cc = _pairwise(p)[:, iu_v[0], iu_v[1]].max(axis=1)
-    if b >= 2:
-        iu_b = np.triu_indices(b, k=1)
-        mv_tt = 2.0 + _pairwise(q)[:, iu_b[0], iu_b[1]].max(axis=1)
-    else:
-        mv_tt = np.full(m, 2.0)
-    mv_ct = _ct_matrix(q, n, r).max(axis=(1, 2))
-    return np.column_stack((*_stacked_a(n, r, p, q, counts), mv_cc, mv_tt, mv_ct))
+    return np.column_stack((*_stacked_a(n, r, p, q, counts), *_mv_values(p, q, n, r)))
+
+
+def stacked_exact_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.ndarray:
+    """The six values of `criteria_report(intrablock(d), d, aug)` for each
+    member d of a stack of connected primals, given as an (m, v, b) float
+    incidence with block size k, bit for bit, as an (m, 6) array.
+
+    It runs the arithmetic of the single-design path on the whole stack:
+    `_information`, `matrix.stacked_mp_inverse_centered` for P and Q, and
+    `_a_values` and `_mv_values`. A member that fails one of that path's
+    checks gets NaN values. np.linalg.LinAlgError propagates when a
+    Cholesky factorization fails.
+    """
+    r = n.sum(axis=2)
+    p, q = map(stacked_mp_inverse_centered, _information(n, r, k))
+    return np.column_stack((*_a_values(p, q, n, r, aug), *_mv_values(p, q, n, r)))
+
+
+def _mv_values(p, q, n, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The largest off-diagonal pairwise multipliers of P and Q and the
+    largest control-test multiplier, of one primal or of a stack of them."""
+    mv_tt = 2.0 + _upper(_pairwise(q)).max(axis=-1) if n.shape[-1] >= 2 else np.full(p.shape[:-2], 2.0)
+    return _upper(_pairwise(p)).max(axis=-1), mv_tt, _ct_matrix(q, n, r).max(axis=(-2, -1))
 
 
 def mv_criteria(ib: Intrablock, d: BlockDesign) -> tuple[float, float, float]:
@@ -348,15 +397,8 @@ def mv_criteria(ib: Intrablock, d: BlockDesign) -> tuple[float, float, float]:
     how many test treatments each block receives."""
     if d.v < 2:
         raise InvalidParameters("control comparisons need at least two controls")
-    iu_v = np.triu_indices(d.v, k=1)
-    mv_cc = float(np.max(v_cc_matrix(ib)[iu_v]))
-    if d.b >= 2:
-        iu_b = np.triu_indices(d.b, k=1)
-        mv_tt = 2.0 + float(np.max(v_tt_matrix(ib)[iu_b]))
-    else:
-        mv_tt = 2.0
-    mv_ct = float(np.max(v_ct_matrix(ib, d)))
-    return mv_cc, mv_tt, mv_ct
+    r = np.asarray(d.replications, dtype=float)
+    return tuple(float(x) for x in _mv_values(ib.c_plus.a, ib.c_dual_plus.a, d.incidence, r))
 
 
 def equireplicate_identities(

@@ -48,10 +48,9 @@ class BlockDesign:
         """v x b matrix whose (i, j) entry counts the occurrences of
         treatment i+1 in block j+1; entries may exceed one for non-binary
         designs."""
-        n = np.zeros((self.v, self.b), dtype=int)
-        for j, block in enumerate(self.blocks):
-            for label in block:
-                n[label - 1, j] += 1
+        labels = np.fromiter(itertools.chain.from_iterable(self.blocks), dtype=int)
+        cells = (labels - 1) * self.b + np.repeat(np.arange(self.b), self.block_sizes)
+        n = np.bincount(cells, minlength=self.v * self.b).astype(int, copy=False).reshape(self.v, self.b)
         n.setflags(write=False)
         return n
 

@@ -4,6 +4,10 @@ Every matrix this package inverts is symmetric positive definite: an
 information matrix shifted by a projector onto its null space. The
 inverse is therefore taken from a LAPACK Cholesky factorization, whose
 failure or tiny diagonal is also the singularity test.
+
+The symmetrization rule and the Cholesky inverse are written once, for a
+matrix or a stack of them: `stacked_mp_inverse_centered` runs the steps
+of `mp_inverse_centered` on a stack and marks a failed member with NaN.
 """
 
 from __future__ import annotations
@@ -38,12 +42,9 @@ class SymMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionMismatch("matrix order must be at least 1")
-        bits = arr.view(np.uint64)
-        if not np.array_equal(bits, bits.T):  # else 0.5 * (A + A^T) would be A, bit for bit
-            scale = max(1.0, float(np.max(np.abs(arr))))
-            if float(np.max(np.abs(arr - arr.T))) > 1e-8 * scale:
-                raise ValueError("matrix is not symmetric within tolerance")
-            arr = 0.5 * (arr + arr.T)
+        arr, ok = _symmetrized(arr)
+        if not ok:
+            raise ValueError("matrix is not symmetric within tolerance")
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 
@@ -55,8 +56,32 @@ class SymMatrix:
         return self.order == other.order and float(np.max(np.abs(self.a - other.a))) <= tol
 
 
+def _symmetrized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SymMatrix's rule on a matrix or on each member of a stack: 0.5 *
+    (A + A^T), and whether the asymmetry of each member is within 1e-8
+    max(1, max |A|). A bitwise-symmetric input is returned as it is, since
+    0.5 * (A + A^T) would give the same bits."""
+    bits = a.view(np.uint64)
+    if np.array_equal(bits, bits.swapaxes(-1, -2)):
+        return a, np.True_
+    at = a.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    ok = ~(np.abs(a - at).max(axis=(-2, -1)) > 1e-8 * scale)
+    return 0.5 * (a + at), ok
+
+
 def identity(order: int) -> SymMatrix:
     return SymMatrix(np.eye(order))
+
+
+def _cholesky_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L^-T L^-1 from the Cholesky factor L of a symmetric matrix, or of
+    each member of a stack, with the smallest squared diagonal entry of
+    each L. np.linalg.LinAlgError propagates when a factorization fails."""
+    factor = np.linalg.cholesky(a)
+    pivot = factor.diagonal(axis1=-2, axis2=-1).min(axis=-1) ** 2
+    factor_inv = np.linalg.inv(factor)
+    return factor_inv.swapaxes(-1, -2) @ factor_inv, pivot
 
 
 def invert(m: SymMatrix) -> SymMatrix:
@@ -68,14 +93,17 @@ def invert(m: SymMatrix) -> SymMatrix:
     squared diagonal entry of L drops below PIVOT_TOL.
     """
     try:
-        factor = np.linalg.cholesky(m.a)
+        inverse, pivot = _cholesky_inverse(m.a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"Cholesky factorization failed: {exc}") from exc
-    pivot = float(np.min(np.diag(factor))) ** 2
     if pivot < PIVOT_TOL:
-        raise SingularMatrix(f"squared Cholesky pivot {pivot:.3e} below {PIVOT_TOL:g}")
-    factor_inv = np.linalg.inv(factor)
-    return SymMatrix(factor_inv.T @ factor_inv)
+        raise SingularMatrix(f"squared Cholesky pivot {float(pivot):.3e} below {PIVOT_TOL:g}")
+    return SymMatrix(inverse)
+
+
+def _row_sum_residual(a: np.ndarray) -> np.ndarray:
+    """The largest absolute row sum of a matrix or of each stack member."""
+    return np.abs(a.sum(axis=-1)).max(axis=-1)
 
 
 def mp_inverse_centered(m: SymMatrix, n: int) -> SymMatrix:
@@ -88,7 +116,7 @@ def mp_inverse_centered(m: SymMatrix, n: int) -> SymMatrix:
     """
     if m.order != n:
         raise DimensionMismatch(f"expected order {n}, got {m.order}")
-    worst = float(np.max(np.abs(m.a.sum(axis=1))))
+    worst = float(_row_sum_residual(m.a))
     if worst > CENTERED_TOL:
         raise NotCentered(f"row sums reach {worst:.3e}; matrix is not centered")
     shift = np.full((n, n), 1.0 / n)
@@ -97,6 +125,24 @@ def mp_inverse_centered(m: SymMatrix, n: int) -> SymMatrix:
     except SingularMatrix as exc:
         raise Disconnected("shifted matrix is singular; the underlying design is disconnected") from exc
     return SymMatrix(shifted_inv.a - shift)
+
+
+def stacked_mp_inverse_centered(a: np.ndarray) -> np.ndarray:
+    """`mp_inverse_centered(SymMatrix(a), n)` of every member a of an
+    (m, n, n) stack, by the same steps: SymMatrix's rule, the centered
+    check, the J/n shift, Cholesky and the pivot test, L^-T L^-1 under
+    SymMatrix's rule, and the shift taken off again. Each member gets the
+    bits the single-matrix path gives it, and a member that fails a check
+    is all NaN. np.linalg.LinAlgError propagates when a factorization
+    fails."""
+    a, ok = _symmetrized(a)
+    n = a.shape[-1]
+    shift = np.full((n, n), 1.0 / n)
+    inverse, pivot = _cholesky_inverse(a + shift)
+    inverse, ok_inverse = _symmetrized(inverse)
+    inverse = inverse - shift
+    inverse[~ok | ~ok_inverse | (_row_sum_residual(a) > CENTERED_TOL) | (pivot < PIVOT_TOL)] = np.nan
+    return inverse
 
 
 def trace(m: SymMatrix) -> float:

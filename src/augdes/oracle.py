@@ -28,9 +28,10 @@ indices WALK_SLICE designs at a time. Each slice's incidence stack is a
 gather of pool rows, and `design.stacked_connected` decides the
 connectivity of the whole slice at once. `enumerate_class` builds a
 design object per yielded design, `class_counts` builds none, and
-`class_minima` scores the connected designs in stacked chunks and builds
-and scores exactly only those that could move a minimum, so its minima
-and argmins are those of one exact score per design.
+`class_minima` screens the connected designs in stacked chunks, scores
+exactly, again stacked, only those that could move a minimum, and builds a
+design object only for an argmin, so its minima and argmins are those of
+one exact score per design.
 """
 
 from __future__ import annotations
@@ -345,14 +346,17 @@ def class_minima(
     recording per criterion the first minimizing design in enumeration
     order, with values within MOVE_TOL counted as ties.
 
-    Connected designs are screened CHUNK at a time and only those that
-    `_confirm_chunk` admits are scored exactly; the update uses exact
-    values only. This is exact: a design updates only if its exact value
-    is below best_t - MOVE_TOL, best_t being the running best before it.
-    best_t is at most the chunk-start best, and at most exact(e) + MOVE_TOL
-    for every earlier design e. So, with every criterion positive and the
-    screen's drift below SCREEN_TOL, both confirm limits admit every
-    design that would update, and skipping the rest moves no running best.
+    Connected designs are screened CHUNK at a time. `_confirm_chunk`
+    admits those that could move a minimum, scores them exactly in one
+    stacked call that gives each the bits of its per-design
+    `criteria_report(intrablock(d))`, and updates in enumeration order
+    from exact values only. This is exact: a design updates only if its
+    exact value is below best_t - MOVE_TOL, best_t being the running best
+    before it. best_t is at most the chunk-start best, and at most
+    exact(e) + MOVE_TOL for every earlier design e. So, with every
+    criterion positive and the screen's drift below SCREEN_TOL, both
+    confirm limits admit every design that would update, and skipping the
+    rest moves no running best.
     """
     walk = _ClassWalk(b, v, k, cap)
     _check_scorable(b, v, k, aug)
@@ -378,11 +382,20 @@ def _confirm_chunk(
     best: dict[str, float],
     arg: dict[str, BlockDesign],
 ) -> None:
-    """Score exactly, in order, each design of the chunk (given by its pool
-    index rows) whose screened value of some criterion is NaN or lies
-    below both (a) the chunk-start best - MOVE_TOL + SCREEN_TOL
+    """Screen a chunk of connected designs, given by their pool index
+    rows, and fold the admitted ones into the running minima in order.
+
+    A design is admitted when its screened value of some criterion is NaN
+    or lies below both (a) the chunk-start best - MOVE_TOL + SCREEN_TOL
     max(1, |best|) and (b) the smallest screened value earlier in the
-    chunk + 2 SCREEN_TOL max(1, |that|)."""
+    chunk + 2 SCREEN_TOL max(1, |that|). The admitted designs are scored
+    exactly in one `criteria.stacked_exact_criteria` call, which gives the
+    bits of `criteria_report(intrablock(d), d, aug)`. A design whose exact
+    row holds NaN (a failed check), or every admitted design when a
+    Cholesky factorization of the stack fails, is scored alone by that
+    per-design path instead, which raises the check's error. A design
+    object is built only for a new argmin.
+    """
     n = np.ascontiguousarray(walk.incidence(rows), dtype=float)
     screened = criteria.stacked_criteria(n, walk.k, aug.counts(walk.b))
     start = np.array([best.get(name, np.inf) for name in CRITERION_NAMES])
@@ -390,11 +403,21 @@ def _confirm_chunk(
     earlier = np.fmin.accumulate(np.vstack((np.full(len(start), np.inf), screened[:-1])))
     below_earlier = screened < earlier + 2.0 * SCREEN_TOL * np.maximum(1.0, np.abs(earlier))
     confirm = np.isnan(screened) | (below_best & below_earlier)
-    for i in np.flatnonzero(confirm.any(axis=1)):
-        d = walk.design(rows[i])
-        report = criteria.criteria_report(criteria.intrablock(d), d, aug)
-        for name in CRITERION_NAMES:
-            value = getattr(report, name)
+    admitted = np.flatnonzero(confirm.any(axis=1))
+    if not len(admitted):
+        return
+    try:
+        exact = criteria.stacked_exact_criteria(n[admitted], walk.k, aug)
+    except np.linalg.LinAlgError:
+        exact = np.full((len(admitted), len(CRITERION_NAMES)), np.nan)
+    for i, values in zip(admitted.tolist(), exact.tolist()):
+        d = None
+        if any(math.isnan(x) for x in values):
+            d = walk.design(rows[i])
+            report = criteria.criteria_report(criteria.intrablock(d), d, aug)
+            values = [getattr(report, name) for name in CRITERION_NAMES]
+        for name, value in zip(CRITERION_NAMES, values):
             if name not in best or value < best[name] - MOVE_TOL:
+                d = d or walk.design(rows[i])
                 best[name] = value
                 arg[name] = d

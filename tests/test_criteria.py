@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from augdes.criteria import (
     a_criteria,
+    criteria_report,
     dual_inverse,
     equireplicate_identities,
     evaluate,
     intrablock,
     mv_criteria,
     partial_replication_eval,
+    stacked_exact_criteria,
     v_cc,
     v_cc_matrix,
     v_ct,
@@ -38,7 +40,7 @@ from augdes.errors import (
     SameIndex,
 )
 from augdes.matrix import SymMatrix, mp_inverse_centered, trace
-from augdes.oracle import enumerate_class
+from augdes.oracle import CRITERION_NAMES, enumerate_class
 
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
 ONE = AugmentationSpec.common(1)
@@ -192,6 +194,24 @@ class TestACriteria:
             assert other[0] == base[0]
             assert abs(other[2] - base[2]) <= 1e-12
             assert other[1] != base[1]
+
+
+class TestStackedExactCriteria:
+    @pytest.mark.parametrize(
+        "aug", [ONE, AugmentationSpec.per_block([1, 2, 3, 1, 2, 3])], ids=["s1", "s_list"]
+    )
+    def test_every_connected_6_4_2_design_bit_for_bit(self, aug):
+        designs = list(enumerate_class(6, 4, 2, connected_only=True))
+        assert len(designs) == 1939
+        exact = stacked_exact_criteria(np.array([d.incidence for d in designs], dtype=float), 2, aug)
+        for d, row in zip(designs, exact.tolist()):
+            report = criteria_report(intrablock(d), d, aug)
+            assert [x.hex() for x in row] == [getattr(report, name).hex() for name in CRITERION_NAMES]
+
+    def test_disconnected_member_fails_the_stack(self):
+        designs = [from_blocks(4, [[1, 2], [1, 3], [2, 4]]), from_blocks(4, [[1, 2], [1, 2], [3, 4]])]
+        with pytest.raises(np.linalg.LinAlgError):
+            stacked_exact_criteria(np.array([d.incidence for d in designs], dtype=float), 2, ONE)
 
 
 class TestDualInverse:

@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from augdes.errors import DimensionMismatch, Disconnected, NotCentered, SingularMatrix
-from augdes.matrix import SymMatrix, identity, invert, mp_inverse_centered, quad_form, trace
+from augdes.matrix import (
+    SymMatrix,
+    identity,
+    invert,
+    mp_inverse_centered,
+    quad_form,
+    stacked_mp_inverse_centered,
+    trace,
+)
 
 
 def sym(rows):
@@ -140,3 +148,35 @@ class TestTraceQuadForm:
     def test_quad_form_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             quad_form(identity(2), (1.0, 2.0, 3.0))
+
+
+class TestStackedMoorePenroseCentered:
+    def test_members_match_the_single_path_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        stack = []
+        for _ in range(8):
+            base = rng.uniform(-1.0, 1.0, size=(5, 5))
+            m = base @ base.T
+            m -= m.mean(axis=1, keepdims=True)
+            m -= m.mean(axis=0, keepdims=True)
+            m[1, 3] += 1e-13  # asymmetric within tolerance: symmetrized first
+            stack.append(m)
+        got = stacked_mp_inverse_centered(np.array(stack))
+        for m, row in zip(stack, got):
+            assert row.tobytes() == mp_inverse_centered(SymMatrix(m), 5).a.tobytes()
+
+    def test_member_failing_a_check_is_nan(self):
+        good = 5.0 * np.eye(5) - np.ones((5, 5))
+        asymmetric = good.copy()
+        asymmetric[0, 1] += 1e-3
+        got = stacked_mp_inverse_centered(np.array([good, np.eye(5), asymmetric]))
+        assert got[0].tobytes() == mp_inverse_centered(SymMatrix(good), 5).a.tobytes()
+        assert np.isnan(got[1]).all() and np.isnan(got[2]).all()
+        with pytest.raises(NotCentered):
+            mp_inverse_centered(identity(5), 5)
+        with pytest.raises(ValueError):
+            SymMatrix(asymmetric)
+
+    def test_failed_factorization_raises_for_the_stack(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            stacked_mp_inverse_centered(np.array([5.0 * np.eye(5) - np.ones((5, 5)), np.zeros((5, 5))]))

@@ -369,7 +369,7 @@ class TestClassMinima:
         result = class_minima(4, 3, 2, ONE)
         assert (result.n_designs, result.n_connected) == (126, 51)
         assert connectivity == []
-        assert 0 < len(exact) < result.n_connected
+        assert exact == [] and union_finds == []  # no exact value is NaN, so no design is scored alone
         assert union_finds == exact
         assert all(is_connected(d) for d in exact)
 
@@ -437,6 +437,32 @@ class TestStackedClassMinima:
         _, _, best, arg = reference_class_minima(4, 3, 2, ONE)
         result = class_minima(4, 3, 2, ONE)
         assert result.minima == best and result.argmin == arg
+
+    @pytest.mark.parametrize("failure", ["nan_row", "cholesky"])
+    def test_failed_exact_rows_are_scored_alone(self, monkeypatch, failure):
+        # a NaN row, or a stack whose factorization fails, goes through the
+        # per-design path; the minima and argmins do not change
+        original, original_intrablock = criteria.stacked_exact_criteria, criteria.intrablock
+        exact = []
+
+        def failing(n, k, aug):
+            if failure == "cholesky":
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            values = original(n, k, aug)
+            values[::2, 1] = np.nan
+            return values
+
+        def counting_intrablock(d):
+            exact.append(d)
+            return original_intrablock(d)
+
+        _, _, best, arg = reference_class_minima(5, 4, 2, ONE)
+        monkeypatch.setattr(criteria, "stacked_exact_criteria", failing)
+        monkeypatch.setattr(criteria, "intrablock", counting_intrablock)
+        result = class_minima(5, 4, 2, ONE)
+        assert {n: x.hex() for n, x in result.minima.items()} == {n: x.hex() for n, x in best.items()}
+        assert result.argmin == arg
+        assert 0 < len(exact) < result.n_connected
 
     @pytest.mark.parametrize(
         "args, kwargs, error",

@@ -4,12 +4,20 @@ Every tolerance is relative to the size of the quantities compared.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from augdes.bounds import a_bounds
-from augdes.criteria import a_criteria, criteria_report, equireplicate_identities, intrablock, stacked_criteria
-from augdes.design import AugmentationSpec, BlockDesign, is_connected, stacked_connected
+from augdes.criteria import (
+    a_criteria,
+    criteria_report,
+    equireplicate_identities,
+    intrablock,
+    stacked_criteria,
+    stacked_exact_criteria,
+)
+from augdes.design import AugmentationSpec, BlockDesign, can_connect, is_connected, stacked_connected
+from augdes.oracle import CRITERION_NAMES
 
 REL = 1e-12
 
@@ -110,3 +118,55 @@ def design_stacks(draw):
 def test_stacked_connected_matches_is_connected(designs):
     stack = np.array([d.incidence for d in designs])
     assert stacked_connected(stack).tolist() == [is_connected(d) for d in designs]
+
+
+@st.composite
+def connected_stacks(draw):
+    """Up to eight connected designs of one (b, v, k), b = 1 included, with
+    blocks that may repeat a treatment, and an augmentation with a common
+    or per-block count."""
+    v = draw(st.integers(2, 7))
+    b = draw(st.integers(1, 7))
+    k = draw(st.integers(2, 5))
+    assume(can_connect(v, b, b * k))
+    block = st.lists(st.integers(1, v), min_size=k, max_size=k).map(lambda x: tuple(sorted(x)))
+    stack = draw(st.lists(st.lists(block, min_size=b, max_size=b), min_size=1, max_size=8))
+    designs = [d for d in (BlockDesign(v, tuple(blocks)) for blocks in stack) if is_connected(d)]
+    assume(designs)
+    if draw(st.booleans()):
+        aug = AugmentationSpec.common(draw(st.integers(1, 5)))
+    else:
+        aug = AugmentationSpec.per_block(draw(st.lists(st.integers(1, 5), min_size=b, max_size=b)))
+    assume(aug.total(b) >= 2)
+    return designs, k, aug
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_stacks())
+@example(([BlockDesign(3, ((1, 2, 3, 3),)), BlockDesign(3, ((1, 1, 2, 3),))], 4, AugmentationSpec.common(2)))
+@example(([BlockDesign(2, ((1, 2),))], 2, AugmentationSpec.per_block([3])))
+def test_stacked_exact_criteria_match_report_bit_for_bit(case):
+    designs, k, aug = case
+    exact = stacked_exact_criteria(np.array([d.incidence for d in designs], dtype=float), k, aug)
+    for d, row in zip(designs, exact.tolist()):
+        report = criteria_report(intrablock(d), d, aug)
+        assert [x.hex() for x in row] == [getattr(report, name).hex() for name in CRITERION_NAMES]
+
+
+def loop_incidence(d):
+    """The v x b incidence counted one label at a time."""
+    n = np.zeros((d.v, d.b), dtype=int)
+    for j, block in enumerate(d.blocks):
+        for label in block:
+            n[label - 1, j] += 1
+    return n
+
+
+@settings(max_examples=200, deadline=None)
+@given(design_stacks())
+def test_incidence_matches_label_loop(designs):
+    # non-binary blocks of mixed sizes, with treatments that occur nowhere
+    for d in designs:
+        n = d.incidence
+        assert n.dtype == loop_incidence(d).dtype and not n.flags.writeable
+        assert np.array_equal(n, loop_incidence(d))

@@ -1,6 +1,7 @@
 """Exhaustive check of the design-independent lower bounds on classes of
 10^5-10^6 designs. Deselected by default; run with `pytest -m slow`."""
 
+import functools
 import math
 
 import pytest
@@ -19,12 +20,39 @@ SPECS = {
 }
 
 
+# float.hex minima and argmin blocks at s=1, captured from the per-design
+# exact confirm (one criteria_report(intrablock(d)) per admitted design)
+PINNED_S1 = {
+    (6, 4, 3): {
+        "a_cc": ("0x1.04e04e04e04e3p-1", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4))),
+        "a_tt": ("0x1.5bdcacb9ba8aap+1", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4))),
+        "a_ct": ("0x1.8be2be2be2be4p+0", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4))),
+        "mv_cc": ("0x1.3333333333334p-1", ((1, 1, 2), (1, 1, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (2, 3, 4))),
+        "mv_tt": ("0x1.5dddddddddddep+1", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (1, 3, 4))),
+        "mv_ct": ("0x1.b60b60b60b60cp+0", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4))),
+    },
+    (5, 5, 3): {
+        "a_cc": ("0x1.a2e8ba2e8ba2cp-1", ((1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5))),
+        "a_tt": ("0x1.6820202020201p+1", ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (3, 4, 5))),
+        "a_ct": ("0x1.b8a15b8a15b89p+0", ((1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5))),
+        "mv_cc": ("0x1.bed61bed61bedp-1", ((1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5))),
+        "mv_tt": ("0x1.6fb586fb586fbp+1", ((1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5))),
+        "mv_ct": ("0x1.e72cfe72cfe72p+0", ((1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5))),
+    },
+}
+
+
+@functools.cache
+def minima(cls, spec):
+    return class_minima(*cls, SPECS[spec](cls[0]))
+
+
 @pytest.mark.parametrize("spec", SPECS)
 @pytest.mark.parametrize("cls", [(6, 4, 3), (7, 4, 3), (5, 5, 3)], ids=lambda c: "-".join(map(str, c)))
 def test_bounds_hold_on_every_connected_design(cls, spec):
     b, v, k = cls
     aug = SPECS[spec](b)
-    result = class_minima(b, v, k, aug)
+    result = minima(cls, spec)
     assert result.n_designs == math.comb(math.comb(v + k - 1, k) + b - 1, b)
     assert result.n_connected > 0
     # the MV-criteria are bounded by the A-bounds at one test per block
@@ -36,3 +64,10 @@ def test_bounds_hold_on_every_connected_design(cls, spec):
     tightest = max(ratios, key=ratios.get)
     print(f"({b},{v},{k}) s={aug.describe()}: {result.n_connected} of {result.n_designs} connected, "
           f"tightest bound/minimum {ratios[tightest]:.6f} ({tightest})")
+
+
+@pytest.mark.parametrize("cls", PINNED_S1, ids=lambda c: "-".join(map(str, c)))
+def test_minima_and_argmins_pinned_bit_for_bit(cls):
+    result = minima(cls, "1")
+    got = {name: (result.minima[name].hex(), result.argmin[name].blocks) for name in CRITERION_NAMES}
+    assert got == PINNED_S1[cls]
