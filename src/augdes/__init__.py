@@ -25,13 +25,11 @@ from .bounds import (
 from .criteria import (
     CriteriaReport,
     Intrablock,
-    PartialReplicationReport,
     a_criteria,
     equireplicate_identities,
     evaluate,
     intrablock,
     mv_criteria,
-    partial_replication_eval,
     v_cc,
     v_ct,
     v_tt,
@@ -75,7 +73,6 @@ __all__ = [
     "CriteriaReport",
     "EfficiencyReport",
     "Intrablock",
-    "PartialReplicationReport",
     "SearchConfig",
     "SearchResult",
     "SymMatrix",
@@ -108,7 +105,6 @@ __all__ = [
     "mv_criteria",
     "mv_efficiencies",
     "parse_design",
-    "partial_replication_eval",
     "quad_form",
     "read_design",
     "repeat_blocks",

@@ -228,7 +228,9 @@ def eval_cmd(design_file, s_common, s_list, fmt, partial_rep):
     d = read_design(design_file)
     aug = _parse_aug(s_common, s_list)
     if partial_rep:
-        values = asdict(criteria.partial_replication_eval(d, aug))
+        # the twice-replicated subdesign is scored as a primal: rr for cc, rt for ct
+        report = asdict(criteria.evaluate(d, aug))
+        values = {key.replace("_cc", "_rr").replace("_ct", "_rt"): x for key, x in report.items()}
         if fmt == "json":
             payload = {
                 "params": _params_json(d.b, d.v, d.uniform_block_size(), aug),

@@ -64,20 +64,6 @@ class CriteriaReport:
     mv_ct: float
 
 
-@dataclass(frozen=True)
-class PartialReplicationReport:
-    """Criteria for the no-controls variant in which some test treatments
-    receive two plots: the twice-replicated subdesign plays the primal's
-    role, so rr/rt replace cc/ct while tt keeps its meaning."""
-
-    a_rr: float
-    a_tt: float
-    a_rt: float
-    mv_rr: float
-    mv_tt: float
-    mv_rt: float
-
-
 def intrablock(d: BlockDesign) -> Intrablock:
     """Build both information matrices and their Moore-Penrose inverses.
 
@@ -256,44 +242,6 @@ def dual_inverse(p: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
     return q
 
 
-def _stacked_inverses(n: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replications r, P = C+ and Q = C_dual+ of a stack of connected
-    primals, given as an (m, v, b) float incidence with block size k: one
-    stacked inverse of C + J/v gives every P, and Q follows from
-    `dual_inverse`."""
-    v = n.shape[1]
-    r = n.sum(axis=2)
-    c = -(n @ np.swapaxes(n, 1, 2)) / k
-    c[:, range(v), range(v)] += r
-    p = np.linalg.inv(c + 1.0 / v) - 1.0 / v
-    return r, p, dual_inverse(p, n, k)
-
-
-def _stacked_a(n, r, p, q, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A-criteria (cc, tt, ct) of a stack of primals from r, P and Q: with s
-    the per-block counts, T their sum and G = R^-1 N, the pairwise
-    definitions (the trace forms of `a_criteria` for equal counts) are
-        A_tt = 2 + 2 (T s^T diag(Q) - s^T Q s) / (T (T - 1))
-        A_ct = 1 + mean(1/r) + s^T diag(Q) / T - 2 (1^T G Q s) / (v T) + tr(G Q G^T) / v
-    """
-    _, v, _ = n.shape
-    s = np.asarray(counts, dtype=float)
-    total = float(s.sum())
-    s_diag = np.diagonal(q, axis1=1, axis2=2) @ s
-    a_cc = 2.0 * np.trace(p, axis1=1, axis2=2) / (v - 1)
-    a_tt = 2.0 + 2.0 * (total * s_diag - (q @ s) @ s) / (total * (total - 1.0))
-    g = n / r[:, :, None]
-    gq = g @ q
-    a_ct = (
-        1.0
-        + np.mean(1.0 / r, axis=1)
-        + s_diag / total
-        - 2.0 * (gq.sum(axis=1) @ s) / (v * total)
-        + np.sum(gq * g, axis=(1, 2)) / v
-    )
-    return a_cc, a_tt, a_ct
-
-
 def exchange_a_criteria(p: np.ndarray, n: np.ndarray, k: int, counts, j, a, t) -> tuple[np.ndarray, ...]:
     """A-criteria (cc, tt, ct) of the designs that replace treatment a by t
     in block j of one connected primal with P = C+ and v x b float
@@ -302,8 +250,10 @@ def exchange_a_criteria(p: np.ndarray, n: np.ndarray, k: int, counts, j, a, t) -
     The move changes C by u y^T + y u^T, with u = e_t - e_a and
     y = (e_t + e_a)/2 - (n_j + u/2)/k. Both sum to zero, so Woodbury on
     C + J/v gives P' = P - Z D Z^T, Z = P [u, y], D = (S + [u, y]^T Z)^-1,
-    S = [[0, 1], [1, 0]]. With c = Pi_b s and M' = I/k + N'^T P' N'/k^2,
-    so that Q' = Pi_b M' Pi_b, the terms of `_stacked_a` are s^T Q' s =
+    S = [[0, 1], [1, 0]]. With s the per-block counts, T their sum,
+    c = Pi_b s and M' = I/k + N'^T P' N'/k^2, so that Q' = Pi_b M' Pi_b,
+    the terms of the pairwise definitions in `_a_values`, among them
+    A_tt = 2 + 2 (T s^T diag(Q') - s^T Q' s) / (T (T - 1)), are s^T Q' s =
     c^T M' c, s^T diag(Q') = s^T diag(M') - 2 c^T M' 1/b - T 1^T M' 1/b^2
     and, since P'C' = I - J/v gives M' G'^T 1 = sum(1/r') 1/v,
 
@@ -358,15 +308,20 @@ def exchange_a_criteria(p: np.ndarray, n: np.ndarray, k: int, counts, j, a, t) -
     return a_cc, a_tt, a_ct
 
 
-def stacked_criteria(n: np.ndarray, k: int, counts) -> np.ndarray:
+def stacked_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.ndarray:
     """All six criteria (a_cc, a_tt, a_ct, mv_cc, mv_tt, mv_ct) of a stack
-    of connected primals as an (m, 6) array, from one P and Q per member:
-    the A-criteria as in `_stacked_a`, the MV-criteria by `_mv_values`,
-    as `mv_criteria` takes them. It screens: P comes from np.linalg.inv
-    and Q from `dual_inverse`, so the values agree with the exact ones
-    to rounding only."""
-    r, p, q = _stacked_inverses(n, k)
-    return np.column_stack((*_stacked_a(n, r, p, q, counts), *_mv_values(p, q, n, r)))
+    of connected primals as an (m, 6) array, by the arithmetic of
+    `stacked_exact_criteria`, `_a_values` and `_mv_values`. It screens:
+    P comes from one stacked np.linalg.inv of C + J/v and Q from
+    `dual_inverse`, so the values agree with the exact ones to rounding
+    only."""
+    v = n.shape[1]
+    r = n.sum(axis=2)
+    c = -(n @ np.swapaxes(n, 1, 2)) / k
+    c[:, range(v), range(v)] += r
+    p = np.linalg.inv(c + 1.0 / v) - 1.0 / v
+    q = dual_inverse(p, n, k)
+    return np.column_stack((*_a_values(p, q, n, r, aug), *_mv_values(p, q, n, r)))
 
 
 def stacked_exact_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.ndarray:
@@ -433,17 +388,3 @@ def criteria_report(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> Cr
 def evaluate(d: BlockDesign, aug: AugmentationSpec) -> CriteriaReport:
     """Full report of the A- and MV-criteria for a primal."""
     return criteria_report(intrablock(d), d, aug)
-
-
-def partial_replication_eval(d_rep: BlockDesign, aug: AugmentationSpec) -> PartialReplicationReport:
-    """Evaluate the twice-replicated subdesign exactly like a primal and
-    relabel the report: rr for cc, rt for ct."""
-    rep = evaluate(d_rep, aug)
-    return PartialReplicationReport(
-        a_rr=rep.a_cc,
-        a_tt=rep.a_tt,
-        a_rt=rep.a_ct,
-        mv_rr=rep.mv_cc,
-        mv_tt=rep.mv_tt,
-        mv_rt=rep.mv_ct,
-    )

@@ -348,7 +348,11 @@ def format_design(d: BlockDesign) -> str:
 
 
 def read_design(path) -> BlockDesign:
-    return parse_design(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DesignFormatError(f"byte {exc.start}: not UTF-8 text") from None
+    return parse_design(text)
 
 
 def write_design(d: BlockDesign, path) -> None:

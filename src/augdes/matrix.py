@@ -66,7 +66,7 @@ def _symmetrized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return a, np.True_
     at = a.swapaxes(-1, -2)
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    ok = ~(np.abs(a - at).max(axis=(-2, -1)) > 1e-8 * scale)
+    ok = np.abs(a - at).max(axis=(-2, -1)) <= 1e-8 * scale
     return 0.5 * (a + at), ok
 
 
@@ -96,7 +96,7 @@ def invert(m: SymMatrix) -> SymMatrix:
         inverse, pivot = _cholesky_inverse(m.a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"Cholesky factorization failed: {exc}") from exc
-    if pivot < PIVOT_TOL:
+    if not pivot >= PIVOT_TOL:
         raise SingularMatrix(f"squared Cholesky pivot {float(pivot):.3e} below {PIVOT_TOL:g}")
     return SymMatrix(inverse)
 
@@ -117,7 +117,7 @@ def mp_inverse_centered(m: SymMatrix, n: int) -> SymMatrix:
     if m.order != n:
         raise DimensionMismatch(f"expected order {n}, got {m.order}")
     worst = float(_row_sum_residual(m.a))
-    if worst > CENTERED_TOL:
+    if not worst <= CENTERED_TOL:
         raise NotCentered(f"row sums reach {worst:.3e}; matrix is not centered")
     shift = np.full((n, n), 1.0 / n)
     try:
@@ -141,7 +141,7 @@ def stacked_mp_inverse_centered(a: np.ndarray) -> np.ndarray:
     inverse, pivot = _cholesky_inverse(a + shift)
     inverse, ok_inverse = _symmetrized(inverse)
     inverse = inverse - shift
-    inverse[~ok | ~ok_inverse | (_row_sum_residual(a) > CENTERED_TOL) | (pivot < PIVOT_TOL)] = np.nan
+    inverse[~(ok & ok_inverse & (_row_sum_residual(a) <= CENTERED_TOL) & (pivot >= PIVOT_TOL))] = np.nan
     return inverse
 
 

@@ -28,10 +28,10 @@ indices WALK_SLICE designs at a time. Each slice's incidence stack is a
 gather of pool rows, and `design.stacked_connected` decides the
 connectivity of the whole slice at once. `enumerate_class` builds a
 design object per yielded design, `class_counts` builds none, and
-`class_minima` screens the connected designs in stacked chunks, scores
-exactly, again stacked, only those that could move a minimum, and builds a
-design object only for an argmin, so its minima and argmins are those of
-one exact score per design.
+`class_minima` screens the connected designs in stacked chunks with
+`criteria.stacked_criteria`, scores exactly, again stacked, only those
+that could move a minimum, and builds a design object only for an argmin,
+so its minima and argmins are those of one exact score per design.
 """
 
 from __future__ import annotations
@@ -397,7 +397,7 @@ def _confirm_chunk(
     object is built only for a new argmin.
     """
     n = np.ascontiguousarray(walk.incidence(rows), dtype=float)
-    screened = criteria.stacked_criteria(n, walk.k, aug.counts(walk.b))
+    screened = criteria.stacked_criteria(n, walk.k, aug)
     start = np.array([best.get(name, np.inf) for name in CRITERION_NAMES])
     below_best = screened < start - MOVE_TOL + SCREEN_TOL * np.maximum(1.0, np.abs(start))
     earlier = np.fmin.accumulate(np.vstack((np.full(len(start), np.inf), screened[:-1])))

@@ -35,6 +35,16 @@ def eight_block_file(tmp_path):
     return write(tmp_path, "example_b8.design", format_design(d))
 
 
+def count_args(path, counts):
+    """The count options of a golden: a common count of 1 or 3, or the
+    per-block counts 1, 2, 3, 1, ... of the design at path."""
+    return {
+        "s1": ["--s", "1"],
+        "s3": ["--s", "3"],
+        "slist": ["--s-list", ",".join(str(1 + j % 3) for j in range(read_design(path).b))],
+    }[counts]
+
+
 class TestRounding:
     def test_half_away_from_zero(self):
         assert round3(0.9935) == 0.994
@@ -58,12 +68,7 @@ class TestEval:
         # every shipped design at a common count of 1 and 3 and at the
         # per-block counts 1, 2, 3, 1, ...; provenance names the run, so it
         # is left out of the comparison
-        args = {
-            "s1": ["--s", "1"],
-            "s3": ["--s", "3"],
-            "slist": ["--s-list", ",".join(str(1 + j % 3) for j in range(read_design(path).b))],
-        }[counts]
-        result = runner.invoke(cli, ["eval", str(path), *args, "--format", "json"])
+        result = runner.invoke(cli, ["eval", str(path), *count_args(path, counts), "--format", "json"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         del doc["provenance"]
@@ -88,6 +93,18 @@ class TestEval:
         result = runner.invoke(cli, ["eval", path, "--s-list", "1,2", "--format", "json"])
         assert result.exit_code == 0
         assert json.loads(result.output)["params"]["s"] == [1, 2]
+
+    @pytest.mark.parametrize("path", sorted(DESIGNS.glob("*.design")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("counts", ["s1", "slist"])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_partial_rep_golden(self, runner, path, counts, fmt):
+        # the whole JSON (partial mode has no provenance), and the table
+        # from its second line on, since the first names the input path
+        result = runner.invoke(cli, ["eval", str(path), "--partial-rep", *count_args(path, counts), "--format", fmt])
+        assert result.exit_code == 0
+        output = result.output if fmt == "json" else result.output.split("\n", 1)[1]
+        suffix = "json" if fmt == "json" else "txt"
+        assert output == (DATA / f"partial_{path.stem}_{counts}.{suffix}").read_text(encoding="utf-8")
 
     def test_partial_rep_table(self, runner, tmp_path):
         path = write(tmp_path, "d.design", RCBD2_TEXT)
@@ -272,6 +289,22 @@ def test_broken_pipe_is_quiet():
     assert proc.stdout.startswith("objective:")
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command", [["eval"], ["verify"], ["dual"], ["modify", "--delete", "1"]], ids=lambda c: c[0]
+)
+def test_non_utf8_design_is_an_input_error(tmp_path, command):
+    path = tmp_path / "latin1.design"
+    path.write_bytes(b"v 3\nblock 1 2 \xff\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "augdes.cli", command[0], str(path), *command[1:]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: byte 14:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_runtime_needs_only_numpy_and_click():

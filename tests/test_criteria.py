@@ -14,7 +14,7 @@ from augdes.criteria import (
     evaluate,
     intrablock,
     mv_criteria,
-    partial_replication_eval,
+    stacked_criteria,
     stacked_exact_criteria,
     v_cc,
     v_cc_matrix,
@@ -203,10 +203,12 @@ class TestStackedExactCriteria:
     def test_every_connected_6_4_2_design_bit_for_bit(self, aug):
         designs = list(enumerate_class(6, 4, 2, connected_only=True))
         assert len(designs) == 1939
-        exact = stacked_exact_criteria(np.array([d.incidence for d in designs], dtype=float), 2, aug)
+        n = np.array([d.incidence for d in designs], dtype=float)
+        exact = stacked_exact_criteria(n, 2, aug)
         for d, row in zip(designs, exact.tolist()):
             report = criteria_report(intrablock(d), d, aug)
             assert [x.hex() for x in row] == [getattr(report, name).hex() for name in CRITERION_NAMES]
+        assert np.all(np.abs(stacked_criteria(n, 2, aug) - exact) <= 1e-12 * np.abs(exact))
 
     def test_disconnected_member_fails_the_stack(self):
         designs = [from_blocks(4, [[1, 2], [1, 3], [2, 4]]), from_blocks(4, [[1, 2], [1, 2], [3, 4]])]
@@ -276,25 +278,6 @@ class TestEquireplicateIdentities:
         ib = intrablock(d)
         with pytest.raises(NotEquireplicate):
             equireplicate_identities(ib, d)
-
-
-class TestPartialReplication:
-    def test_pure_relabeling(self):
-        rep = evaluate(RCBD2, ONE)
-        part = partial_replication_eval(RCBD2, ONE)
-        assert part.a_rr == rep.a_cc
-        assert part.a_tt == rep.a_tt
-        assert part.a_rt == rep.a_ct
-        assert part.mv_rr == rep.mv_cc
-        assert part.mv_tt == rep.mv_tt
-        assert part.mv_rt == rep.mv_ct
-
-    def test_small_stand_in(self):
-        d_rep = from_blocks(6, [[1, 2, 3], [3, 4, 5], [1, 5, 6], [2, 4, 6]])
-        assert set(d_rep.replications) == {2}
-        rep = evaluate(d_rep, AugmentationSpec.common(2))
-        part = partial_replication_eval(d_rep, AugmentationSpec.common(2))
-        assert (part.a_rr, part.a_tt, part.a_rt) == (rep.a_cc, rep.a_tt, rep.a_ct)
 
 
 class TestConnectivityRankEquivalence:

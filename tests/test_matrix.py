@@ -29,6 +29,10 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             sym([[0.0, 1.0], [2.0, 0.0]])
 
+    def test_rejects_asymmetry_next_to_nan(self):
+        with pytest.raises(ValueError):
+            sym([[np.nan, 1.0], [2.0, 0.0]])
+
     def test_symmetrizes_tiny_asymmetry(self):
         m = SymMatrix(np.array([[1.0, 2.0 + 1e-14], [2.0, 1.0]]))
         assert m.a[0, 1] == m.a[1, 0]
@@ -74,6 +78,10 @@ class TestInvert:
         with pytest.raises(SingularMatrix):
             invert(sym(rows))
 
+    def test_nan_raises(self):
+        with pytest.raises(SingularMatrix):
+            invert(sym([[np.nan]]))
+
     def test_product_is_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -116,6 +124,10 @@ class TestMoorePenroseCentered:
     def test_zero_matrix_is_disconnected(self):
         with pytest.raises(Disconnected):
             mp_inverse_centered(sym(np.zeros((2, 2))), 2)
+
+    def test_nan_matrix_is_not_centered(self):
+        with pytest.raises(NotCentered):
+            mp_inverse_centered(sym(np.full((3, 3), np.nan)), 3)
 
     def test_not_centered(self):
         with pytest.raises(NotCentered):

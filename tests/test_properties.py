@@ -95,7 +95,7 @@ def test_stacked_criteria_match_exact_report(d, data):
     else:
         aug = AugmentationSpec.per_block(data.draw(st.lists(st.integers(1, 5), min_size=d.b, max_size=d.b)))
     n = d.incidence[None, :, :].astype(float)
-    screened = stacked_criteria(n, d.uniform_block_size(), aug.counts(d.b))[0]
+    screened = stacked_criteria(n, d.uniform_block_size(), aug)[0]
     exact = criteria_report(intrablock(d), d, aug)
     for got, want in zip(screened, (exact.a_cc, exact.a_tt, exact.a_ct, exact.mv_cc, exact.mv_tt, exact.mv_ct)):
         assert abs(got - want) <= REL * abs(want)
