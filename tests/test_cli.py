@@ -75,6 +75,16 @@ class TestEval:
         golden = DATA / f"eval_{path.stem}_{counts}.json"
         assert json.dumps(doc, indent=2) + "\n" == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("path", sorted(DESIGNS.glob("*.design")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("counts", ["s1", "s3", "slist"])
+    def test_table_golden(self, runner, path, counts):
+        # the runs of test_json_golden as tables, from the second line on,
+        # since the first names the input path
+        result = runner.invoke(cli, ["eval", str(path), *count_args(path, counts), "--format", "table"])
+        assert result.exit_code == 0
+        golden = DATA / f"eval_{path.stem}_{counts}.txt"
+        assert result.output.split("\n", 1)[1] == golden.read_text(encoding="utf-8")
+
     def test_json_schema(self, runner, tmp_path):
         result = runner.invoke(cli, ["eval", eight_block_file(tmp_path), "--format", "json"])
         assert result.exit_code == 0
@@ -197,6 +207,24 @@ class TestBounds:
         result = runner.invoke(cli, ["bounds", "--b", "4", "--v", "6", "--k", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("cls", [(10, 5, 3), (30, 25, 5)], ids=lambda c: "-".join(map(str, c)))
+    @pytest.mark.parametrize("counts", ["s1", "s3", "slist"])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_golden(self, runner, cls, counts, fmt):
+        # a common count of 1 and 3 and the per-block counts 1, 2, 3, 1, ...
+        b, v, k = cls
+        count_opts = {
+            "s1": ["--s", "1"],
+            "s3": ["--s", "3"],
+            "slist": ["--s-list", ",".join(str(1 + j % 3) for j in range(b))],
+        }[counts]
+        result = runner.invoke(
+            cli, ["bounds", "--b", str(b), "--v", str(v), "--k", str(k), *count_opts, "--format", fmt]
+        )
+        assert result.exit_code == 0
+        golden = DATA / f"bounds_b{b}_v{v}_k{k}_{counts}.{'json' if fmt == 'json' else 'txt'}"
+        assert result.output == golden.read_text(encoding="utf-8")
+
 
 class TestMakeDualModify:
     def test_make_bib_and_eval_round_trip(self, runner, tmp_path):
@@ -307,6 +335,53 @@ def test_non_utf8_design_is_an_input_error(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+# one infeasible request per subcommand: "{disconnected}" names a well-formed
+# disconnected design and "{empty}" one that declares no treatments
+INFEASIBLE = {
+    "eval": ["eval", "{disconnected}"],
+    "bounds": ["bounds", "--b", "4", "--v", "6", "--k", "1"],
+    "dual": ["dual", "{empty}"],
+    "modify": ["modify", "{disconnected}", "--delete", "9"],
+    "make": ["make", "--lattice", "4"],
+    "verify": ["verify", "{disconnected}", "--max-plots", "3"],
+    "enumerate": ["enumerate", "--b", "8", "--v", "8", "--k", "4"],
+    "search": ["search", "--b", "4", "--v", "3", "--k", "2", "--weights", "0,0,0"],
+}
+
+
+def run_console(args, env=None):
+    return subprocess.run(
+        [sys.executable, "-m", "augdes.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **(env or {})},
+    )
+
+
+@pytest.mark.parametrize("command", sorted(INFEASIBLE))
+def test_package_error_exits_2(tmp_path, command):
+    # every subcommand maps a package error to exit 2 in the one place
+    # that assigns exit codes, with a one-line message and no traceback
+    files = {
+        "disconnected": write(tmp_path, "disc.design", "v 4\nblock 1 2\nblock 3 4\n"),
+        "empty": write(tmp_path, "empty.design", "v 0\n"),
+    }
+    args = [arg.format(**files) for arg in INFEASIBLE[command]]
+    proc = run_console(args, env={"AUGDES_ENUM_CAP": "100"})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["eval"], ["verify"], ["dual"], ["modify", "--delete", "1"]], ids=lambda c: c[0])
+def test_malformed_design_exits_1(tmp_path, command):
+    path = write(tmp_path, "bad.design", "nonsense\n")
+    proc = run_console([command[0], path, *command[1:]])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 1: unknown directive")
+    assert "Traceback" not in proc.stderr
+
+
 def test_runtime_needs_only_numpy_and_click():
     # a fresh interpreter running `eval` must not pull in test-only or
     # undeclared packages
@@ -397,6 +472,18 @@ class TestEnumerate:
         result = runner.invoke(cli, ["enumerate", "--b", b, "--v", v, "--k", k, "--format", "json"])
         assert result.exit_code == 0
         assert result.output == (DATA / f"enumerate_b{b}_v{v}_k{k}.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "args", [["--b", "5", "--v", "4", "--k", "2", "--minima"], ["--b", "4", "--v", "3", "--k", "2"],
+                 ["--b", "5", "--v", "4", "--k", "2"], ["--b", "1", "--v", "3", "--k", "2"]],
+        ids=lambda a: "-".join(a[1::2]) + ("-minima" if "--minima" in a else ""),
+    )
+    def test_table_golden(self, runner, args):
+        # the runs of the JSON goldens above, as tables
+        result = runner.invoke(cli, ["enumerate", *args, "--format", "table"])
+        assert result.exit_code == 0
+        name = "enumerate_b{}_v{}_k{}".format(*args[1:6:2]) + ("_minima" if "--minima" in args else "")
+        assert result.output == (DATA / f"{name}.txt").read_text(encoding="utf-8")
 
     def test_env_cap(self, runner):
         result = runner.invoke(
