@@ -7,13 +7,14 @@ of the closed forms against the plot-level GLS oracle (`verify`), and an
 exchange search for good primals (`search`).
 
 Exit codes: 1 for malformed input, 2 for infeasible parameters, 3 for a
-verification failure. Tables round to 3 decimals, half away from zero;
-JSON output is unrounded.
+verification failure; `_Group.invoke` maps package errors to 1 and 2 for
+every subcommand. The options several subcommands share are declared once,
+in `_OPTIONS`, and every `--format` command prints through `_emit`. Tables
+round to 3 decimals, half away from zero; JSON output is unrounded.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -35,38 +36,20 @@ from .design import (
     low_overlap_indices,
     read_design,
     repeat_blocks,
+    write_design,
 )
 from .errors import AugdesError, DesignFormatError, EmptyBlock, LabelOutOfRange
 
 VERIFY_TOL = 1e-6
 ENUM_CAP_ENV = "AUGDES_ENUM_CAP"
 
-_INPUT_ERRORS = (DesignFormatError, LabelOutOfRange, EmptyBlock)
+# malformed input, and any failed read or write of a file or stream
+_INPUT_ERRORS = (DesignFormatError, LabelOutOfRange, EmptyBlock, OSError)
 
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _INPUT_ERRORS as exc:
-            _fail(1, str(exc))
-        except BrokenPipeError:
-            # downstream consumer closed the pipe (e.g. `| head`); park
-            # stdout on devnull so interpreter shutdown stays quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(1)
-        except OSError as exc:
-            _fail(1, str(exc))
-        except AugdesError as exc:
-            _fail(2, str(exc))
-
-    return wrapper
 
 
 def round3(x: float) -> float:
@@ -78,15 +61,20 @@ def fmt3(x: float) -> str:
     return f"{round3(x):.3f}"
 
 
+def _int_list(raw: str, message: str) -> list[int]:
+    """The integers of a comma-separated list, skipping empty items; exits
+    1 with `message` and the raw text when an item is not an integer."""
+    try:
+        return [int(part) for part in raw.split(",") if part != ""]
+    except ValueError:
+        _fail(1, f"{message}, got {raw!r}")
+
+
 def _parse_aug(s_common: int | None, s_list: str | None) -> AugmentationSpec:
     if s_common is not None and s_list is not None:
         _fail(1, "give either --s or --s-list, not both")
     if s_list is not None:
-        try:
-            counts = [int(part) for part in s_list.split(",") if part != ""]
-        except ValueError:
-            _fail(1, f"--s-list must be comma-separated integers, got {s_list!r}")
-        return AugmentationSpec.per_block(counts)
+        return AugmentationSpec.per_block(_int_list(s_list, "--s-list must be comma-separated integers"))
     return AugmentationSpec.common(1 if s_common is None else s_common)
 
 
@@ -100,12 +88,16 @@ def _enum_cap() -> int:
         _fail(1, f"{ENUM_CAP_ENV} must be an integer, got {raw!r}")
 
 
-def _write_or_echo(text: str, out: str | None) -> None:
+def _emit(fmt: str, payload: dict, lines: list[str]) -> None:
+    """Print a command's result: its payload as JSON, or its table lines."""
+    click.echo(json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines))
+
+
+def _write_or_echo(d: BlockDesign, out: str | None) -> None:
     if out is None:
-        click.echo(text, nl=False)
+        click.echo(format_design(d), nl=False)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        write_design(d, out)
 
 
 def _params_json(b: int, v: int, k: int, aug: AugmentationSpec) -> dict:
@@ -158,10 +150,9 @@ def build_report(d: BlockDesign, aug: AugmentationSpec, source: str) -> ReportDo
     single = bounds.single_count_criteria(ib, d, aug, report)
     quantities = bounds.bound_quantities(d.b, d.v, k)
     acc_b, att_b, act_b = bounds.a_bounds(d.b, d.v, k, aug)
-    eff = bounds.efficiency_report(d, k, aug, report, single)
-    # classification is a property of the design alone: it uses the
-    # conservative tt efficiency and the count-free ct efficiency
-    class_eff = eff if aug.is_common else bounds.efficiency_report(d, k, bounds.SINGLE, single, single)
+    # classification is a property of the design alone (conservative tt,
+    # count-free ct), so the single-count report classifies every count
+    class_eff = bounds.efficiency_report(d, k, bounds.SINGLE, single, single)
     return ReportDocument(
         design=d,
         aug=aug,
@@ -171,7 +162,7 @@ def build_report(d: BlockDesign, aug: AugmentationSpec, source: str) -> ReportDo
         acc_bound=acc_b,
         att_bound=att_b,
         act_bound=act_b,
-        eff=eff,
+        eff=bounds.efficiency_report(d, k, aug, report, single),
         classification=bounds.threshold_class(class_eff),
         provenance={
             "input": source,
@@ -181,7 +172,8 @@ def build_report(d: BlockDesign, aug: AugmentationSpec, source: str) -> ReportDo
     )
 
 
-def render_table(doc: ReportDocument) -> str:
+def render_table(doc: ReportDocument) -> list[str]:
+    """The lines of the `eval` table of a report."""
     d, eff, rep = doc.design, doc.eff, doc.criteria
     s_label = doc.aug.describe()
     # MV bounds are the common-count bounds at a single test treatment per block.
@@ -207,10 +199,52 @@ def render_table(doc: ReportDocument) -> str:
     lines.append("")
     lines.append(f"conservative A_tt efficiency (s=1): {fmt3(eff.eff_tt_conservative)}")
     lines.append(f"classification: {doc.classification.value}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group. Its `invoke` is the one place where errors
+    become exit codes: 1 for malformed input or a failed read or write,
+    2 for every other package error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            # downstream consumer closed the pipe (e.g. `| head`); park
+            # stdout on devnull so interpreter shutdown stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        except _INPUT_ERRORS as exc:
+            _fail(1, str(exc))
+        except AugdesError as exc:
+            _fail(2, str(exc))
+
+
+# The options several subcommands share, each declared once for `_options`.
+_OPTIONS = {
+    "b": click.option("--b", "b", type=int, required=True),
+    "v": click.option("--v", "v", type=int, required=True),
+    "k": click.option("--k", "k", type=int, required=True),
+    "s": click.option("--s", "s_common", type=int, default=None, help="Common per-block test-treatment count (default 1)."),
+    "s-list": click.option("--s-list", "s_list", default=None, help="Comma-separated per-block counts, one per block."),
+    "format": click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table"),
+    "output": click.option("-o", "--output", "out", default=None, help="Output design file (default stdout)."),
+}
+
+
+def _options(*names: str):
+    """Apply the shared options `names`, which --help lists in that order."""
+
+    def apply(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+
+    return apply
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__, prog_name="augdes")
 def cli():
     """Evaluate and construct primals for augmented block designs."""
@@ -218,63 +252,45 @@ def cli():
 
 @cli.command(name="eval")
 @click.argument("design_file")
-@click.option("--s", "s_common", type=int, default=None, help="Common per-block test-treatment count (default 1).")
-@click.option("--s-list", "s_list", default=None, help="Comma-separated per-block counts, one per block.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@_options("s", "s-list", "format")
 @click.option("--partial-rep", is_flag=True, help="Treat the input as the twice-replicated subdesign and report rr/tt/rt.")
-@_handle_errors
 def eval_cmd(design_file, s_common, s_list, fmt, partial_rep):
     """Report criteria, bounds and efficiencies for a design file."""
     d = read_design(design_file)
     aug = _parse_aug(s_common, s_list)
-    if partial_rep:
-        # the twice-replicated subdesign is scored as a primal: rr for cc, rt for ct
-        report = asdict(criteria.evaluate(d, aug))
-        values = {key.replace("_cc", "_rr").replace("_ct", "_rt"): x for key, x in report.items()}
-        if fmt == "json":
-            payload = {
-                "params": _params_json(d.b, d.v, d.uniform_block_size(), aug),
-                "criteria": values,
-                "mode": "partial_replication",
-            }
-            click.echo(json.dumps(payload, indent=2))
-        else:
-            lines = [
-                f"design: {design_file} (twice-replicated subdesign)",
-                f"parameters: b={d.b} v={d.v} s={aug.describe()}",
-                "",
-                f"{'criterion':<8}{'value':>10}",
-            ]
-            for key, value in values.items():
-                kind, _, pair = key.partition("_")
-                name = f"{kind.upper()}_{pair}"
-                lines.append(f"{name:<8}{fmt3(value):>10}")
-            click.echo("\n".join(lines))
+    if not partial_rep:
+        doc = build_report(d, aug, source=design_file)
+        _emit(fmt, doc.to_json_dict(), render_table(doc))
         return
-    doc = build_report(d, aug, source=design_file)
-    if fmt == "json":
-        click.echo(json.dumps(doc.to_json_dict(), indent=2))
-    else:
-        click.echo(render_table(doc), nl=False)
+    # the twice-replicated subdesign is scored as a primal: rr for cc, rt for ct
+    report = asdict(criteria.evaluate(d, aug))
+    values = {key.replace("_cc", "_rr").replace("_ct", "_rt"): x for key, x in report.items()}
+    payload = {
+        "params": _params_json(d.b, d.v, d.uniform_block_size(), aug),
+        "criteria": values,
+        "mode": "partial_replication",
+    }
+    lines = [
+        f"design: {design_file} (twice-replicated subdesign)",
+        f"parameters: b={d.b} v={d.v} s={aug.describe()}",
+        "",
+        f"{'criterion':<8}{'value':>10}",
+    ]
+    for key, value in values.items():
+        kind, _, pair = key.partition("_")
+        name = f"{kind.upper()}_{pair}"
+        lines.append(f"{name:<8}{fmt3(value):>10}")
+    _emit(fmt, payload, lines)
 
 
 @cli.command(name="bounds")
-@click.option("--b", "b", type=int, required=True)
-@click.option("--v", "v", type=int, required=True)
-@click.option("--k", "k", type=int, required=True)
-@click.option("--s", "s_common", type=int, default=None)
-@click.option("--s-list", "s_list", default=None)
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
-@_handle_errors
+@_options("b", "v", "k", "s", "s-list", "format")
 def bounds_cmd(b, v, k, s_common, s_list, fmt):
     """Design-independent lower bounds for a parameter triple."""
     aug = _parse_aug(s_common, s_list)
     q = bounds.bound_quantities(b, v, k)
     acc, att, act = bounds.a_bounds(b, v, k, aug)
-    if fmt == "json":
-        payload = {"params": _params_json(b, v, k, aug), "bounds": _bounds_json(q, acc, att, act)}
-        click.echo(json.dumps(payload, indent=2))
-        return
+    payload = {"params": _params_json(b, v, k, aug), "bounds": _bounds_json(q, acc, att, act)}
     lines = [
         f"parameters: b={b} v={v} k={k} s={aug.describe()}",
         f"L={fmt3(q.L)} Ltilde={fmt3(q.Ltilde)} H={fmt3(q.H)} f={q.f} h={q.h}",
@@ -282,13 +298,12 @@ def bounds_cmd(b, v, k, s_common, s_list, fmt):
         f"A_tt bound  {fmt3(att)}",
         f"A_ct bound  {fmt3(act)}",
     ]
-    click.echo("\n".join(lines))
+    _emit(fmt, payload, lines)
 
 
 @cli.command(name="dual")
 @click.argument("design_file")
-@click.option("-o", "--output", "out", default=None, help="Output design file (default stdout).")
-@_handle_errors
+@_options("output")
 def dual_cmd(design_file, out):
     """Write the dual of a design (treatments and blocks interchange)."""
     d = read_design(design_file)
@@ -297,14 +312,7 @@ def dual_cmd(design_file, out):
     unused = d.v - len(set(chain.from_iterable(d.blocks)))
     if unused:
         raise EmptyBlock(f"{unused} of {d.v} treatments occur in no block; the dual would have an empty block")
-    _write_or_echo(format_design(dual(d)), out)
-
-
-def _parse_index_list(raw: str) -> list[int]:
-    try:
-        return [int(part) for part in raw.split(",") if part != ""]
-    except ValueError:
-        _fail(1, f"expected comma-separated block indices, got {raw!r}")
+    _write_or_echo(dual(d), out)
 
 
 @cli.command(name="modify")
@@ -313,27 +321,22 @@ def _parse_index_list(raw: str) -> list[int]:
 @click.option("--repeat", "repeat_raw", default=None, help="Comma-separated block indices to repeat.")
 @click.option("--auto-delete", type=int, default=None, help="Delete n automatically chosen low-overlap blocks.")
 @click.option("--auto-repeat", type=int, default=None, help="Repeat n automatically chosen low-overlap blocks.")
-@click.option("-o", "--output", "out", default=None, help="Output design file (default stdout).")
-@_handle_errors
+@_options("output")
 def modify_cmd(design_file, delete_raw, repeat_raw, auto_delete, auto_repeat, out):
     """Delete or repeat blocks, explicitly or by the low-overlap rule."""
     modes = [m for m in (delete_raw, repeat_raw, auto_delete, auto_repeat) if m is not None]
     if len(modes) != 1:
         _fail(1, "give exactly one of --delete, --repeat, --auto-delete, --auto-repeat")
     d = read_design(design_file)
-    if delete_raw is not None:
-        result = delete_blocks(d, _parse_index_list(delete_raw))
-    elif repeat_raw is not None:
-        result = repeat_blocks(d, _parse_index_list(repeat_raw))
-    elif auto_delete is not None:
-        indices = low_overlap_indices(d, auto_delete)
-        click.echo(f"deleting blocks {','.join(map(str, indices))}", err=True)
-        result = delete_blocks(d, indices)
+    delete = delete_raw is not None or auto_delete is not None
+    raw = delete_raw if delete else repeat_raw
+    if raw is not None:
+        indices = _int_list(raw, "expected comma-separated block indices")
     else:
-        indices = low_overlap_indices(d, auto_repeat)
-        click.echo(f"repeating blocks {','.join(map(str, indices))}", err=True)
-        result = repeat_blocks(d, indices)
-    _write_or_echo(format_design(result), out)
+        indices = low_overlap_indices(d, auto_delete if delete else auto_repeat)
+        click.echo(f"{'deleting' if delete else 'repeating'} blocks {','.join(map(str, indices))}", err=True)
+    result = (delete_blocks if delete else repeat_blocks)(d, indices)
+    _write_or_echo(result, out)
 
 
 @cli.command(name="make")
@@ -341,8 +344,7 @@ def modify_cmd(design_file, delete_raw, repeat_raw, auto_delete, auto_repeat, ou
               help="V K: all k-subsets of 1..V as blocks.")
 @click.option("--lattice", "lattice_q", type=int, default=None,
               help="Q: lattice BIB design on Q^2 treatments (prime Q <= 13).")
-@click.option("-o", "--output", "out", default=None, help="Output design file (default stdout).")
-@_handle_errors
+@_options("output")
 def make_cmd(subsets, lattice_q, out):
     """Construct a standard primal."""
     if (subsets is None) == (lattice_q is None):
@@ -352,95 +354,73 @@ def make_cmd(subsets, lattice_q, out):
         d = all_k_subsets(v, k)
     else:
         d = lattice_bib(lattice_q)
-    _write_or_echo(format_design(d), out)
+    _write_or_echo(d, out)
 
 
 @cli.command(name="verify")
 @click.argument("design_file")
-@click.option("--s", "s_common", type=int, default=None)
-@click.option("--s-list", "s_list", default=None)
+@_options("s", "s-list")
 @click.option("--max-plots", type=int, default=oracle.DEFAULT_PLOT_CAP, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
-@_handle_errors
+@_options("format")
 def verify_cmd(design_file, s_common, s_list, max_plots, fmt):
     """Check the closed-form variances against the plot-level GLS oracle."""
     d = read_design(design_file)
     aug = _parse_aug(s_common, s_list)
     report = oracle.verify_design(d, aug, max_plots=max_plots)
-    if fmt == "json":
-        payload = {
-            "max_deviation": report.max_deviation,
-            "cc": report.max_dev_cc,
-            "tt_same_block": report.max_dev_tt_same,
-            "tt_cross_block": report.max_dev_tt_cross,
-            "ct": report.max_dev_ct,
-            "n_contrasts": report.n_contrasts,
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        click.echo(f"checked {report.n_contrasts} contrasts")
-        click.echo(f"max deviation cc: {report.max_dev_cc:.3e}")
-        click.echo(f"max deviation tt (same block): {report.max_dev_tt_same:.3e}")
-        click.echo(f"max deviation tt (cross block): {report.max_dev_tt_cross:.3e}")
-        click.echo(f"max deviation ct: {report.max_dev_ct:.3e}")
-        click.echo(f"max deviation overall: {report.max_deviation:.3e}")
+    # the JSON key, table label and largest deviation of each contrast type
+    rows = (
+        ("cc", "cc", report.max_dev_cc),
+        ("tt_same_block", "tt (same block)", report.max_dev_tt_same),
+        ("tt_cross_block", "tt (cross block)", report.max_dev_tt_cross),
+        ("ct", "ct", report.max_dev_ct),
+    )
+    payload = {
+        "max_deviation": report.max_deviation,
+        **{key: dev for key, _, dev in rows},
+        "n_contrasts": report.n_contrasts,
+    }
+    lines = [f"checked {report.n_contrasts} contrasts"]
+    lines += [f"max deviation {label}: {dev:.3e}" for _, label, dev in rows]
+    lines.append(f"max deviation overall: {report.max_deviation:.3e}")
+    _emit(fmt, payload, lines)
     if report.max_deviation > VERIFY_TOL:
         _fail(3, f"max deviation {report.max_deviation:.3e} exceeds {VERIFY_TOL:g}")
 
 
 @cli.command(name="enumerate")
-@click.option("--b", "b", type=int, required=True)
-@click.option("--v", "v", type=int, required=True)
-@click.option("--k", "k", type=int, required=True)
-@click.option("--s", "s_common", type=int, default=None)
+@_options("b", "v", "k", "s")
 @click.option("--minima", is_flag=True, help="Also minimize all six criteria over the class.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
-@_handle_errors
+@_options("format")
 def enumerate_cmd(b, v, k, s_common, minima, fmt):
     """Count (and optionally minimize over) all designs of a class."""
     cap = _enum_cap()
-    aug = AugmentationSpec.common(1 if s_common is None else s_common)
+    aug = _parse_aug(s_common, None)
     if minima:
         result = oracle.class_minima(b, v, k, aug, cap=cap)
         n_raw, n_connected = result.n_designs, result.n_connected
     else:
         n_raw, n_connected = oracle.class_counts(b, v, k, cap=cap)
-        result = None
-    if fmt == "json":
-        payload = {
-            "params": _params_json(b, v, k, aug),
-            "designs": n_raw,
-            "connected": n_connected,
+    payload = {"params": _params_json(b, v, k, aug), "designs": n_raw, "connected": n_connected}
+    lines = [f"class (b={b}, v={v}, k={k}): {n_raw} designs, {n_connected} connected"]
+    if minima:
+        names = [name for name in oracle.CRITERION_NAMES if name in result.minima]
+        payload["minima"] = {
+            name: {"value": result.minima[name], "blocks": list(result.argmin[name].blocks)} for name in names
         }
-        if result is not None:
-            payload["minima"] = {
-                name: {"value": result.minima[name], "blocks": list(result.argmin[name].blocks)}
-                for name in oracle.CRITERION_NAMES
-                if name in result.minima
-            }
-        click.echo(json.dumps(payload, indent=2))
-        return
-    click.echo(f"class (b={b}, v={v}, k={k}): {n_raw} designs, {n_connected} connected")
-    if result is not None:
-        for name in oracle.CRITERION_NAMES:
-            if name not in result.minima:
-                continue
+        for name in names:
             blocks = " ".join("{" + ",".join(map(str, blk)) + "}" for blk in result.argmin[name].blocks)
-            click.echo(f"min {name:<6} {result.minima[name]:.6f}  at  {blocks}")
+            lines.append(f"min {name:<6} {result.minima[name]:.6f}  at  {blocks}")
+    _emit(fmt, payload, lines)
 
 
 @cli.command(name="search")
-@click.option("--b", "b", type=int, required=True)
-@click.option("--v", "v", type=int, required=True)
-@click.option("--k", "k", type=int, required=True)
+@_options("b", "v", "k")
 @click.option("--weights", "weights_raw", required=True, help="wcc,wtt,wct (nonnegative, not all zero).")
-@click.option("--s", "s_common", type=int, default=None)
-@click.option("--s-list", "s_list", default=None)
+@_options("s", "s-list")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--restarts", type=int, default=10, show_default=True)
 @click.option("--max-passes", type=int, default=50, show_default=True)
-@click.option("-o", "--output", "out", default=None, help="Design file for the best design found.")
-@_handle_errors
+@_options("output")
 def search_cmd(b, v, k, weights_raw, s_common, s_list, seed, restarts, max_passes, out):
     """Exchange search for a primal with small weighted A-criteria."""
     parts = weights_raw.split(",")
@@ -462,7 +442,7 @@ def search_cmd(b, v, k, weights_raw, s_common, s_list, seed, restarts, max_passe
         "efficiencies: "
         f"cc={fmt3(eff.eff_cc)} tt={fmt3(eff.eff_tt_conservative)} ct={fmt3(eff.eff_ct)}"
     )
-    _write_or_echo(format_design(result.design), out)
+    _write_or_echo(result.design, out)
 
 
 def main():

@@ -36,6 +36,7 @@ from .errors import (
     NonUniformBlockSize,
     NotEquireplicate,
     SameIndex,
+    SingularMatrix,
 )
 from .matrix import SymMatrix, mp_inverse_centered, quad_form, stacked_mp_inverse_centered, trace
 
@@ -76,13 +77,12 @@ def intrablock(d: BlockDesign) -> Intrablock:
         raise Disconnected("criteria are defined only for connected primals")
     r = np.asarray(d.replications, dtype=float)
     c, c_dual = map(SymMatrix, _information(d.incidence.astype(float), r, k))
-    return Intrablock(
-        c=c,
-        c_dual=c_dual,
-        c_plus=mp_inverse_centered(c, d.v),
-        c_dual_plus=mp_inverse_centered(c_dual, d.b),
-        k=k,
-    )
+    try:
+        c_plus, c_dual_plus = mp_inverse_centered(c, d.v), mp_inverse_centered(c_dual, d.b)
+    except Disconnected as exc:
+        # the design is connected, so the failure is numerical
+        raise SingularMatrix("an information matrix of a connected design is numerically singular") from exc
+    return Intrablock(c=c, c_dual=c_dual, c_plus=c_plus, c_dual_plus=c_dual_plus, k=k)
 
 
 def _information(n: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -205,14 +205,9 @@ def stacked_connected(n: np.ndarray) -> np.ndarray:
 def dual(d: BlockDesign) -> BlockDesign:
     """Interchange the roles of treatments and blocks (the incidence
     matrix transposes); applying it twice restores the design."""
-    n = d.incidence
-    blocks = []
-    for i in range(d.v):
-        members = []
-        for j in range(d.b):
-            members.extend([j + 1] * int(n[i, j]))
-        blocks.append(tuple(members))
-    return BlockDesign(v=d.b, blocks=tuple(blocks))
+    labels = np.arange(1, d.b + 1)
+    # each treatment's row of the incidence lists its blocks, in order
+    return BlockDesign(v=d.b, blocks=tuple(tuple(np.repeat(labels, row).tolist()) for row in d.incidence))
 
 
 def _check_indices(d: BlockDesign, indices: Iterable[int]) -> list[int]:

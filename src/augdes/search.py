@@ -12,11 +12,12 @@ by a Woodbury update, with no inverse and no design object per move. The
 screen only filters: walking the batch in scan order, a move whose
 screened objective is NaN or below the acceptance limit plus SCREEN_TOL
 is built and scored exactly, and only that value decides acceptance. A
-move whose exact step raises `Disconnected` is skipped once
-`design.is_connected` rejects it too. An accepted move's P starts a new
-batch at the next label of the same occurrence. The screen agrees with the
-exact objective far more closely than SCREEN_TOL, so designs, objectives
-and traces are the same, bit for bit, as when every move is scored exactly.
+move whose exact step raises `Disconnected`, which only the connectivity
+check of `criteria.intrablock` raises, is skipped. An accepted move's P
+starts a new batch at the next label of the same occurrence. The screen
+agrees with the exact objective far more closely than SCREEN_TOL, so
+designs, objectives and traces are the same, bit for bit, as when every
+move is scored exactly.
 """
 
 from __future__ import annotations
@@ -159,8 +160,6 @@ def _improvement_pass(
             try:
                 cand_obj, cand_p = _objective(cfg, cand)
             except Disconnected:
-                if is_connected(cand):
-                    raise
                 continue
             if cand_obj < obj - MOVE_TOL:
                 d, obj, p = cand, cand_obj, cand_p

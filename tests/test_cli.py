@@ -319,17 +319,19 @@ def test_broken_pipe_is_quiet():
     assert "Exception ignored" not in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "command", [["eval"], ["verify"], ["dual"], ["modify", "--delete", "1"]], ids=lambda c: c[0]
-)
+def run_console(args):
+    return subprocess.run([sys.executable, "-m", "augdes.cli", *args], capture_output=True, text=True)
+
+
+# the subcommands that read a design file, with the options each needs
+FILE_COMMANDS = [["eval"], ["verify"], ["dual"], ["modify", "--delete", "1"]]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: c[0])
 def test_non_utf8_design_is_an_input_error(tmp_path, command):
     path = tmp_path / "latin1.design"
     path.write_bytes(b"v 3\nblock 1 2 \xff\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "augdes.cli", command[0], str(path), *command[1:]],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_console([command[0], str(path), *command[1:]])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: byte 14:")
     assert "Traceback" not in proc.stderr
@@ -349,15 +351,6 @@ INFEASIBLE = {
 }
 
 
-def run_console(args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "augdes.cli", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, **(env or {})},
-    )
-
-
 @pytest.mark.parametrize("command", sorted(INFEASIBLE))
 def test_package_error_exits_2(tmp_path, command):
     # every subcommand maps a package error to exit 2 in the one place
@@ -367,13 +360,13 @@ def test_package_error_exits_2(tmp_path, command):
         "empty": write(tmp_path, "empty.design", "v 0\n"),
     }
     args = [arg.format(**files) for arg in INFEASIBLE[command]]
-    proc = run_console(args, env={"AUGDES_ENUM_CAP": "100"})
+    proc = run_console(args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("command", [["eval"], ["verify"], ["dual"], ["modify", "--delete", "1"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: c[0])
 def test_malformed_design_exits_1(tmp_path, command):
     path = write(tmp_path, "bad.design", "nonsense\n")
     proc = run_console([command[0], path, *command[1:]])

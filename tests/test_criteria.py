@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from augdes import criteria
 from augdes.criteria import (
     a_criteria,
     criteria_report,
@@ -38,6 +39,7 @@ from augdes.errors import (
     NonUniformBlockSize,
     NotEquireplicate,
     SameIndex,
+    SingularMatrix,
 )
 from augdes.matrix import SymMatrix, mp_inverse_centered, trace
 from augdes.oracle import CRITERION_NAMES, enumerate_class
@@ -83,6 +85,16 @@ class TestIntrablock:
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             intrablock(from_blocks(4, [[1, 2], [3, 4]]))
+
+    def test_singular_inverse_of_connected_design(self, monkeypatch):
+        # only the connectivity check raises Disconnected; an inverse that
+        # fails on a connected design is a numerical failure
+        def failing(m, n):
+            raise Disconnected("shifted matrix is singular")
+
+        monkeypatch.setattr(criteria, "mp_inverse_centered", failing)
+        with pytest.raises(SingularMatrix):
+            intrablock(RCBD2)
 
     def test_matrices_match_definition(self, corpus):
         for d, _ in corpus[:20]:

@@ -108,6 +108,18 @@ class TestDual:
         d = from_blocks(5, EIGHT_BLOCKS)
         assert dual(dual(d)) == d
 
+    def test_blocks_list_each_treatments_blocks(self, corpus):
+        # the loop over incidence entries that `dual` replaced, as reference:
+        # block i of the dual holds j once per occurrence of i in block j
+        for d in [lattice_bib(3)] + [d for d, _ in corpus]:
+            n = d.incidence
+            want = tuple(
+                tuple(j + 1 for j in range(d.b) for _ in range(int(n[i, j]))) for i in range(d.v)
+            )
+            got = dual(d).blocks
+            assert got == want
+            assert all(type(label) is int for block in got for label in block)
+
     def test_self_dual_complete_two_blocks(self):
         d = from_blocks(2, [[1, 2], [1, 2]])
         assert dual(d) == d
