@@ -62,10 +62,11 @@ def fmt3(x: float) -> str:
 
 
 def _int_list(raw: str, message: str) -> list[int]:
-    """The integers of a comma-separated list, skipping empty items; exits
-    1 with `message` and the raw text when an item is not an integer."""
+    """The integers of a comma-separated list; exits 1 with `message` and
+    the raw text when an item is empty or not an integer, so an empty list
+    is malformed too."""
     try:
-        return [int(part) for part in raw.split(",") if part != ""]
+        return [int(part) for part in raw.split(",")]
     except ValueError:
         _fail(1, f"{message}, got {raw!r}")
 

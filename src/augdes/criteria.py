@@ -18,6 +18,12 @@ A test-vs-test comparison across blocks j != j' carries total variance
 2 + V_tt(j, j'); within a single block it is exactly 2. The A-criteria
 average these multipliers over all pairs of the given type, the
 MV-criteria take the maximum; none of this ever touches observed yields.
+
+None of C, C_dual, P or Q depends on the test-treatment counts, so
+`intrablock` computes them once per design object and stores them on it:
+scoring one design at several counts inverts its matrices once. The memo
+is keyed by the object's identity, never by its value, and a failed call
+stores nothing.
 """
 
 from __future__ import annotations
@@ -68,8 +74,15 @@ class CriteriaReport:
 def intrablock(d: BlockDesign) -> Intrablock:
     """Build both information matrices and their Moore-Penrose inverses.
 
-    Requires a connected design with constant block size.
+    Requires a connected design with constant block size. The result is
+    computed once per design object and stored on it, in `d.__dict__` as
+    `functools.cached_property` stores `incidence`; later calls on the
+    same object return that same immutable `Intrablock`. The memo is keyed
+    by identity: an equal but distinct design computes again. A call that
+    raises stores nothing, so it raises again on every call.
     """
+    if "_intrablock" in d.__dict__:
+        return d.__dict__["_intrablock"]
     k = d.uniform_block_size()
     if k is None:
         raise NonUniformBlockSize(f"block sizes {sorted(set(d.block_sizes))} are not constant")
@@ -82,7 +95,9 @@ def intrablock(d: BlockDesign) -> Intrablock:
     except Disconnected as exc:
         # the design is connected, so the failure is numerical
         raise SingularMatrix("an information matrix of a connected design is numerically singular") from exc
-    return Intrablock(c=c, c_dual=c_dual, c_plus=c_plus, c_dual_plus=c_dual_plus, k=k)
+    ib = Intrablock(c=c, c_dual=c_dual, c_plus=c_plus, c_dual_plus=c_dual_plus, k=k)
+    d.__dict__["_intrablock"] = ib
+    return ib
 
 
 def _information(n: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -319,6 +319,8 @@ def parse_design(text: str) -> BlockDesign:
                 v = int(fields[1])
             except ValueError:
                 raise DesignFormatError(f"line {lineno}: bad treatment count {fields[1]!r}") from None
+            if v < 1:
+                raise DesignFormatError(f"line {lineno}: need at least one treatment, got {v}")
         elif fields[0] == "block":
             if v is None:
                 raise DesignFormatError(f"line {lineno}: `block` before `v`")

@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -12,7 +13,15 @@ import augdes
 from augdes import AugmentationSpec, criteria, oracle
 from augdes.bounds import efficiencies, threshold_class
 from augdes.cli import build_report, cli, round3
-from augdes.design import format_design, from_blocks, all_k_subsets, delete_blocks, read_design
+from augdes.design import (
+    all_k_subsets,
+    delete_blocks,
+    dual,
+    format_design,
+    from_blocks,
+    lattice_bib,
+    read_design,
+)
 
 RCBD2_TEXT = "v 2\nblock 1 2\nblock 1 2\n"
 DATA = Path(__file__).resolve().parent / "data"
@@ -43,6 +52,15 @@ def count_args(path, counts):
         "s3": ["--s", "3"],
         "slist": ["--s-list", ",".join(str(1 + j % 3) for j in range(read_design(path).b))],
     }[counts]
+
+
+# factories of fresh design objects: every designs/ file, and the lattices
+# of every supported order with their duals
+FRESH_DESIGNS = {
+    **{path.stem: functools.partial(read_design, path) for path in sorted(DESIGNS.glob("*.design"))},
+    **{f"lattice_bib({q})": functools.partial(lattice_bib, q) for q in (2, 3, 5, 7, 11, 13)},
+    **{f"dual(lattice_bib({q}))": (lambda q=q: dual(lattice_bib(q))) for q in (2, 3, 5, 7, 11, 13)},
+}
 
 
 class TestRounding:
@@ -186,6 +204,29 @@ class TestBuildReport:
             calls.clear()
             build_report(d, aug, "corpus")
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(FRESH_DESIGNS))
+    def test_reports_on_one_object_match_fresh_objects(self, name):
+        # three reports on one design object share its stored intrablock;
+        # each must equal, bit for bit, a report on a fresh object
+        def bits(x):
+            if isinstance(x, float):
+                return x.hex()
+            if isinstance(x, dict):
+                return {key: bits(val) for key, val in x.items() if key != "provenance"}
+            if isinstance(x, list):
+                return [bits(val) for val in x]
+            return x
+
+        make = FRESH_DESIGNS[name]
+        b = make().b
+        augs = [AugmentationSpec.common(1), AugmentationSpec.common(3),
+                AugmentationSpec.per_block(1 + j % 3 for j in range(b))]
+        shared = make()
+        for aug in augs:
+            assert bits(build_report(shared, aug, "x").to_json_dict()) == bits(
+                build_report(make(), aug, "x").to_json_dict()
+            )
 
 
 class TestBounds:
@@ -337,12 +378,12 @@ def test_non_utf8_design_is_an_input_error(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
-# one infeasible request per subcommand: "{disconnected}" names a well-formed
-# disconnected design and "{empty}" one that declares no treatments
+# one infeasible request per subcommand that can meet one: "{disconnected}"
+# names a well-formed disconnected design. `dual` has none, since any
+# readable design has a dual or is malformed input (exit 1).
 INFEASIBLE = {
     "eval": ["eval", "{disconnected}"],
     "bounds": ["bounds", "--b", "4", "--v", "6", "--k", "1"],
-    "dual": ["dual", "{empty}"],
     "modify": ["modify", "{disconnected}", "--delete", "9"],
     "make": ["make", "--lattice", "4"],
     "verify": ["verify", "{disconnected}", "--max-plots", "3"],
@@ -355,11 +396,8 @@ INFEASIBLE = {
 def test_package_error_exits_2(tmp_path, command):
     # every subcommand maps a package error to exit 2 in the one place
     # that assigns exit codes, with a one-line message and no traceback
-    files = {
-        "disconnected": write(tmp_path, "disc.design", "v 4\nblock 1 2\nblock 3 4\n"),
-        "empty": write(tmp_path, "empty.design", "v 0\n"),
-    }
-    args = [arg.format(**files) for arg in INFEASIBLE[command]]
+    disconnected = write(tmp_path, "disc.design", "v 4\nblock 1 2\nblock 3 4\n")
+    args = [arg.format(disconnected=disconnected) for arg in INFEASIBLE[command]]
     proc = run_console(args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
@@ -373,6 +411,42 @@ def test_malformed_design_exits_1(tmp_path, command):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: line 1: unknown directive")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: c[0])
+def test_nonpositive_treatment_count_exits_1(tmp_path, command, count):
+    # a file that declares no treatments is malformed input, like any other
+    # bad `v` line; `from_blocks` keeps InvalidParameters for library callers
+    path = write(tmp_path, "none.design", f"# no treatments\nv {count}\n")
+    proc = run_console([command[0], path, *command[1:]])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: line 2: need at least one treatment, got {count}")
+    assert "Traceback" not in proc.stderr
+
+
+# the comma-list options, each on a command that would otherwise succeed;
+# "{design}" names a 3-block design and "{out}" an output path
+LIST_OPTIONS = {
+    "eval-s-list": ["eval", "{design}", "--s-list"],
+    "search-s-list": ["search", "--b", "3", "--v", "2", "--k", "2", "--weights", "1,1,1", "-o", "{out}", "--s-list"],
+    "modify-delete": ["modify", "{design}", "-o", "{out}", "--delete"],
+    "modify-repeat": ["modify", "{design}", "-o", "{out}", "--repeat"],
+}
+
+
+@pytest.mark.parametrize("raw", ["", ",", "1,,2", "1,", " "], ids=["empty", "comma", "inner", "trailing", "blank"])
+@pytest.mark.parametrize("option", sorted(LIST_OPTIONS))
+def test_empty_list_item_exits_1(runner, tmp_path, option, raw):
+    # an empty list or an empty item is malformed, not skipped
+    design = write(tmp_path, "d.design", "v 2\nblock 1 2\nblock 1 2\nblock 1 2\n")
+    out = tmp_path / "out.design"
+    args = [arg.format(design=design, out=out) for arg in LIST_OPTIONS[option]]
+    result = runner.invoke(cli, [*args, raw])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
+    assert result.output.rstrip("\n").endswith(f"got {raw!r}")
+    assert not out.exists()
 
 
 def test_runtime_needs_only_numpy_and_click():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from augdes import criteria
 from augdes.criteria import (
+    Intrablock,
     a_criteria,
     criteria_report,
     dual_inverse,
@@ -94,7 +96,47 @@ class TestIntrablock:
 
         monkeypatch.setattr(criteria, "mp_inverse_centered", failing)
         with pytest.raises(SingularMatrix):
-            intrablock(RCBD2)
+            intrablock(BlockDesign(RCBD2.v, RCBD2.blocks))
+
+    def test_computed_once_per_design_object(self, monkeypatch):
+        calls = []
+
+        def counting(m, n):
+            calls.append(n)
+            return mp_inverse_centered(m, n)
+
+        monkeypatch.setattr(criteria, "mp_inverse_centered", counting)
+        d, twin = lattice_bib(3), lattice_bib(3)
+        ib = intrablock(d)
+        assert len(calls) == 2
+        assert intrablock(d) is ib
+        assert len(calls) == 2
+        # the memo is keyed by identity: an equal design computes again
+        assert d == twin
+        twin_ib = intrablock(twin)
+        assert twin_ib is not ib
+        assert len(calls) == 4
+        assert np.array_equal(twin_ib.c_plus.a, ib.c_plus.a)
+        assert np.array_equal(twin_ib.c_dual_plus.a, ib.c_dual_plus.a)
+
+    @pytest.mark.parametrize(
+        "blocks, error",
+        [([[1, 2], [3, 4]], Disconnected), ([[1, 2], [1, 2, 3], [3, 4, 1]], NonUniformBlockSize)],
+        ids=["disconnected", "non_uniform"],
+    )
+    def test_failure_is_not_stored(self, blocks, error):
+        d = from_blocks(4, blocks)
+        for _ in range(3):
+            with pytest.raises(error):
+                intrablock(d)
+            assert not any(isinstance(x, Intrablock) for x in vars(d).values())
+
+    def test_stored_value_is_immutable(self):
+        ib = intrablock(lattice_bib(3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ib.k = 4
+        for m in (ib.c, ib.c_dual, ib.c_plus, ib.c_dual_plus):
+            assert not m.a.flags.writeable
 
     def test_matrices_match_definition(self, corpus):
         for d, _ in corpus[:20]:

@@ -315,6 +315,8 @@ class TestTextFormat:
             "block 1 2\n",           # block before v
             "v 2\nv 3\n",            # duplicate v
             "v two\n",               # bad count
+            "v 0\n",                 # no treatments
+            "v -3\nblock 1 2\n",     # negative count
             "v 2\nblock 1 x\n",      # bad label
             "v 2\nblock\n",          # empty block line
             "v 2\nrow 1 2\n",        # unknown directive
@@ -324,6 +326,11 @@ class TestTextFormat:
     def test_malformed(self, text):
         with pytest.raises(DesignFormatError):
             parse_design(text)
+
+    def test_from_blocks_keeps_invalid_parameters(self):
+        for v in (0, -3):
+            with pytest.raises(InvalidParameters):
+                from_blocks(v, [])
 
     def test_out_of_range_label_propagates(self):
         with pytest.raises(LabelOutOfRange):
