@@ -116,31 +116,28 @@ def a_bounds(b: int, v: int, k: int, aug: AugmentationSpec) -> tuple[float, floa
 
 def efficiencies(d: BlockDesign, aug: AugmentationSpec) -> EfficiencyReport:
     """All efficiency ratios of a primal for the given augmentation."""
-    ib = criteria.intrablock(d)
-    crit = criteria.criteria_report(ib, d, aug)
-    return efficiency_report(d, ib.k, aug, crit, single_count_criteria(ib, d, aug, crit))
+    crit = criteria.evaluate(d, aug)
+    return efficiency_report(d, aug, crit, single_count_criteria(d, aug, crit))
 
 
 def single_count_criteria(
-    ib: criteria.Intrablock, d: BlockDesign, aug: AugmentationSpec, crit: criteria.CriteriaReport
+    d: BlockDesign, aug: AugmentationSpec, crit: criteria.CriteriaReport
 ) -> criteria.CriteriaReport:
     """The criteria `crit`, found at `aug`, restated at one test treatment
     per block: the A-criteria are computed again unless `aug` already is
     that count, and the MV-criteria do not depend on the counts."""
     if aug == SINGLE:
         return crit
-    return criteria.CriteriaReport(*criteria.a_criteria(ib, d, SINGLE), crit.mv_cc, crit.mv_tt, crit.mv_ct)
+    a_single = criteria.a_criteria(criteria.intrablock(d), d, SINGLE)
+    return criteria.CriteriaReport(*a_single, crit.mv_cc, crit.mv_tt, crit.mv_ct)
 
 
 def efficiency_report(
-    d: BlockDesign,
-    k: int,
-    aug: AugmentationSpec,
-    crit: criteria.CriteriaReport,
-    crit_single: criteria.CriteriaReport,
+    d: BlockDesign, aug: AugmentationSpec, crit: criteria.CriteriaReport, crit_single: criteria.CriteriaReport
 ) -> EfficiencyReport:
-    """All efficiency ratios of a primal with block size k, from its
-    criteria at `aug` and at one test treatment per block."""
+    """All efficiency ratios of a primal from its criteria at `aug` and at
+    one test treatment per block."""
+    k = d.uniform_block_size()
     acc_b, att_b_s, act_b_s = a_bounds(d.b, d.v, k, aug)
     _, att_b_1, act_b_1 = a_bounds(d.b, d.v, k, SINGLE)
     return EfficiencyReport(

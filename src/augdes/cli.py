@@ -145,15 +145,14 @@ class ReportDocument:
 
 
 def build_report(d: BlockDesign, aug: AugmentationSpec, source: str) -> ReportDocument:
-    ib = criteria.intrablock(d)
-    k = ib.k
-    report = criteria.criteria_report(ib, d, aug)
-    single = bounds.single_count_criteria(ib, d, aug, report)
+    report = criteria.evaluate(d, aug)
+    single = bounds.single_count_criteria(d, aug, report)
+    k = d.uniform_block_size()
     quantities = bounds.bound_quantities(d.b, d.v, k)
     acc_b, att_b, act_b = bounds.a_bounds(d.b, d.v, k, aug)
     # classification is a property of the design alone (conservative tt,
     # count-free ct), so the single-count report classifies every count
-    class_eff = bounds.efficiency_report(d, k, bounds.SINGLE, single, single)
+    class_eff = bounds.efficiency_report(d, bounds.SINGLE, single, single)
     return ReportDocument(
         design=d,
         aug=aug,
@@ -163,7 +162,7 @@ def build_report(d: BlockDesign, aug: AugmentationSpec, source: str) -> ReportDo
         acc_bound=acc_b,
         att_bound=att_b,
         act_bound=act_b,
-        eff=bounds.efficiency_report(d, k, aug, report, single),
+        eff=bounds.efficiency_report(d, aug, report, single),
         classification=bounds.threshold_class(class_eff),
         provenance={
             "input": source,

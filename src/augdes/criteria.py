@@ -19,11 +19,12 @@ A test-vs-test comparison across blocks j != j' carries total variance
 average these multipliers over all pairs of the given type, the
 MV-criteria take the maximum; none of this ever touches observed yields.
 
-None of C, C_dual, P or Q depends on the test-treatment counts, so
-`intrablock` computes them once per design object and stores them on it:
-scoring one design at several counts inverts its matrices once. The memo
-is keyed by the object's identity, never by its value, and a failed call
-stores nothing.
+Every criterion depends on the primal only through P and Q, and neither
+depends on the test-treatment counts, so `intrablock` computes them once
+per design object and stores them on it: scoring one design at several
+counts, or reading P again in a search, inverts its matrices once. C and
+C_dual are not kept. The memo is keyed by the object's identity, never by
+its value, and a failed call stores nothing.
 """
 
 from __future__ import annotations
@@ -49,11 +50,9 @@ from .matrix import SymMatrix, mp_inverse_centered, quad_form, stacked_mp_invers
 
 @dataclass(frozen=True, eq=False)
 class Intrablock:
-    """Information matrices of a primal and of its dual, together with
-    their Moore-Penrose inverses and the common block size."""
+    """Moore-Penrose inverses of the information matrices of a primal and
+    of its dual, with the common block size."""
 
-    c: SymMatrix
-    c_dual: SymMatrix
     c_plus: SymMatrix
     c_dual_plus: SymMatrix
     k: int
@@ -72,7 +71,7 @@ class CriteriaReport:
 
 
 def intrablock(d: BlockDesign) -> Intrablock:
-    """Build both information matrices and their Moore-Penrose inverses.
+    """The Moore-Penrose inverses of both information matrices.
 
     Requires a connected design with constant block size. The result is
     computed once per design object and stored on it, in `d.__dict__` as
@@ -95,7 +94,7 @@ def intrablock(d: BlockDesign) -> Intrablock:
     except Disconnected as exc:
         # the design is connected, so the failure is numerical
         raise SingularMatrix("an information matrix of a connected design is numerically singular") from exc
-    ib = Intrablock(c=c, c_dual=c_dual, c_plus=c_plus, c_dual_plus=c_dual_plus, k=k)
+    ib = Intrablock(c_plus=c_plus, c_dual_plus=c_dual_plus, k=k)
     d.__dict__["_intrablock"] = ib
     return ib
 
@@ -340,9 +339,9 @@ def stacked_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.ndarray
 
 
 def stacked_exact_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.ndarray:
-    """The six values of `criteria_report(intrablock(d), d, aug)` for each
-    member d of a stack of connected primals, given as an (m, v, b) float
-    incidence with block size k, bit for bit, as an (m, 6) array.
+    """The six values of `evaluate(d, aug)` for each member d of a stack of
+    connected primals, given as an (m, v, b) float incidence with block
+    size k, bit for bit, as an (m, 6) array.
 
     It runs the arithmetic of the single-design path on the whole stack:
     `_information`, `matrix.stacked_mp_inverse_centered` for P and Q, and
@@ -395,11 +394,7 @@ def equireplicate_identities(
     return first, second
 
 
-def criteria_report(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> CriteriaReport:
-    """The A- and MV-criteria of a primal whose intrablock matrices are `ib`."""
-    return CriteriaReport(*a_criteria(ib, d, aug), *mv_criteria(ib, d))
-
-
 def evaluate(d: BlockDesign, aug: AugmentationSpec) -> CriteriaReport:
     """Full report of the A- and MV-criteria for a primal."""
-    return criteria_report(intrablock(d), d, aug)
+    ib = intrablock(d)
+    return CriteriaReport(*a_criteria(ib, d, aug), *mv_criteria(ib, d))

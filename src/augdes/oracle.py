@@ -219,11 +219,10 @@ def verify_design(
         raise NotEstimable(f"some contrast is not estimable (projection residual {worst:.3e})")
     gls = criteria._pairwise(model.info_pinv[b:, b:])
     slot = model.plots[-model.n_tests :, 0]
-    iu = np.triu_indices(slot.size, k=1)
-    first, second = slot[iu[0]], slot[iu[1]]
-    same = first == second
-    want_tt = np.where(same, 2.0, 2.0 + criteria.v_tt_matrix(ib)[first, second])
-    dev_tt = np.abs(gls[v:, v:][iu] - want_tt)
+    same = slot[:, None] == slot
+    want_tt = 2.0 + np.where(same, 0.0, criteria.v_tt_matrix(ib)[np.ix_(slot, slot)])
+    dev_tt = np.abs(gls[v:, v:] - want_tt)
+    np.fill_diagonal(dev_tt, 0.0)
     return VerificationReport(
         max_dev_cc=float(np.max(np.abs(gls[:v, :v] - criteria.v_cc_matrix(ib)))),
         max_dev_tt_same=float(np.max(dev_tt[same], initial=0.0)),
@@ -233,18 +232,33 @@ def verify_design(
     )
 
 
+def _comb_within(n: int, r: int, cap: int, what: str) -> int:
+    """math.comb(n, r) for 0 <= r <= n, when it is at most cap.
+
+    It is built by the exact recurrence C(m + i, i) = C(m + i - 1, i - 1)
+    (m + i) / i, m = n - r', over i up to r' = min(r, n - r). Since
+    m >= r' >= i, each step at least doubles the value, so ClassTooLarge,
+    naming `what` and the cap, is raised as soon as a partial value passes
+    the cap, after at most log2(cap) + 1 steps.
+    """
+    r = min(r, n - r)
+    value = 1
+    for i in range(1, r + 1):
+        if value > cap:
+            break
+        value = value * (n - r + i) // i
+    if value > cap:
+        raise ClassTooLarge(f"more {what} than the cap {cap}")
+    return value
+
+
 def _class_size(b: int, v: int, k: int, cap: int) -> int:
     """Number of designs with b blocks of size k on v treatments, after
     checking the parameters and the cap."""
     if b < 1 or v < 1 or k < 1:
         raise InvalidParameters(f"need b, v, k >= 1; got ({b}, {v}, {k})")
-    n_blocks = math.comb(v + k - 1, k)
-    if n_blocks > cap:
-        raise ClassTooLarge(f"{n_blocks} candidate blocks exceed the cap {cap}")
-    n_designs = math.comb(n_blocks + b - 1, b)
-    if n_designs > cap:
-        raise ClassTooLarge(f"{n_designs} designs exceed the cap {cap}")
-    return n_designs
+    n_blocks = _comb_within(v + k - 1, k, cap, "candidate blocks")
+    return _comb_within(n_blocks + b - 1, b, cap, "designs")
 
 
 class _ClassWalk:
@@ -349,7 +363,7 @@ def class_minima(
     Connected designs are screened CHUNK at a time. `_confirm_chunk`
     admits those that could move a minimum, scores them exactly in one
     stacked call that gives each the bits of its per-design
-    `criteria_report(intrablock(d))`, and updates in enumeration order
+    `criteria.evaluate(d, aug)`, and updates in enumeration order
     from exact values only. This is exact: a design updates only if its
     exact value is below best_t - MOVE_TOL, best_t being the running best
     before it. best_t is at most the chunk-start best, and at most
@@ -390,11 +404,11 @@ def _confirm_chunk(
     max(1, |best|) and (b) the smallest screened value earlier in the
     chunk + 2 SCREEN_TOL max(1, |that|). The admitted designs are scored
     exactly in one `criteria.stacked_exact_criteria` call, which gives the
-    bits of `criteria_report(intrablock(d), d, aug)`. A design whose exact
-    row holds NaN (a failed check), or every admitted design when a
-    Cholesky factorization of the stack fails, is scored alone by that
-    per-design path instead, which raises the check's error. A design
-    object is built only for a new argmin.
+    bits of `criteria.evaluate(d, aug)`. A design whose exact row holds
+    NaN (a failed check), or every admitted design when a Cholesky
+    factorization of the stack fails, is scored alone by `evaluate`
+    instead, which raises the check's error. A design object is built
+    only for a new argmin.
     """
     n = np.ascontiguousarray(walk.incidence(rows), dtype=float)
     screened = criteria.stacked_criteria(n, walk.k, aug)
@@ -414,7 +428,7 @@ def _confirm_chunk(
         d = None
         if any(math.isnan(x) for x in values):
             d = walk.design(rows[i])
-            report = criteria.criteria_report(criteria.intrablock(d), d, aug)
+            report = criteria.evaluate(d, aug)
             values = [getattr(report, name) for name in CRITERION_NAMES]
         for name, value in zip(CRITERION_NAMES, values):
             if name not in best or value < best[name] - MOVE_TOL:

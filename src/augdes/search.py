@@ -6,14 +6,15 @@ accepting the first strict improvement found in a fixed scan order, from
 random connected restarts. Fully deterministic for a fixed seed.
 
 The rest of a pass is screened as one batch from the current design's
-exact P = C+: a move changes C by a symmetric rank-2 term, so
+exact P = C+, which scoring the design left in its `criteria.intrablock`
+memo: a move changes C by a symmetric rank-2 term, so
 `criteria.exchange_a_criteria` scores every move to the end of the pass
 by a Woodbury update, with no inverse and no design object per move. The
 screen only filters: walking the batch in scan order, a move whose
 screened objective is NaN or below the acceptance limit plus SCREEN_TOL
 is built and scored exactly, and only that value decides acceptance. A
 move whose exact step raises `Disconnected`, which only the connectivity
-check of `criteria.intrablock` raises, is skipped. An accepted move's P
+check of `criteria.intrablock` raises, is skipped. An accepted design
 starts a new batch at the next label of the same occurrence. The screen
 agrees with the exact objective far more closely than SCREEN_TOL, so
 designs, objectives and traces are the same, bit for bit, as when every
@@ -77,11 +78,10 @@ class SearchResult:
     traces: tuple[tuple[float, ...], ...]
 
 
-def _objective(cfg: SearchConfig, d: BlockDesign) -> tuple[float, np.ndarray]:
-    """The exact objective of d, with the P = C+ it was computed from."""
-    ib = criteria.intrablock(d)
-    a_cc, a_tt, a_ct = criteria.a_criteria(ib, d, cfg.aug)
-    return cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct, ib.c_plus.a
+def _objective(cfg: SearchConfig, d: BlockDesign) -> float:
+    """The exact objective of d."""
+    a_cc, a_tt, a_ct = criteria.a_criteria(criteria.intrablock(d), d, cfg.aug)
+    return cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct
 
 
 def _random_connected(b: int, v: int, k: int, rng: random.Random) -> BlockDesign:
@@ -122,11 +122,12 @@ def _spanning_start(b: int, v: int, k: int, rng: random.Random) -> BlockDesign:
 
 
 def _batch(
-    cfg: SearchConfig, d: BlockDesign, p: np.ndarray, o_from: int, t_from: int
+    cfg: SearchConfig, d: BlockDesign, o_from: int, t_from: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rest of a pass on d from occurrence o_from (index j k + pos) and
     label t_from on, in scan order: each move's occurrence index, label and
-    screened objective from d's P = C+, for every t != a, connected or not."""
+    screened objective from d's memoized P = C+, for every t != a,
+    connected or not."""
     k = len(d.blocks[0])
     o = np.repeat(np.arange(o_from, d.b * k), d.v)
     t = np.tile(np.arange(1, d.v + 1), d.b * k - o_from)
@@ -135,14 +136,14 @@ def _batch(
     o, a, t = o[keep], a[keep], t[keep]
     with np.errstate(all="ignore"):  # a disconnecting move may divide by zero
         a_cc, a_tt, a_ct = criteria.exchange_a_criteria(
-            p, d.incidence.astype(float), k, cfg.aug.counts(d.b), o // k, a - 1, t - 1
+            criteria.intrablock(d).c_plus.a, d.incidence.astype(float), k, cfg.aug.counts(d.b), o // k, a - 1, t - 1
         )
         return o, t, cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct
 
 
 def _improvement_pass(
-    cfg: SearchConfig, d: BlockDesign, obj: float, p: np.ndarray, trace: list[float]
-) -> tuple[BlockDesign, float, np.ndarray, bool]:
+    cfg: SearchConfig, d: BlockDesign, obj: float, trace: list[float]
+) -> tuple[BlockDesign, float, bool]:
     """One full first-improvement scan over the occurrences (j, pos) and
     labels t; the design may change mid-scan, after which the scan of the
     same occurrence goes on from t + 1, in a new batch on the new design."""
@@ -151,24 +152,24 @@ def _improvement_pass(
     o_from, t_from = 0, 1
     while True:
         limit = obj - MOVE_TOL + SCREEN_TOL * max(1.0, abs(obj))
-        moves, labels, screened = _batch(cfg, d, p, o_from, t_from)
+        moves, labels, screened = _batch(cfg, d, o_from, t_from)
         for i in np.flatnonzero(~(screened >= limit)):  # NaN is confirmed too
             o, t = int(moves[i]), int(labels[i])
             j, pos = divmod(o, k)
             rest = d.blocks[j][:pos] + d.blocks[j][pos + 1 :]
             cand = BlockDesign(d.v, d.blocks[:j] + (tuple(sorted(rest + (t,))),) + d.blocks[j + 1 :])
             try:
-                cand_obj, cand_p = _objective(cfg, cand)
+                cand_obj = _objective(cfg, cand)
             except Disconnected:
                 continue
             if cand_obj < obj - MOVE_TOL:
-                d, obj, p = cand, cand_obj, cand_p
+                d, obj = cand, cand_obj
                 trace.append(obj)
                 improved = True
                 o_from, t_from = o, t + 1
                 break
         else:
-            return d, obj, p, improved
+            return d, obj, improved
 
 
 def exchange_search(b: int, v: int, k: int, cfg: SearchConfig) -> SearchResult:
@@ -187,10 +188,10 @@ def exchange_search(b: int, v: int, k: int, cfg: SearchConfig) -> SearchResult:
     for restart in range(cfg.restarts):
         rng = random.Random(cfg.rng_seed * 1_000_003 + restart)
         d = _random_connected(b, v, k, rng)
-        obj, p = _objective(cfg, d)
+        obj = _objective(cfg, d)
         trace = [obj]
         for _ in range(cfg.max_passes):
-            d, obj, p, improved = _improvement_pass(cfg, d, obj, p, trace)
+            d, obj, improved = _improvement_pass(cfg, d, obj, trace)
             if not improved:
                 break
         traces.append(tuple(trace))

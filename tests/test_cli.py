@@ -14,6 +14,7 @@ from augdes import AugmentationSpec, criteria, oracle
 from augdes.bounds import efficiencies, threshold_class
 from augdes.cli import build_report, cli, round3
 from augdes.design import (
+    BlockDesign,
     all_k_subsets,
     delete_blocks,
     dual,
@@ -192,18 +193,19 @@ class TestBuildReport:
             assert doc.classification is threshold_class(efficiencies(d, one))
 
     def test_one_intrablock_per_report(self, corpus, monkeypatch):
+        # one intrablock computation, two inverses, per report on a fresh design
         calls = []
-        original = criteria.intrablock
+        original = criteria.mp_inverse_centered
 
-        def counting(d):
-            calls.append(d)
-            return original(d)
+        def counting(m, n):
+            calls.append(n)
+            return original(m, n)
 
-        monkeypatch.setattr(criteria, "intrablock", counting)
+        monkeypatch.setattr(criteria, "mp_inverse_centered", counting)
         for d, aug in corpus:
             calls.clear()
-            build_report(d, aug, "corpus")
-            assert len(calls) == 1
+            build_report(BlockDesign(d.v, d.blocks), aug, "corpus")
+            assert len(calls) == 2
 
     @pytest.mark.parametrize("name", sorted(FRESH_DESIGNS))
     def test_reports_on_one_object_match_fresh_objects(self, name):
@@ -401,6 +403,22 @@ def test_package_error_exits_2(tmp_path, command):
     proc = run_console(args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "bvk", [["2", "1000000", "1000000"], ["5000000", "10", "12"]], ids=["block_pool", "design_count"]
+)
+def test_huge_class_fails_fast(bvk):
+    # the exact count of either class takes seconds to hours, and has too
+    # many digits to print; the cap must stop it after a few steps
+    b, v, k = bvk
+    proc = subprocess.run(
+        [sys.executable, "-m", "augdes.cli", "enumerate", "--b", b, "--v", v, "--k", k],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "cap 10000000" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

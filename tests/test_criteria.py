@@ -11,7 +11,6 @@ from augdes import criteria
 from augdes.criteria import (
     Intrablock,
     a_criteria,
-    criteria_report,
     dual_inverse,
     equireplicate_identities,
     evaluate,
@@ -50,6 +49,12 @@ RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
 ONE = AugmentationSpec.common(1)
 
 
+def information(d):
+    """C and C_dual of a primal, as `intrablock` builds them before it inverts them."""
+    r = np.asarray(d.replications, dtype=float)
+    return criteria._information(d.incidence.astype(float), r, d.uniform_block_size())
+
+
 def pairwise_a_criteria(ib, d, aug):
     """The defining pair averages, as an independent route to a_criteria."""
     v, b = d.v, d.b
@@ -71,14 +76,14 @@ def pairwise_a_criteria(ib, d, aug):
 
 class TestIntrablock:
     def test_two_block_matrices(self):
-        ib = intrablock(RCBD2)
+        c, c_dual = information(RCBD2)
         expected = [[1.0, -1.0], [-1.0, 1.0]]
-        assert np.allclose(ib.c.a, expected, atol=1e-12)
-        assert np.allclose(ib.c_dual.a, expected, atol=1e-12)
+        assert np.allclose(c, expected, atol=1e-12)
+        assert np.allclose(c_dual, expected, atol=1e-12)
 
     def test_bib_information_matrix(self):
-        ib = intrablock(all_k_subsets(5, 3))
-        assert np.allclose(ib.c.a, 5.0 * np.eye(5) - np.ones((5, 5)), atol=1e-12)
+        c, _ = information(all_k_subsets(5, 3))
+        assert np.allclose(c, 5.0 * np.eye(5) - np.ones((5, 5)), atol=1e-12)
 
     def test_non_uniform_block_size(self):
         with pytest.raises(NonUniformBlockSize):
@@ -135,34 +140,42 @@ class TestIntrablock:
         ib = intrablock(lattice_bib(3))
         with pytest.raises(dataclasses.FrozenInstanceError):
             ib.k = 4
-        for m in (ib.c, ib.c_dual, ib.c_plus, ib.c_dual_plus):
+        for m in (ib.c_plus, ib.c_dual_plus):
             assert not m.a.flags.writeable
+
+    def test_memo_holds_only_the_inverses(self):
+        # P and Q, of orders v and b; C and C_dual are not kept
+        d = dual(lattice_bib(13))
+        ib = intrablock(d)
+        held = sum(x.a.nbytes for x in vars(ib).values() if isinstance(x, SymMatrix))
+        assert held == 8 * (d.v**2 + d.b**2)
 
     def test_matrices_match_definition(self, corpus):
         for d, _ in corpus[:20]:
-            ib = intrablock(d)
+            c, c_dual = information(d)
             n = d.incidence.astype(float)
             r = np.asarray(d.replications, dtype=float)
-            k = ib.k
-            assert np.max(np.abs(ib.c.a - (np.diag(r) - n @ n.T / k))) <= 1e-12
-            assert np.max(np.abs(ib.c_dual.a - (k * np.eye(d.b) - n.T @ np.diag(1 / r) @ n))) <= 1e-12
-            assert np.max(np.abs(ib.c.a.sum(axis=1))) <= 1e-9
-            assert np.max(np.abs(ib.c_dual.a.sum(axis=1))) <= 1e-9
+            k = d.uniform_block_size()
+            assert np.max(np.abs(c - (np.diag(r) - n @ n.T / k))) <= 1e-12
+            assert np.max(np.abs(c_dual - (k * np.eye(d.b) - n.T @ np.diag(1 / r) @ n))) <= 1e-12
+            assert np.max(np.abs(c.sum(axis=1))) <= 1e-9
+            assert np.max(np.abs(c_dual.sum(axis=1))) <= 1e-9
 
     def test_dual_information_eigenvalues_capped_by_k(self, corpus):
         # x^T C_dual x <= k x^T x for centered x
         rng = np.random.default_rng(5)
         for d, _ in corpus[:20]:
-            ib = intrablock(d)
+            _, c_dual = information(d)
             for _ in range(5):
                 x = rng.normal(size=d.b)
                 x -= x.mean()
-                assert float(x @ ib.c_dual.a @ x) <= ib.k * float(x @ x) + 1e-9
+                assert float(x @ c_dual @ x) <= d.uniform_block_size() * float(x @ x) + 1e-9
 
     def test_penrose_conditions_on_corpus(self, corpus):
         for d, _ in corpus[:20]:
             ib = intrablock(d)
-            for m, g in [(ib.c.a, ib.c_plus.a), (ib.c_dual.a, ib.c_dual_plus.a)]:
+            c, c_dual = information(d)
+            for m, g in [(c, ib.c_plus.a), (c_dual, ib.c_dual_plus.a)]:
                 assert np.max(np.abs(m @ g @ m - m)) <= 1e-8
                 assert np.max(np.abs(g @ m @ g - g)) <= 1e-8
                 assert np.max(np.abs(m @ g - (m @ g).T)) <= 1e-8
@@ -260,7 +273,7 @@ class TestStackedExactCriteria:
         n = np.array([d.incidence for d in designs], dtype=float)
         exact = stacked_exact_criteria(n, 2, aug)
         for d, row in zip(designs, exact.tolist()):
-            report = criteria_report(intrablock(d), d, aug)
+            report = evaluate(d, aug)
             assert [x.hex() for x in row] == [getattr(report, name).hex() for name in CRITERION_NAMES]
         assert np.all(np.abs(stacked_criteria(n, 2, aug) - exact) <= 1e-12 * np.abs(exact))
 

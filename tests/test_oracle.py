@@ -296,6 +296,14 @@ class TestEnumerateClass:
         with pytest.raises(ClassTooLarge):
             list(enumerate_class(10, 10, 5, cap=1000))
 
+    def test_capped_binomial_is_math_comb(self):
+        for n in range(40):
+            for r in range(n + 1):
+                assert oracle._comb_within(n, r, 10**12, "designs") == math.comb(n, r)
+        assert oracle._comb_within(10, 5, 252, "designs") == 252
+        with pytest.raises(ClassTooLarge, match="cap 251"):
+            oracle._comb_within(10, 5, 251, "designs")
+
     def test_bad_parameters(self):
         with pytest.raises(InvalidParameters):
             list(enumerate_class(0, 3, 2))
@@ -390,11 +398,10 @@ def reference_class_minima(b, v, k, aug, cap=oracle.DEFAULT_ENUM_CAP):
     for d in enumerate_class(b, v, k, cap=cap):
         n_raw += 1
         try:
-            ib = criteria.intrablock(d)
+            report = criteria.evaluate(d, aug)
         except Disconnected:
             continue
         n_connected += 1
-        report = criteria.criteria_report(ib, d, aug)
         for name in CRITERION_NAMES:
             value = getattr(report, name)
             if name not in best or value < best[name] - MOVE_TOL:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from augdes.bounds import a_bounds
 from augdes.criteria import (
     a_criteria,
-    criteria_report,
     equireplicate_identities,
+    evaluate,
     intrablock,
     stacked_criteria,
     stacked_exact_criteria,
@@ -96,7 +96,7 @@ def test_stacked_criteria_match_exact_report(d, data):
         aug = AugmentationSpec.per_block(data.draw(st.lists(st.integers(1, 5), min_size=d.b, max_size=d.b)))
     n = d.incidence[None, :, :].astype(float)
     screened = stacked_criteria(n, d.uniform_block_size(), aug)[0]
-    exact = criteria_report(intrablock(d), d, aug)
+    exact = evaluate(d, aug)
     for got, want in zip(screened, (exact.a_cc, exact.a_tt, exact.a_ct, exact.mv_cc, exact.mv_tt, exact.mv_ct)):
         assert abs(got - want) <= REL * abs(want)
 
@@ -149,7 +149,7 @@ def test_stacked_exact_criteria_match_report_bit_for_bit(case):
     designs, k, aug = case
     exact = stacked_exact_criteria(np.array([d.incidence for d in designs], dtype=float), k, aug)
     for d, row in zip(designs, exact.tolist()):
-        report = criteria_report(intrablock(d), d, aug)
+        report = evaluate(d, aug)
         assert [x.hex() for x in row] == [getattr(report, name).hex() for name in CRITERION_NAMES]
 
 

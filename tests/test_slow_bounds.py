@@ -21,7 +21,7 @@ SPECS = {
 
 
 # float.hex minima and argmin blocks at s=1, captured from the per-design
-# exact confirm (one criteria_report(intrablock(d)) per admitted design)
+# exact confirm (one evaluate(d, aug) per admitted design)
 PINNED_S1 = {
     (6, 4, 3): {
         "a_cc": ("0x1.04e04e04e04e3p-1", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4))),
