@@ -19,20 +19,15 @@ from .bounds import (
     a_bounds,
     bound_quantities,
     efficiencies,
-    mv_efficiencies,
     threshold_class,
 )
 from .criteria import (
     CriteriaReport,
     Intrablock,
     a_criteria,
-    equireplicate_identities,
     evaluate,
     intrablock,
     mv_criteria,
-    v_cc,
-    v_ct,
-    v_tt,
 )
 from .design import (
     AugmentationSpec,
@@ -50,7 +45,7 @@ from .design import (
     repeat_blocks,
     write_design,
 )
-from .matrix import SymMatrix, invert, mp_inverse_centered, quad_form, trace
+from .matrix import SymMatrix, invert, mp_inverse_centered
 from .oracle import (
     AugmentedModel,
     ClassMinima,
@@ -89,7 +84,6 @@ __all__ = [
     "dual",
     "efficiencies",
     "enumerate_class",
-    "equireplicate_identities",
     "errors",
     "evaluate",
     "exchange_search",
@@ -103,16 +97,10 @@ __all__ = [
     "low_overlap_indices",
     "mp_inverse_centered",
     "mv_criteria",
-    "mv_efficiencies",
     "parse_design",
-    "quad_form",
     "read_design",
     "repeat_blocks",
     "threshold_class",
-    "trace",
-    "v_cc",
-    "v_ct",
-    "v_tt",
     "verify_design",
     "write_design",
 ]

@@ -151,12 +151,6 @@ def efficiency_report(
     )
 
 
-def mv_efficiencies(d: BlockDesign) -> tuple[float, float, float]:
-    """The three MV efficiency ratios (cc, tt, ct) of a primal."""
-    rep = efficiencies(d, SINGLE)
-    return rep.mv_eff_cc, rep.mv_eff_tt, rep.mv_eff_ct
-
-
 def threshold_class(report: EfficiencyReport) -> ThresholdClass:
     """Classify a primal by its (tt, ct, cc) efficiencies, using the
     conservative tt value and unrounded numbers: HIGH needs at least

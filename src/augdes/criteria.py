@@ -15,8 +15,9 @@ the plot variance sigma^2,
     V_ct(i, j)  = 1 + 1/r_i + xi^T Q xi,   xi = f_j - N^T R^-1 e_i.
 
 A test-vs-test comparison across blocks j != j' carries total variance
-2 + V_tt(j, j'); within a single block it is exactly 2. The A-criteria
-average these multipliers over all pairs of the given type, the
+2 + V_tt(j, j'); within a single block it is exactly 2. `v_cc_matrix`,
+`v_tt_matrix` and `v_ct_matrix` hold these for all pairs at once. The
+A-criteria average the multipliers over all pairs of the given type, the
 MV-criteria take the maximum; none of this ever touches observed yields.
 
 Every criterion depends on the primal only through P and Q, and neither
@@ -24,7 +25,9 @@ depends on the test-treatment counts, so `intrablock` computes them once
 per design object and stores them on it: scoring one design at several
 counts, or reading P again in a search, inverts its matrices once. C and
 C_dual are not kept. The memo is keyed by the object's identity, never by
-its value, and a failed call stores nothing.
+its value, and a failed call stores nothing. A primal with more than
+MAX_ORDER treatments or blocks is rejected before anything of order v or
+b is built.
 """
 
 from __future__ import annotations
@@ -36,26 +39,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import AugmentationSpec, BlockDesign, is_connected
-from .errors import (
-    Disconnected,
-    IndexOutOfRange,
-    InvalidParameters,
-    NonUniformBlockSize,
-    NotEquireplicate,
-    SameIndex,
-    SingularMatrix,
-)
-from .matrix import SymMatrix, mp_inverse_centered, quad_form, stacked_mp_inverse_centered, trace
+from .errors import Disconnected, InvalidParameters, NonUniformBlockSize, SingularMatrix
+from .matrix import SymMatrix, mp_inverse_centered, stacked_mp_inverse_centered
+
+# The largest v or b scored. Scoring holds about 4.5 x 8 (v^2 + b^2) bytes
+# at its peak: 275 MiB by tracemalloc at v = b = 2,000.
+MAX_ORDER = 2_000
 
 
 @dataclass(frozen=True, eq=False)
 class Intrablock:
-    """Moore-Penrose inverses of the information matrices of a primal and
-    of its dual, with the common block size."""
+    """P = C+ and Q = C_dual+, the Moore-Penrose inverses of the
+    information matrices of a primal and of its dual: all that any
+    criterion reads of the primal besides its incidence."""
 
     c_plus: SymMatrix
     c_dual_plus: SymMatrix
-    k: int
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,9 @@ class CriteriaReport:
 def intrablock(d: BlockDesign) -> Intrablock:
     """The Moore-Penrose inverses of both information matrices.
 
-    Requires a connected design with constant block size. The result is
+    Requires a connected design with constant block size, and at most
+    MAX_ORDER treatments and blocks, which is checked before connectivity
+    or the incidence; InvalidParameters is raised otherwise. The result is
     computed once per design object and stored on it, in `d.__dict__` as
     `functools.cached_property` stores `incidence`; later calls on the
     same object return that same immutable `Intrablock`. The memo is keyed
@@ -85,6 +86,7 @@ def intrablock(d: BlockDesign) -> Intrablock:
     k = d.uniform_block_size()
     if k is None:
         raise NonUniformBlockSize(f"block sizes {sorted(set(d.block_sizes))} are not constant")
+    check_order(d.v, d.b)
     if not is_connected(d):
         raise Disconnected("criteria are defined only for connected primals")
     r = np.asarray(d.replications, dtype=float)
@@ -94,9 +96,15 @@ def intrablock(d: BlockDesign) -> Intrablock:
     except Disconnected as exc:
         # the design is connected, so the failure is numerical
         raise SingularMatrix("an information matrix of a connected design is numerically singular") from exc
-    ib = Intrablock(c_plus=c_plus, c_dual_plus=c_dual_plus, k=k)
+    ib = Intrablock(c_plus=c_plus, c_dual_plus=c_dual_plus)
     d.__dict__["_intrablock"] = ib
     return ib
+
+
+def check_order(v: int, b: int) -> None:
+    """Raise InvalidParameters when v or b exceeds MAX_ORDER."""
+    if max(v, b) > MAX_ORDER:
+        raise InvalidParameters(f"{v} treatments and {b} blocks: orders above {MAX_ORDER} are not scored")
 
 
 def _information(n: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,47 +114,6 @@ def _information(n: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     v, b = n.shape[-2:]
     nt = n.swapaxes(-1, -2)
     return np.eye(v) * r[..., None, :] - (n @ nt) / k, k * np.eye(b) - nt @ (n / r[..., :, None])
-
-
-def _check_index(value: int, limit: int, what: str) -> None:
-    if not 1 <= value <= limit:
-        raise IndexOutOfRange(f"{what} index {value} outside 1..{limit}")
-
-
-def _check_pair(a: int, b: int, limit: int, what: str) -> None:
-    _check_index(a, limit, what)
-    _check_index(b, limit, what)
-    if a == b:
-        raise SameIndex(f"{what} indices must differ, both are {a}")
-
-
-def _pair_value(p: SymMatrix, a: int, b: int) -> float:
-    m = p.a
-    return float(m[a, a] + m[b, b] - 2.0 * m[a, b])
-
-
-def v_cc(ib: Intrablock, i: int, i_star: int) -> float:
-    """Variance multiplier of a control-vs-control comparison."""
-    _check_pair(i, i_star, ib.c_plus.order, "control")
-    return _pair_value(ib.c_plus, i - 1, i_star - 1)
-
-
-def v_tt(ib: Intrablock, j: int, j_star: int) -> float:
-    """Block-contrast part of a cross-block test-vs-test comparison; the
-    total variance multiplier is 2 + v_tt."""
-    _check_pair(j, j_star, ib.c_dual_plus.order, "block")
-    return _pair_value(ib.c_dual_plus, j - 1, j_star - 1)
-
-
-def v_ct(ib: Intrablock, d: BlockDesign, i: int, j: int) -> float:
-    """Variance multiplier of comparing control i against a test treatment
-    placed in block j."""
-    _check_index(i, d.v, "control")
-    _check_index(j, d.b, "block")
-    r_i = d.replications[i - 1]
-    xi = -d.incidence[i - 1].astype(float) / r_i
-    xi[j - 1] += 1.0
-    return 1.0 + 1.0 / r_i + quad_form(ib.c_dual_plus, xi)
 
 
 def _pairwise(m: np.ndarray) -> np.ndarray:
@@ -368,30 +335,6 @@ def mv_criteria(ib: Intrablock, d: BlockDesign) -> tuple[float, float, float]:
         raise InvalidParameters("control comparisons need at least two controls")
     r = np.asarray(d.replications, dtype=float)
     return tuple(float(x) for x in _mv_values(ib.c_plus.a, ib.c_dual_plus.a, d.incidence, r))
-
-
-def equireplicate_identities(
-    ib: Intrablock, d: BlockDesign
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Both sides of the two trace identities available when every
-    replication count equals a common r:
-
-        tr(C_dual+)               = (r/k) tr(C+) + (b - v)/k
-        tr(R^-1 N C_dual+ N^T R^-1) = (v/b) tr(C_dual+) - (b - 1)/r
-
-    Returns ((lhs1, rhs1), (lhs2, rhs2)) for assertion by the caller.
-    """
-    reps = set(d.replications)
-    if len(reps) != 1:
-        raise NotEquireplicate(f"replication counts {sorted(reps)} differ")
-    r = reps.pop()
-    t_c = trace(ib.c_plus)
-    t_dual = trace(ib.c_dual_plus)
-    first = (t_dual, (r / ib.k) * t_c + (d.b - d.v) / ib.k)
-    g = d.incidence / float(r)
-    sandwich = float(np.sum((g @ ib.c_dual_plus.a) * g))
-    second = (sandwich, (d.v / d.b) * t_dual - (d.b - 1) / r)
-    return first, second
 
 
 def evaluate(d: BlockDesign, aug: AugmentationSpec) -> CriteriaReport:

@@ -9,6 +9,10 @@ class DimensionMismatch(AugdesError):
     """Matrix or vector dimensions do not agree."""
 
 
+class NotSymmetric(AugdesError, ValueError):
+    """A matrix expected to be symmetric is not, within tolerance."""
+
+
 class SingularMatrix(AugdesError):
     """The Cholesky factorization failed, or the smallest squared diagonal
     entry of its factor fell below the singularity tolerance."""
@@ -34,10 +38,6 @@ class IndexOutOfRange(AugdesError):
     """A block or treatment index lies outside its valid range."""
 
 
-class SameIndex(AugdesError):
-    """A contrast needs two distinct indices."""
-
-
 class TooFewBlocksRemain(AugdesError):
     """Deleting the requested blocks would leave fewer than two."""
 
@@ -56,10 +56,6 @@ class DesignFormatError(AugdesError):
 
 class NonUniformBlockSize(AugdesError):
     """Criteria require a constant block size."""
-
-
-class NotEquireplicate(AugdesError):
-    """The identity requires all replication counts to be equal."""
 
 
 class InvalidParameters(AugdesError):

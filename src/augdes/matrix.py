@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Disconnected, NotCentered, SingularMatrix
+from .errors import DimensionMismatch, Disconnected, NotCentered, NotSymmetric, SingularMatrix
 
 # Squared Cholesky pivots below this signal a numerically singular matrix.
 PIVOT_TOL = 1e-12
@@ -29,9 +29,9 @@ class SymMatrix:
     """Real symmetric matrix, stored densely and exactly symmetric.
 
     Construction symmetrizes the input as 0.5 * (A + A^T) after rejecting
-    anything whose asymmetry exceeds a small relative tolerance, so the
-    stored entries always satisfy a[i, j] == a[j, i] exactly. An input
-    that is already bitwise symmetric is stored as it is.
+    anything whose asymmetry exceeds a small relative tolerance, with
+    NotSymmetric, so the stored entries always satisfy a[i, j] == a[j, i]
+    exactly. An input that is already bitwise symmetric is stored as it is.
     """
 
     a: np.ndarray
@@ -44,16 +44,13 @@ class SymMatrix:
             raise DimensionMismatch("matrix order must be at least 1")
         arr, ok = _symmetrized(arr)
         if not ok:
-            raise ValueError("matrix is not symmetric within tolerance")
+            raise NotSymmetric("matrix is not symmetric within tolerance")
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 
     @property
     def order(self) -> int:
         return self.a.shape[0]
-
-    def allclose(self, other: "SymMatrix", tol: float = 1e-9) -> bool:
-        return self.order == other.order and float(np.max(np.abs(self.a - other.a))) <= tol
 
 
 def _symmetrized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,10 +65,6 @@ def _symmetrized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     ok = np.abs(a - at).max(axis=(-2, -1)) <= 1e-8 * scale
     return 0.5 * (a + at), ok
-
-
-def identity(order: int) -> SymMatrix:
-    return SymMatrix(np.eye(order))
 
 
 def _cholesky_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,15 +136,3 @@ def stacked_mp_inverse_centered(a: np.ndarray) -> np.ndarray:
     inverse = inverse - shift
     inverse[~(ok & ok_inverse & (_row_sum_residual(a) <= CENTERED_TOL) & (pivot >= PIVOT_TOL))] = np.nan
     return inverse
-
-
-def trace(m: SymMatrix) -> float:
-    return float(np.trace(m.a))
-
-
-def quad_form(m: SymMatrix, x) -> float:
-    """x^T M x for a vector x of matching length."""
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (m.order,):
-        raise DimensionMismatch(f"vector of shape {vec.shape} against order {m.order}")
-    return float(vec @ m.a @ vec)

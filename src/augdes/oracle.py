@@ -4,9 +4,10 @@
 one (block column, effect column) pair per plot: a control plot in block
 j carries block effect j and its control effect, a test plot block
 effect j and its own (unreplicated) effect. X^T X is accumulated from
-those pairs; the n_plots x p model matrix X is built only when
-`AugmentedModel.x` is read. `gls_variance` computes the exact GLS
-variance of one treatment contrast from a Moore-Penrose inverse of X^T X.
+those pairs; the n_plots x p model matrix X is never built.
+`gls_variance` computes the exact GLS variance of one treatment contrast
+from a Moore-Penrose inverse of X^T X; no command calls it, nor
+`enumerate_class`, and both stay for the benchmark's tracer.
 
 X^T X is singular exactly because block and treatment effects are
 aliased within each connected component of the plot structure. Its
@@ -76,10 +77,9 @@ class AugmentedModel:
     Parameter layout: b block effects, then v control effects, then one
     effect per test treatment, blockwise. `plots` holds the (block column,
     effect column) pair of every control plot and then of every test
-    plot, block by block; `info` is accumulated from it and `x` is built
-    from it when read. `test_offsets[j]` is the position of block j+1's
-    first test effect among the (control, test) coefficients, counted
-    after the v controls.
+    plot, block by block; `info` is accumulated from it. `test_offsets[j]`
+    is the position of block j+1's first test effect among the (control,
+    test) coefficients, counted after the v controls.
     """
 
     design: BlockDesign
@@ -88,13 +88,6 @@ class AugmentedModel:
     info: np.ndarray
     info_pinv: np.ndarray
     test_offsets: tuple[int, ...]
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        """The n_plots x p model matrix: a one in each plot's two columns."""
-        x = np.zeros((len(self.plots), len(self.info)))
-        x[np.arange(len(self.plots))[:, None], self.plots] = 1.0
-        return x
 
     @property
     def n_tests(self) -> int:

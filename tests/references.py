@@ -1,0 +1,23 @@
+"""Test-side reference computations, written apart from the package's
+closed forms so that tests can check one against the other."""
+
+import numpy as np
+
+
+def trace_identities(ib, d):
+    """Both sides of the two trace identities of an equireplicate primal
+    with common replication r and block size k:
+
+        tr(C_dual+)                 = (r/k) tr(C+) + (b - v)/k
+        tr(R^-1 N C_dual+ N^T R^-1) = (v/b) tr(C_dual+) - (b - 1)/r
+
+    as ((lhs1, rhs1), (lhs2, rhs2)), from ib = `criteria.intrablock(d)`."""
+    (r,) = set(d.replications)
+    k = d.uniform_block_size()
+    t_c = float(np.trace(ib.c_plus.a))
+    t_dual = float(np.trace(ib.c_dual_plus.a))
+    first = (t_dual, (r / k) * t_c + (d.b - d.v) / k)
+    g = d.incidence / float(r)
+    sandwich = float(np.sum((g @ ib.c_dual_plus.a) * g))
+    second = (sandwich, (d.v / d.b) * t_dual - (d.b - 1) / r)
+    return first, second

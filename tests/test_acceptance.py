@@ -14,11 +14,10 @@ from augdes.bounds import (
     ThresholdClass,
     a_bounds,
     efficiencies,
-    mv_efficiencies,
     threshold_class,
 )
 from augdes.cli import round3
-from augdes.criteria import a_criteria, equireplicate_identities, intrablock, mv_criteria, v_tt_matrix
+from augdes.criteria import a_criteria, intrablock, mv_criteria, v_tt_matrix
 from augdes.design import (
     AugmentationSpec,
     all_k_subsets,
@@ -30,6 +29,7 @@ from augdes.design import (
 )
 from augdes.oracle import class_minima, enumerate_class, verify_design
 from augdes.search import MOVE_TOL, SearchConfig, exchange_search
+from references import trace_identities
 
 ONE = AugmentationSpec.common(1)
 TOL = 0.0015
@@ -73,6 +73,12 @@ def _check_triple(failures, label, got, want, tol=TOL):
 def a_triple(d, s=1):
     rep = efficiencies(d, AugmentationSpec.common(s))
     return rep.eff_cc, rep.eff_tt_conservative, rep.eff_ct
+
+
+def mv_efficiencies(d):
+    """The MV ratios (cc, tt, ct); they do not depend on the test counts."""
+    rep = efficiencies(d, ONE)
+    return rep.mv_eff_cc, rep.mv_eff_tt, rep.mv_eff_ct
 
 
 def test_criterion_01_lattice_bib_a_efficiencies():
@@ -210,7 +216,7 @@ def test_criterion_08_identity_suite(corpus, equireplicate_corpus):
     equireplicate_cases += equireplicate_corpus
     for d in equireplicate_cases:
         ib = intrablock(d)
-        (l1, r1), (l2, r2) = equireplicate_identities(ib, d)
+        (l1, r1), (l2, r2) = trace_identities(ib, d)
         if abs(l1 - r1) > 1e-9 or abs(l2 - r2) > 1e-9:
             failures.append(f"trace identities fail on b={d.b} v={d.v}")
     for d, _ in corpus:
@@ -228,7 +234,7 @@ def test_criterion_08_identity_suite(corpus, equireplicate_corpus):
     for d, _ in corpus:
         ib = intrablock(d)
         iu = np.triu_indices(d.b, k=1)
-        if float(np.min(v_tt_matrix(ib)[iu])) < 2.0 / ib.k - 1e-9:
+        if float(np.min(v_tt_matrix(ib)[iu])) < 2.0 / d.uniform_block_size() - 1e-9:
             failures.append(f"tt multiplier below 2/k on b={d.b} v={d.v}")
     for d, _ in corpus:
         base = efficiencies(d, ONE).eff_tt_conservative

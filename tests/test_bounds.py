@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from augdes.bounds import (
@@ -8,13 +9,11 @@ from augdes.bounds import (
     a_bounds,
     bound_quantities,
     efficiencies,
-    mv_efficiencies,
     threshold_class,
 )
 from augdes.criteria import a_criteria, intrablock, mv_criteria
 from augdes.design import AugmentationSpec, all_k_subsets, delete_blocks, dual, lattice_bib
 from augdes.errors import InvalidParameters
-from augdes.matrix import trace
 from augdes.oracle import enumerate_class
 
 ONE = AugmentationSpec.common(1)
@@ -131,19 +130,14 @@ class TestEfficiencies:
             assert rep.mv_eff_tt <= rep.eff_tt_conservative + 1e-9
             assert rep.mv_eff_ct <= rep.eff_ct + 1e-9
 
-    def test_mv_efficiencies_projection(self):
-        lat = lattice_bib(3)
-        rep = efficiencies(lat, ONE)
-        assert mv_efficiencies(lat) == (rep.mv_eff_cc, rep.mv_eff_tt, rep.mv_eff_ct)
-
 
 class TestBoundValidity:
     def test_traces_dominate_bound_scalars(self, corpus):
         for d, _ in corpus:
             ib = intrablock(d)
-            q = bound_quantities(d.b, d.v, ib.k)
-            assert trace(ib.c_plus) >= q.L - 1e-9
-            assert trace(ib.c_dual_plus) >= q.Ltilde - 1e-9
+            q = bound_quantities(d.b, d.v, d.uniform_block_size())
+            assert np.trace(ib.c_plus.a) >= q.L - 1e-9
+            assert np.trace(ib.c_dual_plus.a) >= q.Ltilde - 1e-9
 
     def test_small_class_exhaustive(self):
         acc_b, att_b, act_b = a_bounds(4, 3, 2, ONE)

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -13,6 +15,8 @@ import augdes
 from augdes import AugmentationSpec, criteria, oracle
 from augdes.bounds import efficiencies, threshold_class
 from augdes.cli import build_report, cli, round3
+from augdes.errors import InvalidParameters
+from augdes.matrix import SymMatrix
 from augdes.design import (
     BlockDesign,
     all_k_subsets,
@@ -72,6 +76,15 @@ class TestRounding:
 
 
 class TestEval:
+    def test_asymmetric_matrix_exits_2(self, runner, tmp_path, monkeypatch):
+        def asymmetric(d, aug):
+            return SymMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+        monkeypatch.setattr(criteria, "evaluate", asymmetric)
+        result = runner.invoke(cli, ["eval", write(tmp_path, "d.design", RCBD2_TEXT)])
+        assert result.exit_code == 2
+        assert "not symmetric" in result.output
+
     def test_table_shows_paper_style_efficiencies(self, runner, tmp_path):
         result = runner.invoke(cli, ["eval", eight_block_file(tmp_path), "--s", "1", "--format", "table"])
         assert result.exit_code == 0
@@ -206,6 +219,21 @@ class TestBuildReport:
             calls.clear()
             build_report(BlockDesign(d.v, d.blocks), aug, "corpus")
             assert len(calls) == 2
+
+    def test_order_above_max_fails_fast(self, runner, tmp_path):
+        # a connected path design (blocks i, i+1) on 20,000 treatments, built
+        # before tracing: rejected before anything of order v or b
+        v = 20_000
+        d = from_blocks(v, [[i, i + 1] for i in range(1, v)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameters):
+                build_report(d, AugmentationSpec.common(1), "path")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert runner.invoke(cli, ["eval", write(tmp_path, "path.design", format_design(d))]).exit_code == 2
 
     @pytest.mark.parametrize("name", sorted(FRESH_DESIGNS))
     def test_reports_on_one_object_match_fresh_objects(self, name):

@@ -12,17 +12,13 @@ from augdes.criteria import (
     Intrablock,
     a_criteria,
     dual_inverse,
-    equireplicate_identities,
     evaluate,
     intrablock,
     mv_criteria,
     stacked_criteria,
     stacked_exact_criteria,
-    v_cc,
     v_cc_matrix,
-    v_ct,
     v_ct_matrix,
-    v_tt,
     v_tt_matrix,
 )
 from augdes.design import (
@@ -34,16 +30,10 @@ from augdes.design import (
     is_connected,
     lattice_bib,
 )
-from augdes.errors import (
-    Disconnected,
-    IndexOutOfRange,
-    NonUniformBlockSize,
-    NotEquireplicate,
-    SameIndex,
-    SingularMatrix,
-)
-from augdes.matrix import SymMatrix, mp_inverse_centered, trace
+from augdes.errors import Disconnected, InvalidParameters, NonUniformBlockSize, SingularMatrix
+from augdes.matrix import SymMatrix, mp_inverse_centered
 from augdes.oracle import CRITERION_NAMES, enumerate_class
+from references import trace_identities
 
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
 ONE = AugmentationSpec.common(1)
@@ -53,6 +43,31 @@ def information(d):
     """C and C_dual of a primal, as `intrablock` builds them before it inverts them."""
     r = np.asarray(d.replications, dtype=float)
     return criteria._information(d.incidence.astype(float), r, d.uniform_block_size())
+
+
+def _difference(m, a, b):
+    """(e_a - e_b)^T M (e_a - e_b) for 1-based a and b, as a quadratic form."""
+    x = np.zeros(len(m))
+    x[a - 1], x[b - 1] = 1.0, -1.0
+    return float(x @ m @ x)
+
+
+def v_cc(ib, i, i_star):
+    """Control-vs-control multiplier: e_i - e_i* in P."""
+    return _difference(ib.c_plus.a, i, i_star)
+
+
+def v_tt(ib, j, j_star):
+    """Block-contrast part of a cross-block test-vs-test multiplier: f_j - f_j* in Q."""
+    return _difference(ib.c_dual_plus.a, j, j_star)
+
+
+def v_ct(ib, d, i, j):
+    """Control i against a test in block j: 1 + 1/r_i + xi^T Q xi, xi = f_j - N^T R^-1 e_i."""
+    r_i = d.replications[i - 1]
+    xi = -d.incidence[i - 1].astype(float) / r_i
+    xi[j - 1] += 1.0
+    return 1.0 + 1.0 / r_i + float(xi @ ib.c_dual_plus.a @ xi)
 
 
 def pairwise_a_criteria(ib, d, aug):
@@ -136,10 +151,25 @@ class TestIntrablock:
                 intrablock(d)
             assert not any(isinstance(x, Intrablock) for x in vars(d).values())
 
+    def test_order_above_max_rejected_first(self, monkeypatch):
+        # a path design on MAX_ORDER + 1 treatments: rejected before the
+        # connectivity check and before the dense incidence is built
+        v = criteria.MAX_ORDER + 1
+        d = from_blocks(v, [[i, i + 1] for i in range(1, v)])
+
+        def refuse(d):
+            raise AssertionError("connectivity was checked")
+
+        monkeypatch.setattr(criteria, "is_connected", refuse)
+        with pytest.raises(InvalidParameters):
+            intrablock(d)
+        assert "incidence" not in vars(d)
+        criteria.check_order(criteria.MAX_ORDER, criteria.MAX_ORDER)
+
     def test_stored_value_is_immutable(self):
         ib = intrablock(lattice_bib(3))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ib.k = 4
+            ib.c_plus = ib.c_dual_plus
         for m in (ib.c_plus, ib.c_dual_plus):
             assert not m.a.flags.writeable
 
@@ -185,22 +215,12 @@ class TestIntrablock:
 class TestContrastVariances:
     def test_rcbd_values(self):
         ib = intrablock(RCBD2)
-        assert abs(v_cc(ib, 1, 2) - 1.0) <= 1e-12
-        assert abs(v_tt(ib, 1, 2) - 1.0) <= 1e-12
-        assert abs(v_ct(ib, RCBD2, 1, 1) - 1.75) <= 1e-12
-
-    def test_index_validation(self):
-        ib = intrablock(RCBD2)
-        with pytest.raises(IndexOutOfRange):
-            v_cc(ib, 1, 3)
-        with pytest.raises(SameIndex):
-            v_cc(ib, 2, 2)
-        with pytest.raises(SameIndex):
-            v_tt(ib, 1, 1)
-        with pytest.raises(IndexOutOfRange):
-            v_ct(ib, RCBD2, 3, 1)
+        assert abs(v_cc_matrix(ib)[0, 1] - 1.0) <= 1e-12
+        assert abs(v_tt_matrix(ib)[0, 1] - 1.0) <= 1e-12
+        assert abs(v_ct_matrix(ib, RCBD2)[0, 0] - 1.75) <= 1e-12
 
     def test_matrix_forms_match_scalars(self, corpus):
+        # against the quadratic forms of the test-side references above
         for d, _ in corpus[:10]:
             ib = intrablock(d)
             ccm, ttm, ctm = v_cc_matrix(ib), v_tt_matrix(ib), v_ct_matrix(ib, d)
@@ -221,15 +241,15 @@ class TestContrastVariances:
             ib = intrablock(d)
             ttm = v_tt_matrix(ib)
             iu = np.triu_indices(d.b, k=1)
-            assert float(np.min(ttm[iu])) >= 2.0 / ib.k - 1e-9
+            assert float(np.min(ttm[iu])) >= 2.0 / d.uniform_block_size() - 1e-9
 
 
 class TestACriteria:
     def test_bib_values(self):
         bib = all_k_subsets(5, 3)
         ib = intrablock(bib)
-        assert abs(trace(ib.c_plus) - 0.8) <= 1e-12
-        assert abs(trace(ib.c_dual_plus) - 49.0 / 15.0) <= 1e-12
+        assert abs(np.trace(ib.c_plus.a) - 0.8) <= 1e-12
+        assert abs(np.trace(ib.c_dual_plus.a) - 49.0 / 15.0) <= 1e-12
         a_cc, a_tt, a_ct = a_criteria(ib, bib, ONE)
         assert abs(a_cc - 0.4) <= 1e-12
         assert abs(a_tt - 2.0 * (1.0 + (49.0 / 15.0) / 9.0)) <= 1e-12
@@ -304,7 +324,7 @@ class TestDualInverse:
     def test_lattice_and_its_dual(self):
         for d in (lattice_bib(5), dual(lattice_bib(3))):
             ib = intrablock(d)
-            q = dual_inverse(ib.c_plus.a, d.incidence.astype(float), ib.k)
+            q = dual_inverse(ib.c_plus.a, d.incidence.astype(float), d.uniform_block_size())
             assert np.max(np.abs(q - ib.c_dual_plus.a)) <= 1e-12 * np.max(np.abs(ib.c_dual_plus.a))
 
 
@@ -333,18 +353,9 @@ class TestEquireplicateIdentities:
     def test_identities_hold(self, equireplicate_corpus):
         for d in equireplicate_corpus:
             ib = intrablock(d)
-            (l1, r1), (l2, r2) = equireplicate_identities(ib, d)
+            (l1, r1), (l2, r2) = trace_identities(ib, d)
             assert abs(l1 - r1) <= 1e-9
             assert abs(l2 - r2) <= 1e-9
-
-    def test_rejects_unequal_replication(self):
-        d = from_blocks(5, [
-            (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
-            (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5),
-        ])
-        ib = intrablock(d)
-        with pytest.raises(NotEquireplicate):
-            equireplicate_identities(ib, d)
 
 
 class TestConnectivityRankEquivalence:

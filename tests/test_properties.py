@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from augdes.bounds import a_bounds
 from augdes.criteria import (
     a_criteria,
-    equireplicate_identities,
     evaluate,
     intrablock,
     stacked_criteria,
@@ -18,6 +17,7 @@ from augdes.criteria import (
 )
 from augdes.design import AugmentationSpec, BlockDesign, can_connect, is_connected, stacked_connected
 from augdes.oracle import CRITERION_NAMES
+from references import trace_identities
 
 REL = 1e-12
 
@@ -69,7 +69,7 @@ def test_primal_inverse_from_dual(d):
 @settings(max_examples=80, deadline=None)
 @given(resolvable_designs())
 def test_equireplicate_identities_on_resolvable_designs(d):
-    for lhs, rhs in equireplicate_identities(intrablock(d), d):
+    for lhs, rhs in trace_identities(intrablock(d), d):
         assert abs(lhs - rhs) <= REL * max(abs(lhs), abs(rhs))
 
 
