@@ -333,6 +333,7 @@ def modify_cmd(design_file, delete_raw, repeat_raw, auto_delete, auto_repeat, ou
     if raw is not None:
         indices = _int_list(raw, "expected comma-separated block indices")
     else:
+        criteria.check_order(d.v, d.b)  # the overlaps of all block pairs are a dense b x b matrix
         indices = low_overlap_indices(d, auto_delete if delete else auto_repeat)
         click.echo(f"{'deleting' if delete else 'repeating'} blocks {','.join(map(str, indices))}", err=True)
     result = (delete_blocks if delete else repeat_blocks)(d, indices)

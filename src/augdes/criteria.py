@@ -223,29 +223,44 @@ def dual_inverse(p: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
     return q
 
 
-def exchange_a_criteria(p: np.ndarray, n: np.ndarray, k: int, counts, j, a, t) -> tuple[np.ndarray, ...]:
-    """A-criteria (cc, tt, ct) of the designs that replace treatment a by t
-    in block j of one connected primal with P = C+ and v x b float
-    incidence n, for equal-length 0-based index arrays j, a, t.
+def exchange_objective(p: np.ndarray, n: np.ndarray, k: int, counts, weights, j, a, t) -> np.ndarray:
+    """w_cc A_cc + w_tt A_tt + w_ct A_ct, for weights (w_cc, w_tt, w_ct),
+    of the designs that replace treatment a by t in block j of one
+    connected primal with P = C+ and v x b float incidence n, for
+    equal-length 0-based index arrays j, a, t.
 
     The move changes C by u y^T + y u^T, with u = e_t - e_a and
     y = (e_t + e_a)/2 - (n_j + u/2)/k. Both sum to zero, so Woodbury on
     C + J/v gives P' = P - Z D Z^T, Z = P [u, y], D = (S + [u, y]^T Z)^-1,
     S = [[0, 1], [1, 0]]. With s the per-block counts, T their sum,
     c = Pi_b s and M' = I/k + N'^T P' N'/k^2, so that Q' = Pi_b M' Pi_b,
-    the terms of the pairwise definitions in `_a_values`, among them
-    A_tt = 2 + 2 (T s^T diag(Q') - s^T Q' s) / (T (T - 1)), are s^T Q' s =
-    c^T M' c, s^T diag(Q') = s^T diag(M') - 2 c^T M' 1/b - T 1^T M' 1/b^2
-    and, since P'C' = I - J/v gives M' G'^T 1 = sum(1/r') 1/v,
+    the pairwise definitions in `_a_values` give A_cc = 2 tr P'/(v - 1),
+    A_ct = 1 + 1/k + tr P'/v + s^T diag(N'^T P' N')/(T k^2) and
 
-        A_ct = 1 + tr P'/v + 1^T M' 1/b^2 + s^T diag(Q')/T + 2 c^T M' 1/(b T).
+        A_tt = 2 + 2 (T s^T diag(Q') - c^T M' c) / (T (T - 1)),
+        s^T diag(Q') = s^T diag(M') - 2 c^T M' 1/b - T 1^T M' 1/b^2.
 
-    All are gathers from products of P, N and s made once per primal. A
-    disconnecting move has no meaningful value.
+    With A = 2 w_cc/(v - 1) + w_ct/v and B = 2 w_tt/(T - 1) + w_ct/T the
+    objective is therefore 2 w_tt + w_ct + B T/k + A tr P' +
+    (B/k^2) s^T diag(N'^T P' N') - (2 w_tt/(T - 1)) (T 1^T M' 1/b^2 +
+    2 c^T M' 1/b + c^T M' c/T). Every D-dependent piece of it is tr(D F)
+    for a symmetric 2 x 2 F linear in products of P, N and s, so the
+    weights are applied to those products once per call:
+    X = A P^2 + (B/k^2) P N diag(s) N^T P gives the tr P' and
+    s^T diag(N'^T P' N') pieces in one form [u, y]^T X [u, y], and the
+    whole objective is a constant, terms linear in the forms of P, and one
+    tr(D G). With common counts c is exactly 0 and its image is skipped.
+    Each move's value is computed elementwise from those products, so it
+    does not depend on which other moves share the call. A disconnecting
+    move has no meaningful value.
     """
     v, b = n.shape
+    w_cc, w_tt, w_ct = weights
     s = np.asarray(counts, dtype=float)
     total = float(s.sum())
+    c = s - total / b
+    coef_p = 2.0 * w_cc / (v - 1) + w_ct / v
+    coef_s = (2.0 * w_tt / (total - 1.0) + w_ct / total) / k**2
     ct, ca = (k - 1) / (2 * k), (k + 1) / (2 * k)  # y = ct e_t + ca e_a - n_j / k
 
     def forms(x, xn, dg):  # [u, y]^T X [u, y] and [u, y]^T X n_j of a symmetric X; xn = X N
@@ -255,38 +270,39 @@ def exchange_a_criteria(p: np.ndarray, n: np.ndarray, k: int, counts, j, a, t) -
         yy = ct * ct * xtt + ca * ca * xaa + 2 * ct * ca * xta - (ct * nt + ca * na + yn) / k
         return xtt + xaa - 2 * xta, uy, yy, nt - na, yn
 
-    def dot(f, g):  # f^T D g for pairs f, g
-        return d_uu * f[0] * g[0] + d_uy * (f[0] * g[1] + f[1] * g[0]) + d_yy * f[1] * g[1]
-
-    def tr_d(x):  # tr(D X) for forms x of X
-        return d_uu * x[0] + 2.0 * d_uy * x[1] + d_yy * x[2]
-
-    def image(al):  # al, P N al and Z^T N' al, where N' al = N al + al_j u
+    def image(al, al_j):  # al_j, u^T P N al and Z^T N' al, where N' al = N al + al_j u
         pa = pn @ al
-        z = (pa[t] - pa[a] + al[j] * w_uu, ct * pa[t] + ca * pa[a] - (npn @ al)[j] / k + al[j] * w_uy)
-        return al, pa, z
-
-    def m_form(x, y):  # al^T M' be from the images of al and be
-        (al, pa, za), (be, pb, zb) = x, y
-        npn_ab = al @ npn @ be + al[j] * (pb[t] - pb[a]) + be[j] * (pa[t] - pa[a]) + al[j] * be[j] * w_uu
-        return al @ be / k + (npn_ab - dot(za, zb)) / k**2
+        du = pa[t] - pa[a]
+        return al, al_j, du, (du + al_j * w_uu, ct * pa[t] + ca * pa[a] - (npn @ al)[j] / k + al_j * w_uy)
 
     pn = p @ n
     npn = n.T @ pn
     w_uu, w_uy, w_yy, h_u, h_y = forms(p, pn, np.diagonal(npn))
+    x = coef_p * (p @ p) + coef_s * ((pn * s) @ pn.T)
+    xn = x @ n
+    g_uu, g_uy, g_yy = forms(x, xn, np.sum(n * xn, axis=0))[:3]
+    value = 2.0 * w_tt + w_ct + coef_s * k * total + coef_p * np.trace(p) + coef_s * (s @ np.diagonal(npn))
+    # column j of N' is n_j + u, so n'_j^T P n'_j = n_j^T P n_j + 2 h_u + w_uu and
+    # n'_j^T Z D Z^T n'_j = h'^T D h', with h = Z^T n_j and h' = h + (w_uu, w_uy)
+    sj, grow = coef_s * s[j], 2.0 * h_u + w_uu
+    value = value + sj * grow
+    g_uu += sj * w_uu * grow
+    g_uy += sj * (h_u * w_uy + w_uu * (h_y + w_uy))
+    g_yy += sj * w_uy * (2.0 * h_y + w_uy)
+    # the M' terms, al^T M' be = al^T be/k + (al^T N'^T P' N' be)/k^2
+    e = image(np.ones(b), 1.0)
+    quad = [(e, e, -2.0 * w_tt * total / ((total - 1.0) * b * b))]
+    if c.any():
+        cc = image(c, c[j])
+        quad += [(e, cc, -4.0 * w_tt / ((total - 1.0) * b)), (cc, cc, -2.0 * w_tt / (total * (total - 1.0)))]
+    for (al, al_j, du_a, za), (be, be_j, du_b, zb), coef in quad:
+        coef_m = coef / k**2
+        value = value + coef * (al @ be) / k + coef_m * (al @ npn @ be + al_j * du_b + be_j * du_a + al_j * be_j * w_uu)
+        g_uu += coef_m * za[0] * zb[0]
+        g_uy += coef_m * (za[0] * zb[1] + za[1] * zb[0]) / 2
+        g_yy += coef_m * za[1] * zb[1]
     det = w_uu * w_yy - (1.0 + w_uy) ** 2
-    d_uu, d_uy, d_yy = w_yy / det, -(1.0 + w_uy) / det, w_uu / det
-    tr_p = np.trace(p) - tr_d(forms(p @ p, p @ pn, np.sum(pn * pn, axis=0)))
-    e, c = image(np.ones(b)), image(s - total / b)
-    m_ee, m_ec, m_cc = m_form(e, e), m_form(e, c), m_form(c, c)
-    h, h_new = (h_u, h_y), (h_u + w_uu, h_y + w_uy)  # Z^T n_j and Z^T n'_j
-    s_npn = s @ np.diagonal(npn) + s[j] * (2.0 * h_u + w_uu + dot(h, h) - dot(h_new, h_new))
-    s_npn -= tr_d(forms((pn * s) @ pn.T, (pn * s) @ npn, (npn * npn) @ s))  # s^T diag(N'^T P' N')
-    s_diag = total / k + s_npn / k**2 - 2.0 * m_ec / b - total * m_ee / b**2
-    a_cc = 2.0 * tr_p / (v - 1)
-    a_tt = 2.0 + 2.0 * (total * s_diag - m_cc) / (total * (total - 1.0))
-    a_ct = 1.0 + tr_p / v + m_ee / b**2 + s_diag / total + 2.0 * m_ec / (b * total)
-    return a_cc, a_tt, a_ct
+    return value - (w_yy * g_uu - 2.0 * (1.0 + w_uy) * g_uy + w_uu * g_yy) / det
 
 
 def stacked_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.ndarray:

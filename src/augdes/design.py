@@ -9,7 +9,6 @@ order never influences any criterion, only display.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -205,9 +204,13 @@ def stacked_connected(n: np.ndarray) -> np.ndarray:
 def dual(d: BlockDesign) -> BlockDesign:
     """Interchange the roles of treatments and blocks (the incidence
     matrix transposes); applying it twice restores the design."""
-    labels = np.arange(1, d.b + 1)
-    # each treatment's row of the incidence lists its blocks, in order
-    return BlockDesign(v=d.b, blocks=tuple(tuple(np.repeat(labels, row).tolist()) for row in d.incidence))
+    # block i of the dual lists j once per occurrence of i in block j; one
+    # walk over the blocks in order keeps each list ascending
+    rows: list[list[int]] = [[] for _ in range(d.v)]
+    for j, block in enumerate(d.blocks, start=1):
+        for label in block:
+            rows[label - 1].append(j)
+    return BlockDesign(v=d.b, blocks=tuple(map(tuple, rows)))
 
 
 def _check_indices(d: BlockDesign, indices: Iterable[int]) -> list[int]:
@@ -267,13 +270,9 @@ def lattice_bib(q: int) -> BlockDesign:
     return BlockDesign(q * q, tuple(blocks))
 
 
-def block_overlap(a: Sequence[int], b: Sequence[int]) -> int:
-    """Multiset intersection size of two blocks."""
-    return sum((Counter(a) & Counter(b)).values())
-
-
 def low_overlap_indices(d: BlockDesign, n: int) -> tuple[int, ...]:
-    """Greedy choice of n block indices with small pairwise overlap.
+    """Greedy choice of n block indices with small pairwise overlap, the
+    size of the multiset intersection of two blocks.
 
     Starts from the lexicographically first pair attaining the minimum
     overlap, then repeatedly adds the block whose worst overlap with the
@@ -284,20 +283,23 @@ def low_overlap_indices(d: BlockDesign, n: int) -> tuple[int, ...]:
         raise IndexOutOfRange(f"cannot pick {n} blocks from {d.b}")
     if n == 1:
         return (1,)
-    _, first, second = min(
-        (block_overlap(d.blocks[i], d.blocks[j]), i + 1, j + 1)
-        for i in range(d.b)
-        for j in range(i + 1, d.b)
-    )
-    chosen = [first, second]
+    # min(x, y) is the number of c >= 1 with x >= c and y >= c, so the
+    # overlaps of all block pairs are exact sums of float products
+    inc = d.incidence
+    overlap = np.zeros((d.b, d.b))
+    for c in range(1, int(inc.max()) + 1):
+        at_least = (inc >= c).astype(float)
+        overlap += at_least.T @ at_least
+    pairs = np.where(np.triu(np.ones((d.b, d.b), dtype=bool), 1), overlap, np.inf)
+    chosen = list(divmod(int(np.argmin(pairs)), d.b))
+    worst = np.maximum(overlap[chosen[0]], overlap[chosen[1]])
+    worst[chosen] = np.inf
     while len(chosen) < n:
-        _, pick = min(
-            (max(block_overlap(d.blocks[j - 1], d.blocks[c - 1]) for c in chosen), j)
-            for j in range(1, d.b + 1)
-            if j not in chosen
-        )
+        pick = int(np.argmin(worst))
         chosen.append(pick)
-    return tuple(sorted(chosen))
+        worst = np.maximum(worst, overlap[pick])
+        worst[pick] = np.inf
+    return tuple(sorted(j + 1 for j in chosen))
 
 
 def parse_design(text: str) -> BlockDesign:

@@ -5,20 +5,28 @@ repeatedly replacing a single treatment occurrence in a single block,
 accepting the first strict improvement found in a fixed scan order, from
 random connected restarts. Fully deterministic for a fixed seed.
 
-The rest of a pass is screened as one batch from the current design's
-exact P = C+, which scoring the design left in its `criteria.intrablock`
-memo: a move changes C by a symmetric rank-2 term, so
-`criteria.exchange_a_criteria` scores every move to the end of the pass
-by a Woodbury update, with no inverse and no design object per move. The
-screen only filters: walking the batch in scan order, a move whose
-screened objective is NaN or below the acceptance limit plus SCREEN_TOL
-is built and scored exactly, and only that value decides acceptance. A
-move whose exact step raises `Disconnected`, which only the connectivity
-check of `criteria.intrablock` raises, is skipped. An accepted design
-starts a new batch at the next label of the same occurrence. The screen
-agrees with the exact objective far more closely than SCREEN_TOL, so
-designs, objectives and traces are the same, bit for bit, as when every
-move is scored exactly.
+A pass is screened in batches from the current design's exact P = C+,
+which scoring the design left in its `criteria.intrablock` memo: a move
+changes C by a symmetric rank-2 term, so `criteria.exchange_objective`
+scores each move of a batch by a Woodbury update, with the weights
+folded into the products it makes once per batch, and with no inverse
+and no design object per move. The screen only filters: walking the
+batch in scan order, a move whose screened objective is NaN or below the
+acceptance limit plus SCREEN_TOL is built and scored exactly, and only
+that value decides acceptance. A move whose exact step raises
+`Disconnected`, which only the connectivity check of
+`criteria.intrablock` raises, is skipped. An accepted design starts a new
+batch at the next label of the same occurrence.
+
+A batch covers a chunk of whole occurrences, about FIRST_CHUNK_MOVES
+moves at first and after each accepted move, twice the last chunk after
+a chunk with none, and never more than MAX_BATCH_MOVES moves, so a pass
+that improves often does not screen its whole rest after every move. The
+chunks move no bit: each move's screened value is computed elementwise
+from products of the same P, incidence and counts, so it is the same
+whichever chunk holds it. The screen agrees with the exact objective far
+more closely than SCREEN_TOL, so designs, objectives and traces are the
+same, bit for bit, as when every move is scored exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +50,12 @@ MOVE_TOL = 1e-12
 # acceptance limit plus this margin, relative to the objective's scale; the
 # screen agrees with the exact objective to about 1e-15 relative.
 SCREEN_TOL = 1e-9
+# A pass is screened in chunks of whole occurrences: about this many moves
+# at first and after each accepted move, twice as many after each chunk
+# with none, and at most MAX_BATCH_MOVES (at least one occurrence), which
+# bounds the kernel's arrays.
+FIRST_CHUNK_MOVES = 256
+MAX_BATCH_MOVES = 2**20
 START_ATTEMPTS = 1000
 
 
@@ -122,23 +136,26 @@ def _spanning_start(b: int, v: int, k: int, rng: random.Random) -> BlockDesign:
 
 
 def _batch(
-    cfg: SearchConfig, d: BlockDesign, o_from: int, t_from: int
+    cfg: SearchConfig, d: BlockDesign, o_from: int, t_from: int, o_to: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rest of a pass on d from occurrence o_from (index j k + pos) and
-    label t_from on, in scan order: each move's occurrence index, label and
+    """The moves of a pass on d from occurrence o_from (index j k + pos)
+    and label t_from on, up to occurrence o_to (the end of the pass by
+    default), in scan order: each move's occurrence index, label and
     screened objective from d's memoized P = C+, for every t != a,
     connected or not."""
     k = len(d.blocks[0])
-    o = np.repeat(np.arange(o_from, d.b * k), d.v)
-    t = np.tile(np.arange(1, d.v + 1), d.b * k - o_from)
+    o_to = d.b * k if o_to is None else o_to
+    o = np.repeat(np.arange(o_from, o_to), d.v)
+    t = np.tile(np.arange(1, d.v + 1), o_to - o_from)
     a = np.asarray(d.blocks).reshape(-1)[o]
     keep = (t != a) & ((o > o_from) | (t >= t_from))
     o, a, t = o[keep], a[keep], t[keep]
+    weights = (cfg.w_cc, cfg.w_tt, cfg.w_ct)
     with np.errstate(all="ignore"):  # a disconnecting move may divide by zero
-        a_cc, a_tt, a_ct = criteria.exchange_a_criteria(
-            criteria.intrablock(d).c_plus.a, d.incidence.astype(float), k, cfg.aug.counts(d.b), o // k, a - 1, t - 1
+        screened = criteria.exchange_objective(
+            criteria.intrablock(d).c_plus.a, d.incidence.astype(float), k, cfg.aug.counts(d.b), weights, o // k, a - 1, t - 1
         )
-        return o, t, cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct
+    return o, t, screened
 
 
 def _improvement_pass(
@@ -146,13 +163,18 @@ def _improvement_pass(
 ) -> tuple[BlockDesign, float, bool]:
     """One full first-improvement scan over the occurrences (j, pos) and
     labels t; the design may change mid-scan, after which the scan of the
-    same occurrence goes on from t + 1, in a new batch on the new design."""
+    same occurrence goes on from t + 1, in a new batch on the new design.
+    Each batch screens the chunk of occurrences the module docstring
+    describes."""
     k = len(d.blocks[0])
+    widest = max(1, MAX_BATCH_MOVES // d.v)
+    first = min(-(-FIRST_CHUNK_MOVES // d.v), widest)
     improved = False
-    o_from, t_from = 0, 1
-    while True:
+    o_from, t_from, width = 0, 1, first
+    while o_from < d.b * k:
         limit = obj - MOVE_TOL + SCREEN_TOL * max(1.0, abs(obj))
-        moves, labels, screened = _batch(cfg, d, o_from, t_from)
+        o_to = min(d.b * k, o_from + width)
+        moves, labels, screened = _batch(cfg, d, o_from, t_from, o_to)
         for i in np.flatnonzero(~(screened >= limit)):  # NaN is confirmed too
             o, t = int(moves[i]), int(labels[i])
             j, pos = divmod(o, k)
@@ -166,10 +188,11 @@ def _improvement_pass(
                 d, obj = cand, cand_obj
                 trace.append(obj)
                 improved = True
-                o_from, t_from = o, t + 1
+                o_from, t_from, width = o, t + 1, first
                 break
         else:
-            return d, obj, improved
+            o_from, t_from, width = o_to, 1, min(2 * width, widest)
+    return d, obj, improved
 
 
 def exchange_search(b: int, v: int, k: int, cfg: SearchConfig) -> SearchResult:

@@ -1,6 +1,8 @@
 """Test-side reference computations, written apart from the package's
 closed forms so that tests can check one against the other."""
 
+from collections import Counter
+
 import numpy as np
 
 
@@ -21,3 +23,22 @@ def trace_identities(ib, d):
     sandwich = float(np.sum((g @ ib.c_dual_plus.a) * g))
     second = (sandwich, (d.v / d.b) * t_dual - (d.b - 1) / r)
     return first, second
+
+
+def low_overlap_reference(d, n):
+    """`design.low_overlap_indices` by the definition: the multiset
+    intersection of every block pair counted with `Counter`, the
+    lexicographically first minimal pair, then the greedy additions with
+    ties to the lowest index."""
+
+    def overlap(i, j):
+        return sum((Counter(d.blocks[i - 1]) & Counter(d.blocks[j - 1])).values())
+
+    if n == 1:
+        return (1,)
+    _, first, second = min((overlap(i, j), i, j) for i in range(1, d.b + 1) for j in range(i + 1, d.b + 1))
+    chosen = [first, second]
+    while len(chosen) < n:
+        _, pick = min((max(overlap(j, c) for c in chosen), j) for j in range(1, d.b + 1) if j not in chosen)
+        chosen.append(pick)
+    return tuple(sorted(chosen))

@@ -235,6 +235,21 @@ class TestBuildReport:
         assert peak < 2 * 2**20
         assert runner.invoke(cli, ["eval", write(tmp_path, "path.design", format_design(d))]).exit_code == 2
 
+    def test_path_design_dual_and_auto_modify(self, runner, tmp_path):
+        # `dual` needs no order-v storage, so it writes the 20,000-treatment
+        # path design's dual; the low-overlap rule compares all block pairs
+        # and is rejected before any of them
+        v = 20_000
+        d = from_blocks(v, [[i, i + 1] for i in range(1, v)])
+        path = write(tmp_path, "path.design", format_design(d))
+        result = runner.invoke(cli, ["dual", path])
+        assert result.exit_code == 0
+        assert result.output == format_design(dual(d))
+        for mode in ("--auto-delete", "--auto-repeat"):
+            result = runner.invoke(cli, ["modify", path, mode, "3"])
+            assert result.exit_code == 2
+            assert "orders above" in result.output
+
     @pytest.mark.parametrize("name", sorted(FRESH_DESIGNS))
     def test_reports_on_one_object_match_fresh_objects(self, name):
         # three reports on one design object share its stored intrablock;

@@ -10,7 +10,6 @@ from augdes.design import (
     AugmentationSpec,
     BlockDesign,
     all_k_subsets,
-    block_overlap,
     delete_blocks,
     dual,
     format_design,
@@ -33,6 +32,7 @@ from augdes.errors import (
     NotSupportedOrder,
     TooFewBlocksRemain,
 )
+from references import low_overlap_reference
 
 EIGHT_BLOCKS = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
@@ -119,6 +119,20 @@ class TestDual:
             got = dual(d).blocks
             assert got == want
             assert all(type(label) is int for block in got for label in block)
+
+    def test_path_design_without_dense_incidence(self):
+        # a path design (blocks i, i+1) on 20,000 treatments, built before
+        # tracing: its dense incidence alone would take 3.2 GB
+        v = 20_000
+        d = from_blocks(v, [[i, i + 1] for i in range(1, v)])
+        tracemalloc.start()
+        try:
+            got = dual(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert got.blocks == ((1,),) + tuple((i, i + 1) for i in range(1, v - 1)) + ((v - 1,),)
 
     def test_self_dual_complete_two_blocks(self):
         d = from_blocks(2, [[1, 2], [1, 2]])
@@ -249,7 +263,21 @@ class TestLowOverlap:
         assert low_overlap_indices(all_k_subsets(5, 3), 2) == (1, 6)
 
     def test_multiset_overlap(self):
-        assert block_overlap((1, 1, 2), (1, 1, 3)) == 2
+        # blocks 1 and 2 share {1, 1}, blocks 1 and 3 share {1, 2} and
+        # blocks 2 and 3 share {1}: counted as sets, blocks 1 and 2 would
+        # also share a single treatment and come first
+        d = from_blocks(3, [(1, 1, 2), (1, 1, 3), (1, 2, 2)])
+        assert low_overlap_indices(d, 2) == (2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_counter_reference(self, data):
+        # random multiset designs of unequal block sizes, and every n
+        v = data.draw(st.integers(1, 5))
+        blocks = data.draw(st.lists(st.lists(st.integers(1, v), min_size=1, max_size=5), min_size=1, max_size=9))
+        d = from_blocks(v, blocks)
+        n = data.draw(st.integers(1, d.b))
+        assert low_overlap_indices(d, n) == low_overlap_reference(d, n)
 
     def test_bad_count(self):
         with pytest.raises(IndexOutOfRange):
