@@ -19,7 +19,7 @@ block, its largest value).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ HIGH_THRESHOLDS = (0.99, 0.97, 0.95)
 GOOD_THRESHOLDS = (0.97, 0.95, 0.93)
 # One test treatment per block: the count of the conservative tt bound.
 SINGLE = AugmentationSpec.common(1)
+Triple = tuple[float, float, float]
 
 
 class ThresholdClass(enum.Enum):
@@ -102,8 +103,8 @@ def a_bounds(b: int, v: int, k: int, aug: AugmentationSpec) -> tuple[float, floa
         s0 = float(counts.min())
         total = float(counts.sum())
         s_bar = total / b
-        iu = np.triu_indices(b, k=1)
-        phi_sum = float(np.sum(np.outer(counts, counts)[iu] - s0 * s0))
+        # sum of phi(j, j') over j < j' in O(b) memory, each term an exact integer in float
+        phi_sum = (total * total - float(counts @ counts)) / 2.0 - b * (b - 1) / 2.0 * s0 * s0
         att = 2.0 + ((4.0 / k) * phi_sum + 2.0 * s0 * s0 * b * q.Ltilde) / (total * (total - 1.0))
         act = (
             1.0
@@ -116,39 +117,38 @@ def a_bounds(b: int, v: int, k: int, aug: AugmentationSpec) -> tuple[float, floa
 
 def efficiencies(d: BlockDesign, aug: AugmentationSpec) -> EfficiencyReport:
     """All efficiency ratios of a primal for the given augmentation."""
-    crit = criteria.evaluate(d, aug)
-    return efficiency_report(d, aug, crit, single_count_criteria(d, aug, crit))
+    return assess(d, aug, criteria.evaluate(d, aug))[2]
 
 
-def single_count_criteria(
+def assess(
     d: BlockDesign, aug: AugmentationSpec, crit: criteria.CriteriaReport
-) -> criteria.CriteriaReport:
-    """The criteria `crit`, found at `aug`, restated at one test treatment
-    per block: the A-criteria are computed again unless `aug` already is
-    that count, and the MV-criteria do not depend on the counts."""
-    if aug == SINGLE:
-        return crit
-    a_single = criteria.a_criteria(criteria.intrablock(d), d, SINGLE)
-    return criteria.CriteriaReport(*a_single, crit.mv_cc, crit.mv_tt, crit.mv_ct)
+) -> tuple[Triple, Triple, EfficiencyReport, ThresholdClass]:
+    """The (cc, tt, ct) bounds at `aug` and at one test per block, the
+    efficiencies and the class of a primal with criteria `crit` at `aug`.
 
-
-def efficiency_report(
-    d: BlockDesign, aug: AugmentationSpec, crit: criteria.CriteriaReport, crit_single: criteria.CriteriaReport
-) -> EfficiencyReport:
-    """All efficiency ratios of a primal from its criteria at `aug` and at
-    one test treatment per block."""
+    The one home of the single-count rule: the conservative tt and the MV
+    tt and ct efficiencies take their bounds at one test per block, where
+    they are largest, and the class reads the tt, ct and cc efficiencies
+    there. MV-criteria and the cc bound do not depend on the counts.
+    """
     k = d.uniform_block_size()
-    acc_b, att_b_s, act_b_s = a_bounds(d.b, d.v, k, aug)
-    _, att_b_1, act_b_1 = a_bounds(d.b, d.v, k, SINGLE)
-    return EfficiencyReport(
+    at_s = a_bounds(d.b, d.v, k, aug)
+    if aug == SINGLE:
+        at_1, a_1 = at_s, (crit.a_cc, crit.a_tt, crit.a_ct)
+    else:
+        at_1, a_1 = a_bounds(d.b, d.v, k, SINGLE), criteria.a_criteria(criteria.intrablock(d), d, SINGLE)
+    (acc_b, att_b_s, act_b_s), (_, att_b_1, act_b_1) = at_s, at_1
+    eff = EfficiencyReport(
         eff_cc=acc_b / crit.a_cc,
         eff_tt_at_s=att_b_s / crit.a_tt,
-        eff_tt_conservative=att_b_1 / crit_single.a_tt,
+        eff_tt_conservative=att_b_1 / a_1[1],
         eff_ct=act_b_s / crit.a_ct,
         mv_eff_cc=acc_b / crit.mv_cc,
         mv_eff_tt=att_b_1 / crit.mv_tt,
         mv_eff_ct=act_b_1 / crit.mv_ct,
     )
+    # the class reads the efficiencies restated at one test per block
+    return at_s, at_1, eff, threshold_class(replace(eff, eff_ct=act_b_1 / a_1[2], eff_cc=acc_b / a_1[0]))
 
 
 def threshold_class(report: EfficiencyReport) -> ThresholdClass:

@@ -121,6 +121,7 @@ class ReportDocument:
     acc_bound: float
     att_bound: float
     act_bound: float
+    single_bounds: bounds.Triple  # at one test per block, where they also bound the MV-criteria
     eff: bounds.EfficiencyReport
     classification: bounds.ThresholdClass
     provenance: dict
@@ -146,24 +147,20 @@ class ReportDocument:
 
 def build_report(d: BlockDesign, aug: AugmentationSpec, source: str) -> ReportDocument:
     report = criteria.evaluate(d, aug)
-    single = bounds.single_count_criteria(d, aug, report)
     k = d.uniform_block_size()
-    quantities = bounds.bound_quantities(d.b, d.v, k)
-    acc_b, att_b, act_b = bounds.a_bounds(d.b, d.v, k, aug)
-    # classification is a property of the design alone (conservative tt,
-    # count-free ct), so the single-count report classifies every count
-    class_eff = bounds.efficiency_report(d, bounds.SINGLE, single, single)
+    (acc_b, att_b, act_b), single_bounds, eff, classification = bounds.assess(d, aug, report)
     return ReportDocument(
         design=d,
         aug=aug,
         k=k,
         criteria=report,
-        quantities=quantities,
+        quantities=bounds.bound_quantities(d.b, d.v, k),
         acc_bound=acc_b,
         att_bound=att_b,
         act_bound=act_b,
-        eff=bounds.efficiency_report(d, aug, report, single),
-        classification=bounds.threshold_class(class_eff),
+        single_bounds=single_bounds,
+        eff=eff,
+        classification=classification,
         provenance={
             "input": source,
             "command": " ".join(sys.argv),
@@ -176,8 +173,7 @@ def render_table(doc: ReportDocument) -> list[str]:
     """The lines of the `eval` table of a report."""
     d, eff, rep = doc.design, doc.eff, doc.criteria
     s_label = doc.aug.describe()
-    # MV bounds are the common-count bounds at a single test treatment per block.
-    _, att_b_1, act_b_1 = bounds.a_bounds(d.b, d.v, doc.k, bounds.SINGLE)
+    _, att_b_1, act_b_1 = doc.single_bounds
     lines = [
         f"design: {doc.provenance['input']}",
         f"parameters: b={d.b} v={d.v} k={doc.k} s={s_label}",
@@ -333,7 +329,9 @@ def modify_cmd(design_file, delete_raw, repeat_raw, auto_delete, auto_repeat, ou
     if raw is not None:
         indices = _int_list(raw, "expected comma-separated block indices")
     else:
-        criteria.check_order(d.v, d.b)  # the overlaps of all block pairs are a dense b x b matrix
+        if max(d.v, d.b) > criteria.MAX_ORDER:
+            _fail(2, f"{d.v} treatments and {d.b} blocks: orders above {criteria.MAX_ORDER} are too large "
+                     "for the low-overlap rule, which compares the overlaps of all block pairs")
         indices = low_overlap_indices(d, auto_delete if delete else auto_repeat)
         click.echo(f"{'deleting' if delete else 'repeating'} blocks {','.join(map(str, indices))}", err=True)
     result = (delete_blocks if delete else repeat_blocks)(d, indices)

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 
+from augdes.bounds import bound_quantities
+
 
 def trace_identities(ib, d):
     """Both sides of the two trace identities of an equireplicate primal
@@ -42,3 +44,16 @@ def low_overlap_reference(d, n):
         _, pick = min((max(overlap(j, c) for c in chosen), j) for j in range(1, d.b + 1) if j not in chosen)
         chosen.append(pick)
     return tuple(sorted(chosen))
+
+
+def per_block_tt_bound_reference(b, v, k, counts):
+    """The A_tt bound of `bounds.a_bounds` for per-block counts, with the
+    pairwise excess phi(j, j') = s_j s_j' - s0^2 summed over the upper
+    triangle of the b x b outer product of the counts."""
+    q = bound_quantities(b, v, k)
+    counts = np.asarray(counts, dtype=float)
+    s0 = float(counts.min())
+    total = float(counts.sum())
+    iu = np.triu_indices(b, k=1)
+    phi_sum = float(np.sum(np.outer(counts, counts)[iu] - s0 * s0))
+    return 2.0 + ((4.0 / k) * phi_sum + 2.0 * s0 * s0 * b * q.Ltilde) / (total * (total - 1.0))

@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augdes.bounds import (
     EfficiencyReport,
@@ -15,6 +18,8 @@ from augdes.criteria import a_criteria, intrablock, mv_criteria
 from augdes.design import AugmentationSpec, all_k_subsets, delete_blocks, dual, lattice_bib
 from augdes.errors import InvalidParameters
 from augdes.oracle import enumerate_class
+
+from references import per_block_tt_bound_reference
 
 ONE = AugmentationSpec.common(1)
 
@@ -83,6 +88,29 @@ class TestABounds:
         common = a_bounds(4, 5, 3, AugmentationSpec.common(2))
         per = a_bounds(4, 5, 3, AugmentationSpec.per_block([1, 2, 2, 3]))
         assert per[1] >= 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_per_block_tt_matches_pairwise_sum(self, data):
+        # the closed-form sum of phi equals the upper-triangle sum bit for bit
+        b = data.draw(st.integers(2, 400))
+        k = data.draw(st.integers(2, 6))
+        v = data.draw(st.integers(2, b * k - 1))
+        counts = data.draw(st.lists(st.integers(1, 1000), min_size=b, max_size=b))
+        att = a_bounds(b, v, k, AugmentationSpec.per_block(counts))[1]
+        assert att.hex() == per_block_tt_bound_reference(b, v, k, counts).hex()
+
+    def test_per_block_memory_linear_in_b(self):
+        # no b x b array: 3,000 blocks stay under 1 MiB, where one b x b float array is 69 MiB
+        b = 3000
+        aug = AugmentationSpec.per_block(1 + j % 7 for j in range(b))
+        tracemalloc.start()
+        try:
+            a_bounds(b, 5, 3, aug)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestEfficiencies:

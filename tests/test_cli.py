@@ -12,9 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 import augdes
-from augdes import AugmentationSpec, criteria, oracle
+from augdes import AugmentationSpec, bounds, criteria, oracle
 from augdes.bounds import efficiencies, threshold_class
-from augdes.cli import build_report, cli, round3
+from augdes.cli import build_report, cli, render_table, round3
 from augdes.errors import InvalidParameters
 from augdes.matrix import SymMatrix
 from augdes.design import (
@@ -220,6 +220,27 @@ class TestBuildReport:
             build_report(BlockDesign(d.v, d.blocks), aug, "corpus")
             assert len(calls) == 2
 
+    def test_bound_calls_per_report(self, monkeypatch):
+        # a report finds the bounds at its count and, unless that is one
+        # test per block, at one test per block; its table reads them back
+        calls = []
+        original = bounds.a_bounds
+
+        def counting(b, v, k, aug):
+            calls.append(aug)
+            return original(b, v, k, aug)
+
+        monkeypatch.setattr(bounds, "a_bounds", counting)
+        d = lattice_bib(3)
+        per_block = AugmentationSpec.per_block(1 + j % 3 for j in range(d.b))
+        for aug, expected in ((AugmentationSpec.common(1), 1), (AugmentationSpec.common(3), 2), (per_block, 2)):
+            calls.clear()
+            doc = build_report(d, aug, "lattice")
+            assert len(calls) == expected
+            calls.clear()
+            render_table(doc)
+            assert calls == []
+
     def test_order_above_max_fails_fast(self, runner, tmp_path):
         # a connected path design (blocks i, i+1) on 20,000 treatments, built
         # before tracing: rejected before anything of order v or b
@@ -249,6 +270,8 @@ class TestBuildReport:
             result = runner.invoke(cli, ["modify", path, mode, "3"])
             assert result.exit_code == 2
             assert "orders above" in result.output
+            assert "overlaps of all block pairs" in result.output
+            assert "scored" not in result.output
 
     @pytest.mark.parametrize("name", sorted(FRESH_DESIGNS))
     def test_reports_on_one_object_match_fresh_objects(self, name):
