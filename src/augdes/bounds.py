@@ -84,15 +84,18 @@ def bound_quantities(b: int, v: int, k: int) -> BoundQuantities:
     )
 
 
-def a_bounds(b: int, v: int, k: int, aug: AugmentationSpec) -> tuple[float, float, float]:
+def a_bounds(
+    b: int, v: int, k: int, aug: AugmentationSpec, quantities: BoundQuantities | None = None
+) -> tuple[float, float, float]:
     """Lower bounds on (A_cc, A_tt, A_ct) over every connected primal.
 
     With per-block counts s_1..s_b the tt bound uses the pairwise excess
     phi(j, j') = s_j s_j' - s0^2 over the minimum count s0, and the ct
     bound mixes s0 with the mean count; both collapse to the common-count
-    forms when all counts are equal.
+    forms when all counts are equal. `quantities`, when given, must be
+    `bound_quantities(b, v, k)`, which is then not computed again.
     """
-    q = bound_quantities(b, v, k)
+    q = bound_quantities(b, v, k) if quantities is None else quantities
     acc = 2.0 * q.L / (v - 1)
     if aug.is_common:
         s = aug.s
@@ -117,26 +120,30 @@ def a_bounds(b: int, v: int, k: int, aug: AugmentationSpec) -> tuple[float, floa
 
 def efficiencies(d: BlockDesign, aug: AugmentationSpec) -> EfficiencyReport:
     """All efficiency ratios of a primal for the given augmentation."""
-    return assess(d, aug, criteria.evaluate(d, aug))[2]
+    return assess(d, aug, criteria.evaluate(d, aug))[3]
 
 
 def assess(
     d: BlockDesign, aug: AugmentationSpec, crit: criteria.CriteriaReport
-) -> tuple[Triple, Triple, EfficiencyReport, ThresholdClass]:
-    """The (cc, tt, ct) bounds at `aug` and at one test per block, the
-    efficiencies and the class of a primal with criteria `crit` at `aug`.
+) -> tuple[BoundQuantities, Triple, Triple, EfficiencyReport, ThresholdClass]:
+    """The bound quantities, the (cc, tt, ct) bounds at `aug` and at one
+    test per block, the efficiencies and the class of a primal with
+    criteria `crit` at `aug`. The quantities are computed once, for both
+    bound triples.
 
     The one home of the single-count rule: the conservative tt and the MV
     tt and ct efficiencies take their bounds at one test per block, where
     they are largest, and the class reads the tt, ct and cc efficiencies
-    there. MV-criteria and the cc bound do not depend on the counts.
+    there. MV-criteria and the cc bound do not depend on the counts, and
+    the A-criteria at one test per block come from the intrablock memo.
     """
     k = d.uniform_block_size()
-    at_s = a_bounds(d.b, d.v, k, aug)
+    q = bound_quantities(d.b, d.v, k)
+    at_s = a_bounds(d.b, d.v, k, aug, q)
     if aug == SINGLE:
         at_1, a_1 = at_s, (crit.a_cc, crit.a_tt, crit.a_ct)
     else:
-        at_1, a_1 = a_bounds(d.b, d.v, k, SINGLE), criteria.a_criteria(criteria.intrablock(d), d, SINGLE)
+        at_1, a_1 = a_bounds(d.b, d.v, k, SINGLE, q), criteria.a_criteria(criteria.intrablock(d), d, SINGLE)
     (acc_b, att_b_s, act_b_s), (_, att_b_1, act_b_1) = at_s, at_1
     eff = EfficiencyReport(
         eff_cc=acc_b / crit.a_cc,
@@ -148,7 +155,7 @@ def assess(
         mv_eff_ct=act_b_1 / crit.mv_ct,
     )
     # the class reads the efficiencies restated at one test per block
-    return at_s, at_1, eff, threshold_class(replace(eff, eff_ct=act_b_1 / a_1[2], eff_cc=acc_b / a_1[0]))
+    return q, at_s, at_1, eff, threshold_class(replace(eff, eff_ct=act_b_1 / a_1[2], eff_cc=acc_b / a_1[0]))
 
 
 def threshold_class(report: EfficiencyReport) -> ThresholdClass:

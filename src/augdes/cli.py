@@ -148,13 +148,13 @@ class ReportDocument:
 def build_report(d: BlockDesign, aug: AugmentationSpec, source: str) -> ReportDocument:
     report = criteria.evaluate(d, aug)
     k = d.uniform_block_size()
-    (acc_b, att_b, act_b), single_bounds, eff, classification = bounds.assess(d, aug, report)
+    quantities, (acc_b, att_b, act_b), single_bounds, eff, classification = bounds.assess(d, aug, report)
     return ReportDocument(
         design=d,
         aug=aug,
         k=k,
         criteria=report,
-        quantities=bounds.bound_quantities(d.b, d.v, k),
+        quantities=quantities,
         acc_bound=acc_b,
         att_bound=att_b,
         act_bound=act_b,
@@ -285,7 +285,7 @@ def bounds_cmd(b, v, k, s_common, s_list, fmt):
     """Design-independent lower bounds for a parameter triple."""
     aug = _parse_aug(s_common, s_list)
     q = bounds.bound_quantities(b, v, k)
-    acc, att, act = bounds.a_bounds(b, v, k, aug)
+    acc, att, act = bounds.a_bounds(b, v, k, aug, q)
     payload = {"params": _params_json(b, v, k, aug), "bounds": _bounds_json(q, acc, att, act)}
     lines = [
         f"parameters: b={b} v={v} k={k} s={aug.describe()}",

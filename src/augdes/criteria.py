@@ -28,6 +28,15 @@ C_dual are not kept. The memo is keyed by the object's identity, never by
 its value, and a failed call stores nothing. A primal with more than
 MAX_ORDER treatments or blocks is rejected before anything of order v or
 b is built.
+
+The same `Intrablock` also holds the criteria that do not depend on the
+counts, each computed the first time it is asked for and never again for
+that object: the MV triple, on the first `mv_criteria` call, and A_cc,
+tr Q and A_ct at a common count, on the first `a_criteria` call with a
+common count. A_tt at any common s is then 2 (1 + s/(bs - 1) tr Q), from
+the stored tr Q. These are scalars, so the memo stays of order v^2 + b^2.
+A search reads only the A-criteria, so it never pays for MV. Per-block
+counts are scored from P and Q on every call.
 """
 
 from __future__ import annotations
@@ -51,7 +60,9 @@ MAX_ORDER = 2_000
 class Intrablock:
     """P = C+ and Q = C_dual+, the Moore-Penrose inverses of the
     information matrices of a primal and of its dual: all that any
-    criterion reads of the primal besides its incidence."""
+    criterion reads of the primal besides its incidence. The count-free
+    criteria of the primal are added to its `__dict__` when they are
+    first computed (see `_memo`)."""
 
     c_plus: SymMatrix
     c_dual_plus: SymMatrix
@@ -171,40 +182,77 @@ def _sum(x: np.ndarray, axes: int = 1) -> np.ndarray:
     return x.reshape(*x.shape[:split], math.prod(x.shape[split:])).sum(axis=-1)
 
 
+def _a_cc(p):
+    """A_cc = 2 tr P/(v - 1) of one P or of a stack of them."""
+    return 2.0 * _sum(p.diagonal(axis1=-2, axis2=-1)) / (p.shape[-1] - 1)
+
+
+def _common_a_values(p, q, n, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A_cc, tr Q and A_ct at any common count, the part of `_a_values`
+    that is free of the count, on P = C+, Q = C_dual+, the incidence N and
+    the replications r of one primal, or of a stack of them."""
+    v, b = n.shape[-2:]
+    t_dual = _sum(q.diagonal(axis1=-2, axis2=-1))
+    g = n / r[..., :, None]
+    return _a_cc(p), t_dual, 1.0 + (1.0 / r).mean(axis=-1) + t_dual / b + _sum((g @ q) * g, 2) / v
+
+
+def _common_a_tt(t_dual, b: int, s: int):
+    """A_tt = 2 (1 + s/(bs - 1) tr Q) at a common count s per block."""
+    return 2.0 * (1.0 + s / (b * s - 1.0) * t_dual)
+
+
 def _a_values(p, q, n, r, aug: AugmentationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arithmetic of `a_criteria` on P = C+, Q = C_dual+, the incidence
     N and the replications r of one primal, or of a stack of them."""
     v, b = n.shape[-2:]
+    if aug.is_common:
+        a_cc, t_dual, a_ct = _common_a_values(p, q, n, r)
+        return a_cc, _common_a_tt(t_dual, b, aug.s), a_ct
     counts = aug.counts(b)
     total = sum(counts)
-    a_cc = 2.0 * _sum(p.diagonal(axis1=-2, axis2=-1)) / (v - 1)
-    if aug.is_common:
-        s = aug.s
-        t_dual = _sum(q.diagonal(axis1=-2, axis2=-1))
-        a_tt = 2.0 * (1.0 + s / (b * s - 1.0) * t_dual)
-        g = n / r[..., :, None]
-        a_ct = 1.0 + (1.0 / r).mean(axis=-1) + t_dual / b + _sum((g @ q) * g, 2) / v
-    else:
-        svec = np.asarray(counts, dtype=float)
-        a_tt = 2.0 + 2.0 * _sum(_upper(np.outer(svec, svec)) * _upper(_pairwise(q))) / (total * (total - 1.0))
-        a_ct = _sum(_ct_matrix(q, n, r) * svec, 2) / (v * total)
-    return a_cc, a_tt, a_ct
+    svec = np.asarray(counts, dtype=float)
+    a_tt = 2.0 + 2.0 * _sum(_upper(np.outer(svec, svec)) * _upper(_pairwise(q))) / (total * (total - 1.0))
+    a_ct = _sum(_ct_matrix(q, n, r) * svec, 2) / (v * total)
+    return _a_cc(p), a_tt, a_ct
+
+
+def _operands(ib: Intrablock, d: BlockDesign) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """P, Q, the incidence and the float replications of a primal."""
+    return ib.c_plus.a, ib.c_dual_plus.a, d.incidence, np.asarray(d.replications, dtype=float)
+
+
+def _memo(ib: Intrablock, d: BlockDesign, key: str, compute):
+    """`compute()`, a count-free value of d, stored on ib under `key` the
+    first time and read back after that. Only d's own memo, the object
+    `intrablock(d)` returned, stores it; any other ib computes it again on
+    each call, so a value never leaks from one design to another."""
+    if d.__dict__.get("_intrablock") is not ib:
+        return compute()
+    memo = ib.__dict__
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def a_criteria(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> tuple[float, float, float]:
     """Average variance multipliers (cc, tt, ct) under an augmentation.
 
     With a common per-block count the closed trace forms apply; the cc and
-    ct averages are then free of the count while the tt average is not.
-    With genuinely per-block counts the pairwise definitions are evaluated
-    directly, weighting block pairs by the counts they carry.
+    ct averages are then free of the count while the tt average is not, so
+    A_cc, tr Q and A_ct are computed once per design object and kept in
+    its intrablock memo. With genuinely per-block counts the pairwise
+    definitions are evaluated directly on every call, weighting block
+    pairs by the counts they carry.
     """
     if d.v < 2:
         raise InvalidParameters("control comparisons need at least two controls")
     if aug.total(d.b) < 2:
         raise InvalidParameters("test comparisons need at least two test treatments")
-    r = np.asarray(d.replications, dtype=float)
-    return tuple(float(x) for x in _a_values(ib.c_plus.a, ib.c_dual_plus.a, d.incidence, r, aug))
+    if aug.is_common:
+        a_cc, t_dual, a_ct = _memo(ib, d, "common_a", lambda: _common_a_values(*_operands(ib, d)))
+        return float(a_cc), float(_common_a_tt(t_dual, d.b, aug.s)), float(a_ct)
+    return tuple(float(x) for x in _a_values(*_operands(ib, d), aug))
 
 
 def dual_inverse(p: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
@@ -346,11 +394,11 @@ def _mv_values(p, q, n, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def mv_criteria(ib: Intrablock, d: BlockDesign) -> tuple[float, float, float]:
     """Maximum variance multipliers (cc, tt, ct); these do not depend on
-    how many test treatments each block receives."""
+    how many test treatments each block receives, so they are computed
+    once per design object and kept in its intrablock memo."""
     if d.v < 2:
         raise InvalidParameters("control comparisons need at least two controls")
-    r = np.asarray(d.replications, dtype=float)
-    return tuple(float(x) for x in _mv_values(ib.c_plus.a, ib.c_dual_plus.a, d.incidence, r))
+    return _memo(ib, d, "mv", lambda: tuple(float(x) for x in _mv_values(*_operands(ib, d))))
 
 
 def evaluate(d: BlockDesign, aug: AugmentationSpec) -> CriteriaReport:

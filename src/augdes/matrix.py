@@ -77,6 +77,23 @@ def _cholesky_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factor_inv.swapaxes(-1, -2) @ factor_inv, pivot
 
 
+def _checked_inverse(a: np.ndarray) -> np.ndarray:
+    """`_cholesky_inverse` of one symmetric matrix under SymMatrix's rule.
+    Raises SingularMatrix when the factorization fails or the smallest
+    squared diagonal entry of L drops below PIVOT_TOL, and NotSymmetric
+    when the rule rejects the result."""
+    try:
+        inverse, pivot = _cholesky_inverse(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"Cholesky factorization failed: {exc}") from exc
+    if not pivot >= PIVOT_TOL:
+        raise SingularMatrix(f"squared Cholesky pivot {float(pivot):.3e} below {PIVOT_TOL:g}")
+    inverse, ok = _symmetrized(inverse)
+    if not ok:
+        raise NotSymmetric("matrix is not symmetric within tolerance")
+    return inverse
+
+
 def invert(m: SymMatrix) -> SymMatrix:
     """Inverse of a symmetric positive definite matrix, built as
     L^-T L^-1 from its Cholesky factor L.
@@ -85,13 +102,7 @@ def invert(m: SymMatrix) -> SymMatrix:
     fails, which includes every indefinite input, or when the smallest
     squared diagonal entry of L drops below PIVOT_TOL.
     """
-    try:
-        inverse, pivot = _cholesky_inverse(m.a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"Cholesky factorization failed: {exc}") from exc
-    if not pivot >= PIVOT_TOL:
-        raise SingularMatrix(f"squared Cholesky pivot {float(pivot):.3e} below {PIVOT_TOL:g}")
-    return SymMatrix(inverse)
+    return SymMatrix(_checked_inverse(m.a))
 
 
 def _row_sum_residual(a: np.ndarray) -> np.ndarray:
@@ -105,19 +116,20 @@ def mp_inverse_centered(m: SymMatrix, n: int) -> SymMatrix:
 
     Uses M+ = (M + J/n)^(-1) - J/n with J the all-ones matrix; the shifted
     matrix is invertible exactly when M has full rank on the contrast
-    space, i.e. when the design behind M is connected.
+    space, i.e. when the design behind M is connected. M + J/n is exactly
+    symmetric, as M is, so it is factored as it stands, and the only
+    SymMatrix built is the result.
     """
     if m.order != n:
         raise DimensionMismatch(f"expected order {n}, got {m.order}")
     worst = float(_row_sum_residual(m.a))
     if not worst <= CENTERED_TOL:
         raise NotCentered(f"row sums reach {worst:.3e}; matrix is not centered")
-    shift = np.full((n, n), 1.0 / n)
     try:
-        shifted_inv = invert(SymMatrix(m.a + shift))
+        shifted_inv = _checked_inverse(m.a + 1.0 / n)
     except SingularMatrix as exc:
         raise Disconnected("shifted matrix is singular; the underlying design is disconnected") from exc
-    return SymMatrix(shifted_inv.a - shift)
+    return SymMatrix(shifted_inv - 1.0 / n)
 
 
 def stacked_mp_inverse_centered(a: np.ndarray) -> np.ndarray:
@@ -129,8 +141,7 @@ def stacked_mp_inverse_centered(a: np.ndarray) -> np.ndarray:
     is all NaN. np.linalg.LinAlgError propagates when a factorization
     fails."""
     a, ok = _symmetrized(a)
-    n = a.shape[-1]
-    shift = np.full((n, n), 1.0 / n)
+    shift = 1.0 / a.shape[-1]
     inverse, pivot = _cholesky_inverse(a + shift)
     inverse, ok_inverse = _symmetrized(inverse)
     inverse = inverse - shift

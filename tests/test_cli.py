@@ -226,9 +226,9 @@ class TestBuildReport:
         calls = []
         original = bounds.a_bounds
 
-        def counting(b, v, k, aug):
+        def counting(b, v, k, aug, *quantities):
             calls.append(aug)
-            return original(b, v, k, aug)
+            return original(b, v, k, aug, *quantities)
 
         monkeypatch.setattr(bounds, "a_bounds", counting)
         d = lattice_bib(3)
@@ -240,6 +240,46 @@ class TestBuildReport:
             calls.clear()
             render_table(doc)
             assert calls == []
+
+    def test_one_bound_quantities_per_report(self, monkeypatch):
+        # L, Ltilde and H are found once per report, by `bounds.assess`, and
+        # serve both bound triples and the report's `quantities`
+        calls = []
+        original = bounds.bound_quantities
+
+        def counting(b, v, k):
+            calls.append((b, v, k))
+            return original(b, v, k)
+
+        monkeypatch.setattr(bounds, "bound_quantities", counting)
+        d = lattice_bib(3)
+        per_block = AugmentationSpec.per_block(1 + j % 3 for j in range(d.b))
+        for aug in (AugmentationSpec.common(1), AugmentationSpec.common(3), per_block):
+            calls.clear()
+            doc = build_report(d, aug, "lattice")
+            assert calls == [(d.b, d.v, 3)]
+            assert doc.quantities == original(d.b, d.v, 3)
+            calls.clear()
+            render_table(doc)
+            assert calls == []
+
+    def test_count_free_criteria_once_per_design_object(self, monkeypatch):
+        # reports at s=1, s=3 and a per-block list on one object run the MV
+        # arithmetic and the count-free A arithmetic once each
+        calls = []
+        for name in ("_mv_values", "_common_a_values"):
+
+            def counting(*args, _name=name, _original=getattr(criteria, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(criteria, name, counting)
+        d = lattice_bib(3)
+        per_block = AugmentationSpec.per_block(1 + j % 3 for j in range(d.b))
+        augs = (AugmentationSpec.common(1), AugmentationSpec.common(3), per_block)
+        reports = [build_report(d, aug, "lattice").criteria for aug in augs]
+        assert sorted(calls) == ["_common_a_values", "_mv_values"]
+        assert reports == [build_report(BlockDesign(d.v, d.blocks), aug, "lattice").criteria for aug in augs]
 
     def test_order_above_max_fails_fast(self, runner, tmp_path):
         # a connected path design (blocks i, i+1) on 20,000 treatments, built

@@ -180,6 +180,48 @@ class TestIntrablock:
         held = sum(x.a.nbytes for x in vars(ib).values() if isinstance(x, SymMatrix))
         assert held == 8 * (d.v**2 + d.b**2)
 
+    def test_four_symmatrix_builds_per_intrablock(self, monkeypatch):
+        # C, C_dual, P and Q; the shifted matrices and their inverses stay arrays
+        built = []
+        original = SymMatrix.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(SymMatrix, "__post_init__", counting)
+        ib = intrablock(lattice_bib(3))
+        assert len(built) == 4
+        assert built[2:] == [ib.c_plus, ib.c_dual_plus]
+
+    def test_memo_keeps_the_count_checks(self):
+        # a warm memo still rejects a per-block list of the wrong length,
+        # and a design with one control, whose P and Q exist
+        d = lattice_bib(3)
+        ib = intrablock(d)
+        evaluate(d, ONE)
+        with pytest.raises(InvalidParameters):
+            a_criteria(ib, d, AugmentationSpec.per_block([1] * (d.b - 1)))
+        single = from_blocks(1, [[1, 1], [1, 1]])
+        single_ib = intrablock(single)
+        for _ in range(2):
+            for call in (lambda: a_criteria(single_ib, single, ONE), lambda: mv_criteria(single_ib, single)):
+                with pytest.raises(InvalidParameters):
+                    call()
+        assert set(vars(single_ib)) == {"c_plus", "c_dual_plus"}
+
+    def test_only_the_designs_own_memo_stores(self):
+        # an intrablock of another object, even an equal one, is read but
+        # never written, so no value passes from one design to another
+        d = lattice_bib(3)
+        twin = BlockDesign(d.v, d.blocks)
+        ib = intrablock(d)
+        assert mv_criteria(ib, twin) == mv_criteria(intrablock(twin), twin)
+        assert a_criteria(ib, twin, ONE) == a_criteria(intrablock(twin), twin, ONE)
+        assert set(vars(ib)) == {"c_plus", "c_dual_plus"}
+        evaluate(d, ONE)
+        assert set(vars(ib)) > {"c_plus", "c_dual_plus"}
+
     def test_matrices_match_definition(self, corpus):
         for d, _ in corpus[:20]:
             c, c_dual = information(d)

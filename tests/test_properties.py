@@ -7,15 +7,25 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from augdes import criteria
 from augdes.bounds import a_bounds
 from augdes.criteria import (
     a_criteria,
     evaluate,
     intrablock,
+    mv_criteria,
     stacked_criteria,
     stacked_exact_criteria,
 )
-from augdes.design import AugmentationSpec, BlockDesign, can_connect, is_connected, stacked_connected
+from augdes.design import (
+    AugmentationSpec,
+    BlockDesign,
+    can_connect,
+    dual,
+    is_connected,
+    lattice_bib,
+    stacked_connected,
+)
 from augdes.oracle import CRITERION_NAMES
 from references import trace_identities
 
@@ -64,6 +74,25 @@ def test_primal_inverse_from_dual(d):
     p = centre @ inner @ centre
     want = ib.c_plus.a
     assert np.max(np.abs(p - want)) <= REL * np.max(np.abs(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_designs(), st.integers(1, 6), st.integers(1, 6))
+@example(lattice_bib(13), 1, 3)
+@example(dual(lattice_bib(13)), 3, 2)
+def test_warm_memo_equals_cold(d, s_warm, s):
+    # criteria read back from a memo warmed at another count have the bits
+    # of a fresh object's, and of the arithmetic with no memo at all
+    evaluate(d, AugmentationSpec.common(s_warm))
+    aug = AugmentationSpec.common(s)
+    fresh = BlockDesign(d.v, d.blocks)
+    warm_values = (*a_criteria(intrablock(d), d, aug), *mv_criteria(intrablock(d), d))
+    cold_values = (*a_criteria(intrablock(fresh), fresh, aug), *mv_criteria(intrablock(fresh), fresh))
+    ib = intrablock(fresh)
+    operands = (ib.c_plus.a, ib.c_dual_plus.a, d.incidence, np.asarray(d.replications, dtype=float))
+    direct = (*criteria._a_values(*operands, aug), *criteria._mv_values(*operands))
+    hexes = [[float(x).hex() for x in values] for values in (warm_values, cold_values, direct)]
+    assert hexes[0] == hexes[1] == hexes[2]
 
 
 @settings(max_examples=80, deadline=None)
