@@ -49,7 +49,7 @@ import numpy as np
 
 from .design import AugmentationSpec, BlockDesign, is_connected
 from .errors import Disconnected, InvalidParameters, NonUniformBlockSize, SingularMatrix
-from .matrix import SymMatrix, mp_inverse_centered, stacked_mp_inverse_centered
+from .matrix import mp_inverse_centered
 
 # The largest v or b scored. Scoring holds about 4.5 x 8 (v^2 + b^2) bytes
 # at its peak: 275 MiB by tracemalloc at v = b = 2,000.
@@ -60,12 +60,12 @@ MAX_ORDER = 2_000
 class Intrablock:
     """P = C+ and Q = C_dual+, the Moore-Penrose inverses of the
     information matrices of a primal and of its dual: all that any
-    criterion reads of the primal besides its incidence. The count-free
-    criteria of the primal are added to its `__dict__` when they are
-    first computed (see `_memo`)."""
+    criterion reads of the primal besides its incidence, as read-only
+    arrays. The count-free criteria of the primal are added to its
+    `__dict__` when they are first computed (see `_memo`)."""
 
-    c_plus: SymMatrix
-    c_dual_plus: SymMatrix
+    c_plus: np.ndarray
+    c_dual_plus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,12 @@ def intrablock(d: BlockDesign) -> Intrablock:
     if not is_connected(d):
         raise Disconnected("criteria are defined only for connected primals")
     r = np.asarray(d.replications, dtype=float)
-    c, c_dual = map(SymMatrix, _information(d.incidence.astype(float), r, k))
-    try:
-        c_plus, c_dual_plus = mp_inverse_centered(c, d.v), mp_inverse_centered(c_dual, d.b)
-    except Disconnected as exc:
+    c_plus, c_dual_plus = map(mp_inverse_centered, _information(d.incidence.astype(float), r, k))
+    if np.isnan(c_plus).any() or np.isnan(c_dual_plus).any():
         # the design is connected, so the failure is numerical
-        raise SingularMatrix("an information matrix of a connected design is numerically singular") from exc
+        raise SingularMatrix("an information matrix of a connected design is numerically singular")
+    c_plus.setflags(write=False)
+    c_dual_plus.setflags(write=False)
     ib = Intrablock(c_plus=c_plus, c_dual_plus=c_dual_plus)
     d.__dict__["_intrablock"] = ib
     return ib
@@ -121,7 +121,7 @@ def check_order(v: int, b: int) -> None:
 def _information(n: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """C = diag(r) - N N^T / k and C_dual = k I - N^T (N / r) of a float
     incidence N with replications r and block size k, or of a stack of
-    them (shapes (..., v, b) and (..., v)), before SymMatrix's rule."""
+    them (shapes (..., v, b) and (..., v))."""
     v, b = n.shape[-2:]
     nt = n.swapaxes(-1, -2)
     return np.eye(v) * r[..., None, :] - (n @ nt) / k, k * np.eye(b) - nt @ (n / r[..., :, None])
@@ -136,12 +136,12 @@ def _pairwise(m: np.ndarray) -> np.ndarray:
 
 def v_cc_matrix(ib: Intrablock) -> np.ndarray:
     """All pairwise control-control multipliers (zero diagonal)."""
-    return _pairwise(ib.c_plus.a)
+    return _pairwise(ib.c_plus)
 
 
 def v_tt_matrix(ib: Intrablock) -> np.ndarray:
     """All pairwise block-contrast parts of test-test comparisons."""
-    return _pairwise(ib.c_dual_plus.a)
+    return _pairwise(ib.c_dual_plus)
 
 
 def _ct_matrix(q: np.ndarray, n: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -157,7 +157,7 @@ def _ct_matrix(q: np.ndarray, n: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def v_ct_matrix(ib: Intrablock, d: BlockDesign) -> np.ndarray:
     """v x b matrix of control-vs-test multipliers."""
-    return _ct_matrix(ib.c_dual_plus.a, d.incidence, np.asarray(d.replications, dtype=float))
+    return _ct_matrix(ib.c_dual_plus, d.incidence, np.asarray(d.replications, dtype=float))
 
 
 @functools.cache
@@ -219,7 +219,7 @@ def _a_values(p, q, n, r, aug: AugmentationSpec) -> tuple[np.ndarray, np.ndarray
 
 def _operands(ib: Intrablock, d: BlockDesign) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """P, Q, the incidence and the float replications of a primal."""
-    return ib.c_plus.a, ib.c_dual_plus.a, d.incidence, np.asarray(d.replications, dtype=float)
+    return ib.c_plus, ib.c_dual_plus, d.incidence, np.asarray(d.replications, dtype=float)
 
 
 def _memo(ib: Intrablock, d: BlockDesign, key: str, compute):
@@ -235,6 +235,15 @@ def _memo(ib: Intrablock, d: BlockDesign, key: str, compute):
     return memo[key]
 
 
+def _check_counts(v: int, b: int, aug: AugmentationSpec) -> None:
+    """Raise InvalidParameters unless v controls and the test treatments of
+    aug over b blocks are each at least two, as the A-criteria need."""
+    if v < 2:
+        raise InvalidParameters("control comparisons need at least two controls")
+    if aug.total(b) < 2:
+        raise InvalidParameters("test comparisons need at least two test treatments")
+
+
 def a_criteria(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> tuple[float, float, float]:
     """Average variance multipliers (cc, tt, ct) under an augmentation.
 
@@ -245,10 +254,7 @@ def a_criteria(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> tuple[f
     definitions are evaluated directly on every call, weighting block
     pairs by the counts they carry.
     """
-    if d.v < 2:
-        raise InvalidParameters("control comparisons need at least two controls")
-    if aug.total(d.b) < 2:
-        raise InvalidParameters("test comparisons need at least two test treatments")
+    _check_counts(d.v, d.b, aug)
     if aug.is_common:
         a_cc, t_dual, a_ct = _memo(ib, d, "common_a", lambda: _common_a_values(*_operands(ib, d)))
         return float(a_cc), float(_common_a_tt(t_dual, d.b, aug.s)), float(a_ct)
@@ -375,13 +381,13 @@ def stacked_exact_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.n
     size k, bit for bit, as an (m, 6) array.
 
     It runs the arithmetic of the single-design path on the whole stack:
-    `_information`, `matrix.stacked_mp_inverse_centered` for P and Q, and
+    `_information`, `matrix.mp_inverse_centered` for P and Q, and
     `_a_values` and `_mv_values`. A member that fails one of that path's
-    checks gets NaN values. np.linalg.LinAlgError propagates when a
-    Cholesky factorization fails.
+    checks gets NaN values, and so does every member when a Cholesky
+    factorization of the stack fails.
     """
     r = n.sum(axis=2)
-    p, q = map(stacked_mp_inverse_centered, _information(n, r, k))
+    p, q = map(mp_inverse_centered, _information(n, r, k))
     return np.column_stack((*_a_values(p, q, n, r, aug), *_mv_values(p, q, n, r)))
 
 

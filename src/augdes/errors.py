@@ -18,10 +18,6 @@ class SingularMatrix(AugdesError):
     entry of its factor fell below the singularity tolerance."""
 
 
-class NotCentered(AugdesError):
-    """A matrix expected to have zero row sums does not."""
-
-
 class Disconnected(AugdesError):
     """The design (or the matrix derived from it) is not connected."""
 

@@ -5,9 +5,9 @@ information matrix shifted by a projector onto its null space. The
 inverse is therefore taken from a LAPACK Cholesky factorization, whose
 failure or tiny diagonal is also the singularity test.
 
-The symmetrization rule and the Cholesky inverse are written once, for a
-matrix or a stack of them: `stacked_mp_inverse_centered` runs the steps
-of `mp_inverse_centered` on a stack and marks a failed member with NaN.
+The symmetrization rule and the checked Cholesky inverse are written
+once, for a matrix or a stack of them, and `mp_inverse_centered` takes
+either: a member that fails a check comes back all NaN.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Disconnected, NotCentered, NotSymmetric, SingularMatrix
+from .errors import DimensionMismatch, NotSymmetric, SingularMatrix
 
 # Squared Cholesky pivots below this signal a numerically singular matrix.
 PIVOT_TOL = 1e-12
@@ -38,10 +38,8 @@ class SymMatrix:
 
     def __post_init__(self):
         arr = np.array(self.a, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise DimensionMismatch("matrix order must be at least 1")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+            raise DimensionMismatch(f"expected a square matrix of order at least 1, got shape {arr.shape}")
         arr, ok = _symmetrized(arr)
         if not ok:
             raise NotSymmetric("matrix is not symmetric within tolerance")
@@ -78,19 +76,17 @@ def _cholesky_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_inverse(a: np.ndarray) -> np.ndarray:
-    """`_cholesky_inverse` of one symmetric matrix under SymMatrix's rule.
-    Raises SingularMatrix when the factorization fails or the smallest
-    squared diagonal entry of L drops below PIVOT_TOL, and NotSymmetric
-    when the rule rejects the result."""
+    """`_cholesky_inverse` of a symmetric matrix, or of each member of a
+    stack, under SymMatrix's rule. A member whose smallest squared
+    diagonal entry of L is below PIVOT_TOL, or whose inverse the rule
+    rejects, is all NaN, and so is the whole input when a factorization
+    fails."""
     try:
         inverse, pivot = _cholesky_inverse(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"Cholesky factorization failed: {exc}") from exc
-    if not pivot >= PIVOT_TOL:
-        raise SingularMatrix(f"squared Cholesky pivot {float(pivot):.3e} below {PIVOT_TOL:g}")
+    except np.linalg.LinAlgError:
+        return np.full(a.shape, np.nan)
     inverse, ok = _symmetrized(inverse)
-    if not ok:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
+    inverse[~(ok & (pivot >= PIVOT_TOL))] = np.nan
     return inverse
 
 
@@ -99,51 +95,35 @@ def invert(m: SymMatrix) -> SymMatrix:
     L^-T L^-1 from its Cholesky factor L.
 
     The input must be SPD. Raises SingularMatrix when the factorization
-    fails, which includes every indefinite input, or when the smallest
-    squared diagonal entry of L drops below PIVOT_TOL.
+    fails, which includes every indefinite input, when the smallest
+    squared diagonal entry of L drops below PIVOT_TOL, or when the inverse
+    fails SymMatrix's rule.
     """
-    return SymMatrix(_checked_inverse(m.a))
+    inverse = _checked_inverse(m.a)
+    if np.isnan(inverse).any():
+        raise SingularMatrix(f"Cholesky factorization failed or a squared pivot fell below {PIVOT_TOL:g}")
+    return SymMatrix(inverse)
 
 
-def _row_sum_residual(a: np.ndarray) -> np.ndarray:
-    """The largest absolute row sum of a matrix or of each stack member."""
-    return np.abs(a.sum(axis=-1)).max(axis=-1)
-
-
-def mp_inverse_centered(m: SymMatrix, n: int) -> SymMatrix:
-    """Moore-Penrose inverse of an order-n matrix with zero row sums and
-    rank n - 1.
+def mp_inverse_centered(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse of a square matrix with zero row sums and
+    rank n - 1, or of each member of an (m, n, n) stack of them.
 
     Uses M+ = (M + J/n)^(-1) - J/n with J the all-ones matrix; the shifted
     matrix is invertible exactly when M has full rank on the contrast
-    space, i.e. when the design behind M is connected. M + J/n is exactly
-    symmetric, as M is, so it is factored as it stands, and the only
-    SymMatrix built is the result.
+    space, i.e. when the design behind M is connected. The steps are
+    SymMatrix's rule, the centered check, the J/n shift, `_checked_inverse`
+    and the shift taken off again, so a member of a stack gets the bits it
+    gets alone. A member that fails a check is all NaN, and so is the
+    whole input when a factorization fails. Raises DimensionMismatch
+    unless the input is a square matrix, or a stack of them, of order at
+    least 1.
     """
-    if m.order != n:
-        raise DimensionMismatch(f"expected order {n}, got {m.order}")
-    worst = float(_row_sum_residual(m.a))
-    if not worst <= CENTERED_TOL:
-        raise NotCentered(f"row sums reach {worst:.3e}; matrix is not centered")
-    try:
-        shifted_inv = _checked_inverse(m.a + 1.0 / n)
-    except SingularMatrix as exc:
-        raise Disconnected("shifted matrix is singular; the underlying design is disconnected") from exc
-    return SymMatrix(shifted_inv - 1.0 / n)
-
-
-def stacked_mp_inverse_centered(a: np.ndarray) -> np.ndarray:
-    """`mp_inverse_centered(SymMatrix(a), n)` of every member a of an
-    (m, n, n) stack, by the same steps: SymMatrix's rule, the centered
-    check, the J/n shift, Cholesky and the pivot test, L^-T L^-1 under
-    SymMatrix's rule, and the shift taken off again. Each member gets the
-    bits the single-matrix path gives it, and a member that fails a check
-    is all NaN. np.linalg.LinAlgError propagates when a factorization
-    fails."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
     a, ok = _symmetrized(a)
     shift = 1.0 / a.shape[-1]
-    inverse, pivot = _cholesky_inverse(a + shift)
-    inverse, ok_inverse = _symmetrized(inverse)
-    inverse = inverse - shift
-    inverse[~(ok & ok_inverse & (_row_sum_residual(a) <= CENTERED_TOL) & (pivot >= PIVOT_TOL))] = np.nan
+    inverse = _checked_inverse(a + shift) - shift
+    inverse[~(ok & (np.abs(a.sum(axis=-1)).max(axis=-1) <= CENTERED_TOL))] = np.nan
     return inverse

@@ -334,18 +334,6 @@ class ClassMinima:
     argmin: dict[str, BlockDesign]
 
 
-def _check_scorable(b: int, v: int, k: int, aug: AugmentationSpec) -> None:
-    """Make up front the checks `criteria.a_criteria` makes on every
-    design. They apply only when the class has a connected design, that
-    is when its b k plots pass `can_connect`."""
-    if not can_connect(v, b, b * k):
-        return
-    if v < 2:
-        raise InvalidParameters("control comparisons need at least two controls")
-    if aug.total(b) < 2:
-        raise InvalidParameters("test comparisons need at least two test treatments")
-
-
 def class_minima(
     b: int, v: int, k: int, aug: AugmentationSpec, cap: int = DEFAULT_ENUM_CAP
 ) -> ClassMinima:
@@ -366,7 +354,8 @@ def class_minima(
     rest moves no running best.
     """
     walk = _ClassWalk(b, v, k, cap)
-    _check_scorable(b, v, k, aug)
+    if can_connect(v, b, b * k):  # a connected design exists, so a_criteria's checks apply
+        criteria._check_counts(v, b, aug)
     best: dict[str, float] = {}
     arg: dict[str, BlockDesign] = {}
     n_connected = 0
@@ -413,10 +402,7 @@ def _confirm_chunk(
     admitted = np.flatnonzero(confirm.any(axis=1))
     if not len(admitted):
         return
-    try:
-        exact = criteria.stacked_exact_criteria(n[admitted], walk.k, aug)
-    except np.linalg.LinAlgError:
-        exact = np.full((len(admitted), len(CRITERION_NAMES)), np.nan)
+    exact = criteria.stacked_exact_criteria(n[admitted], walk.k, aug)
     for i, values in zip(admitted.tolist(), exact.tolist()):
         d = None
         if any(math.isnan(x) for x in values):

@@ -153,7 +153,7 @@ def _batch(
     weights = (cfg.w_cc, cfg.w_tt, cfg.w_ct)
     with np.errstate(all="ignore"):  # a disconnecting move may divide by zero
         screened = criteria.exchange_objective(
-            criteria.intrablock(d).c_plus.a, d.incidence.astype(float), k, cfg.aug.counts(d.b), weights, o // k, a - 1, t - 1
+            criteria.intrablock(d).c_plus, d.incidence.astype(float), k, cfg.aug.counts(d.b), weights, o // k, a - 1, t - 1
         )
     return o, t, screened
 

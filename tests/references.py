@@ -18,11 +18,11 @@ def trace_identities(ib, d):
     as ((lhs1, rhs1), (lhs2, rhs2)), from ib = `criteria.intrablock(d)`."""
     (r,) = set(d.replications)
     k = d.uniform_block_size()
-    t_c = float(np.trace(ib.c_plus.a))
-    t_dual = float(np.trace(ib.c_dual_plus.a))
+    t_c = float(np.trace(ib.c_plus))
+    t_dual = float(np.trace(ib.c_dual_plus))
     first = (t_dual, (r / k) * t_c + (d.b - d.v) / k)
     g = d.incidence / float(r)
-    sandwich = float(np.sum((g @ ib.c_dual_plus.a) * g))
+    sandwich = float(np.sum((g @ ib.c_dual_plus) * g))
     second = (sandwich, (d.v / d.b) * t_dual - (d.b - 1) / r)
     return first, second
 

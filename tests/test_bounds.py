@@ -164,8 +164,8 @@ class TestBoundValidity:
         for d, _ in corpus:
             ib = intrablock(d)
             q = bound_quantities(d.b, d.v, d.uniform_block_size())
-            assert np.trace(ib.c_plus.a) >= q.L - 1e-9
-            assert np.trace(ib.c_dual_plus.a) >= q.Ltilde - 1e-9
+            assert np.trace(ib.c_plus) >= q.L - 1e-9
+            assert np.trace(ib.c_dual_plus) >= q.Ltilde - 1e-9
 
     def test_small_class_exhaustive(self):
         acc_b, att_b, act_b = a_bounds(4, 3, 2, ONE)

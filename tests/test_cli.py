@@ -210,9 +210,9 @@ class TestBuildReport:
         calls = []
         original = criteria.mp_inverse_centered
 
-        def counting(m, n):
-            calls.append(n)
-            return original(m, n)
+        def counting(a):
+            calls.append(len(a))
+            return original(a)
 
         monkeypatch.setattr(criteria, "mp_inverse_centered", counting)
         for d, aug in corpus:
@@ -651,11 +651,13 @@ class TestEnumerate:
         assert doc["minima"]["a_cc"]["blocks"]
 
     def test_minima_json_golden(self, runner):
-        result = runner.invoke(
-            cli, ["enumerate", "--b", "5", "--v", "4", "--k", "2", "--minima", "--format", "json"]
-        )
-        assert result.exit_code == 0
-        assert result.output == (DATA / "enumerate_b5_v4_k2_minima.json").read_text(encoding="utf-8")
+        # (5,4,2), and (6,4,2): 1,939 connected designs in four stacked chunks
+        for b in ("5", "6"):
+            result = runner.invoke(
+                cli, ["enumerate", "--b", b, "--v", "4", "--k", "2", "--minima", "--format", "json"]
+            )
+            assert result.exit_code == 0
+            assert result.output == (DATA / f"enumerate_b{b}_v4_k2_minima.json").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("cls", [(4, 3, 2), (5, 4, 2), (1, 3, 2)], ids=lambda c: "-".join(map(str, c)))
     def test_counts_json_golden(self, runner, cls):

@@ -54,12 +54,12 @@ def _difference(m, a, b):
 
 def v_cc(ib, i, i_star):
     """Control-vs-control multiplier: e_i - e_i* in P."""
-    return _difference(ib.c_plus.a, i, i_star)
+    return _difference(ib.c_plus, i, i_star)
 
 
 def v_tt(ib, j, j_star):
     """Block-contrast part of a cross-block test-vs-test multiplier: f_j - f_j* in Q."""
-    return _difference(ib.c_dual_plus.a, j, j_star)
+    return _difference(ib.c_dual_plus, j, j_star)
 
 
 def v_ct(ib, d, i, j):
@@ -67,7 +67,7 @@ def v_ct(ib, d, i, j):
     r_i = d.replications[i - 1]
     xi = -d.incidence[i - 1].astype(float) / r_i
     xi[j - 1] += 1.0
-    return 1.0 + 1.0 / r_i + float(xi @ ib.c_dual_plus.a @ xi)
+    return 1.0 + 1.0 / r_i + float(xi @ ib.c_dual_plus @ xi)
 
 
 def pairwise_a_criteria(ib, d, aug):
@@ -111,8 +111,8 @@ class TestIntrablock:
     def test_singular_inverse_of_connected_design(self, monkeypatch):
         # only the connectivity check raises Disconnected; an inverse that
         # fails on a connected design is a numerical failure
-        def failing(m, n):
-            raise Disconnected("shifted matrix is singular")
+        def failing(a):
+            return np.full(a.shape, np.nan)
 
         monkeypatch.setattr(criteria, "mp_inverse_centered", failing)
         with pytest.raises(SingularMatrix):
@@ -121,9 +121,9 @@ class TestIntrablock:
     def test_computed_once_per_design_object(self, monkeypatch):
         calls = []
 
-        def counting(m, n):
-            calls.append(n)
-            return mp_inverse_centered(m, n)
+        def counting(a):
+            calls.append(len(a))
+            return mp_inverse_centered(a)
 
         monkeypatch.setattr(criteria, "mp_inverse_centered", counting)
         d, twin = lattice_bib(3), lattice_bib(3)
@@ -136,8 +136,8 @@ class TestIntrablock:
         twin_ib = intrablock(twin)
         assert twin_ib is not ib
         assert len(calls) == 4
-        assert np.array_equal(twin_ib.c_plus.a, ib.c_plus.a)
-        assert np.array_equal(twin_ib.c_dual_plus.a, ib.c_dual_plus.a)
+        assert np.array_equal(twin_ib.c_plus, ib.c_plus)
+        assert np.array_equal(twin_ib.c_dual_plus, ib.c_dual_plus)
 
     @pytest.mark.parametrize(
         "blocks, error",
@@ -171,17 +171,17 @@ class TestIntrablock:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ib.c_plus = ib.c_dual_plus
         for m in (ib.c_plus, ib.c_dual_plus):
-            assert not m.a.flags.writeable
+            assert not m.flags.writeable
 
     def test_memo_holds_only_the_inverses(self):
         # P and Q, of orders v and b; C and C_dual are not kept
         d = dual(lattice_bib(13))
         ib = intrablock(d)
-        held = sum(x.a.nbytes for x in vars(ib).values() if isinstance(x, SymMatrix))
+        held = sum(x.nbytes for x in vars(ib).values() if isinstance(x, np.ndarray))
         assert held == 8 * (d.v**2 + d.b**2)
 
-    def test_four_symmatrix_builds_per_intrablock(self, monkeypatch):
-        # C, C_dual, P and Q; the shifted matrices and their inverses stay arrays
+    def test_no_symmatrix_builds_per_intrablock(self, monkeypatch):
+        # C, C_dual, P and Q all stay arrays
         built = []
         original = SymMatrix.__post_init__
 
@@ -190,9 +190,8 @@ class TestIntrablock:
             original(self)
 
         monkeypatch.setattr(SymMatrix, "__post_init__", counting)
-        ib = intrablock(lattice_bib(3))
-        assert len(built) == 4
-        assert built[2:] == [ib.c_plus, ib.c_dual_plus]
+        intrablock(lattice_bib(3))
+        assert built == []
 
     def test_memo_keeps_the_count_checks(self):
         # a warm memo still rejects a per-block list of the wrong length,
@@ -247,7 +246,7 @@ class TestIntrablock:
         for d, _ in corpus[:20]:
             ib = intrablock(d)
             c, c_dual = information(d)
-            for m, g in [(c, ib.c_plus.a), (c_dual, ib.c_dual_plus.a)]:
+            for m, g in [(c, ib.c_plus), (c_dual, ib.c_dual_plus)]:
                 assert np.max(np.abs(m @ g @ m - m)) <= 1e-8
                 assert np.max(np.abs(g @ m @ g - g)) <= 1e-8
                 assert np.max(np.abs(m @ g - (m @ g).T)) <= 1e-8
@@ -290,8 +289,8 @@ class TestACriteria:
     def test_bib_values(self):
         bib = all_k_subsets(5, 3)
         ib = intrablock(bib)
-        assert abs(np.trace(ib.c_plus.a) - 0.8) <= 1e-12
-        assert abs(np.trace(ib.c_dual_plus.a) - 49.0 / 15.0) <= 1e-12
+        assert abs(np.trace(ib.c_plus) - 0.8) <= 1e-12
+        assert abs(np.trace(ib.c_dual_plus) - 49.0 / 15.0) <= 1e-12
         a_cc, a_tt, a_ct = a_criteria(ib, bib, ONE)
         assert abs(a_cc - 0.4) <= 1e-12
         assert abs(a_tt - 2.0 * (1.0 + (49.0 / 15.0) / 9.0)) <= 1e-12
@@ -341,8 +340,7 @@ class TestStackedExactCriteria:
 
     def test_disconnected_member_fails_the_stack(self):
         designs = [from_blocks(4, [[1, 2], [1, 3], [2, 4]]), from_blocks(4, [[1, 2], [1, 2], [3, 4]])]
-        with pytest.raises(np.linalg.LinAlgError):
-            stacked_exact_criteria(np.array([d.incidence for d in designs], dtype=float), 2, ONE)
+        assert np.isnan(stacked_exact_criteria(np.array([d.incidence for d in designs], dtype=float), 2, ONE)).all()
 
 
 class TestDualInverse:
@@ -359,15 +357,15 @@ class TestDualInverse:
         d = BlockDesign(v, tuple(tuple(sorted(block)) for block in blocks))
         assume(is_connected(d))
         ib = intrablock(d)
-        q = dual_inverse(ib.c_plus.a, d.incidence.astype(float), k)
-        want = ib.c_dual_plus.a
+        q = dual_inverse(ib.c_plus, d.incidence.astype(float), k)
+        want = ib.c_dual_plus
         assert np.max(np.abs(q - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_lattice_and_its_dual(self):
         for d in (lattice_bib(5), dual(lattice_bib(3))):
             ib = intrablock(d)
-            q = dual_inverse(ib.c_plus.a, d.incidence.astype(float), d.uniform_block_size())
-            assert np.max(np.abs(q - ib.c_dual_plus.a)) <= 1e-12 * np.max(np.abs(ib.c_dual_plus.a))
+            q = dual_inverse(ib.c_plus, d.incidence.astype(float), d.uniform_block_size())
+            assert np.max(np.abs(q - ib.c_dual_plus)) <= 1e-12 * np.max(np.abs(ib.c_dual_plus))
 
 
 class TestMVCriteria:
@@ -410,10 +408,5 @@ class TestConnectivityRankEquivalence:
             if (r == 0).any():
                 assert not is_connected(d)
                 continue
-            c = SymMatrix(np.diag(r) - n @ n.T / 2.0)
-            try:
-                mp_inverse_centered(c, d.v)
-                invertible = True
-            except Disconnected:
-                invertible = False
+            invertible = not np.isnan(mp_inverse_centered(np.diag(r) - n @ n.T / 2.0)).any()
             assert invertible == is_connected(d)

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -85,6 +86,14 @@ class TestConnectivity:
     def test_no_blocks(self):
         # a lone treatment is one component of the incidence graph
         assert not is_connected(from_blocks(1, []))
+
+    def test_long_path_is_connected_within_a_second(self):
+        # a path design needs one reachability round per hop, about 11 s at
+        # v = 2,000; the union-find takes a few milliseconds
+        d = from_blocks(2000, [[i, i + 1] for i in range(1, 2000)])
+        start = time.perf_counter()
+        assert is_connected(d)
+        assert time.perf_counter() - start < 1.0
 
     def test_huge_v_rejected_without_allocation(self):
         # fewer plots than treatments: rejected before any order-v storage

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from augdes import criteria, oracle
+from augdes import criteria, matrix, oracle
 from augdes import design as design_module
 from augdes.design import (
     AugmentationSpec,
@@ -456,21 +456,28 @@ class TestStackedClassMinima:
         # a NaN row, or a stack whose factorization fails, goes through the
         # per-design path; the minima and argmins do not change
         original, original_intrablock = criteria.stacked_exact_criteria, criteria.intrablock
+        original_cholesky = matrix._cholesky_inverse
         exact = []
 
         def failing(n, k, aug):
-            if failure == "cholesky":
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
             values = original(n, k, aug)
             values[::2, 1] = np.nan
             return values
+
+        def failing_cholesky(a):
+            if a.ndim == 3:  # a stack; a design scored alone factors as usual
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return original_cholesky(a)
 
         def counting_intrablock(d):
             exact.append(d)
             return original_intrablock(d)
 
         _, _, best, arg = reference_class_minima(5, 4, 2, ONE)
-        monkeypatch.setattr(criteria, "stacked_exact_criteria", failing)
+        if failure == "cholesky":
+            monkeypatch.setattr(matrix, "_cholesky_inverse", failing_cholesky)
+        else:
+            monkeypatch.setattr(criteria, "stacked_exact_criteria", failing)
         monkeypatch.setattr(criteria, "intrablock", counting_intrablock)
         result = class_minima(5, 4, 2, ONE)
         assert {n: x.hex() for n, x in result.minima.items()} == {n: x.hex() for n, x in best.items()}

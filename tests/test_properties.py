@@ -68,11 +68,11 @@ def test_primal_inverse_from_dual(d):
     # P = Pi_v (R^-1 + R^-1 N Q N^T R^-1) Pi_v,   Pi_v = I - J/v
     ib = intrablock(d)
     g = d.incidence / np.asarray(d.replications, dtype=float)[:, None]
-    inner = g @ ib.c_dual_plus.a @ g.T
+    inner = g @ ib.c_dual_plus @ g.T
     inner[np.diag_indices(d.v)] += 1.0 / np.asarray(d.replications, dtype=float)
     centre = np.eye(d.v) - 1.0 / d.v
     p = centre @ inner @ centre
-    want = ib.c_plus.a
+    want = ib.c_plus
     assert np.max(np.abs(p - want)) <= REL * np.max(np.abs(want))
 
 
@@ -89,7 +89,7 @@ def test_warm_memo_equals_cold(d, s_warm, s):
     warm_values = (*a_criteria(intrablock(d), d, aug), *mv_criteria(intrablock(d), d))
     cold_values = (*a_criteria(intrablock(fresh), fresh, aug), *mv_criteria(intrablock(fresh), fresh))
     ib = intrablock(fresh)
-    operands = (ib.c_plus.a, ib.c_dual_plus.a, d.incidence, np.asarray(d.replications, dtype=float))
+    operands = (ib.c_plus, ib.c_dual_plus, d.incidence, np.asarray(d.replications, dtype=float))
     direct = (*criteria._a_values(*operands, aug), *criteria._mv_values(*operands))
     hexes = [[float(x).hex() for x in values] for values in (warm_values, cold_values, direct)]
     assert hexes[0] == hexes[1] == hexes[2]
