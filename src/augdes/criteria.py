@@ -102,8 +102,8 @@ def intrablock(d: BlockDesign) -> Intrablock:
         raise Disconnected("criteria are defined only for connected primals")
     r = np.asarray(d.replications, dtype=float)
     c_plus, c_dual_plus = map(mp_inverse_centered, _information(d.incidence.astype(float), r, k))
-    if np.isnan(c_plus).any() or np.isnan(c_dual_plus).any():
-        # the design is connected, so the failure is numerical
+    if np.isnan(c_plus[0, 0]) or np.isnan(c_dual_plus[0, 0]):
+        # a failed inverse is all NaN; the design is connected, so the failure is numerical
         raise SingularMatrix("an information matrix of a connected design is numerically singular")
     c_plus.setflags(write=False)
     c_dual_plus.setflags(write=False)
@@ -121,10 +121,16 @@ def check_order(v: int, b: int) -> None:
 def _information(n: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """C = diag(r) - N N^T / k and C_dual = k I - N^T (N / r) of a float
     incidence N with replications r and block size k, or of a stack of
-    them (shapes (..., v, b) and (..., v))."""
+    them (shapes (..., v, b) and (..., v)). The diagonals are added
+    through views with the last two axes flattened, so an off-diagonal
+    zero is -0.0."""
     v, b = n.shape[-2:]
     nt = n.swapaxes(-1, -2)
-    return np.eye(v) * r[..., None, :] - (n @ nt) / k, k * np.eye(b) - nt @ (n / r[..., :, None])
+    c = -(n @ nt) / k
+    c_dual = -(nt @ (n / r[..., :, None]))
+    c.reshape(*c.shape[:-2], -1)[..., :: v + 1] += r
+    c_dual.reshape(*c_dual.shape[:-2], -1)[..., :: b + 1] += k
+    return c, c_dual
 
 
 def _pairwise(m: np.ndarray) -> np.ndarray:
@@ -176,7 +182,10 @@ def _sum(x: np.ndarray, axes: int = 1) -> np.ndarray:
     """Sum over the last `axes` axes of a C-contiguous copy of x, so that
     each member of a stack is summed in the order its single-matrix form
     is; numpy sums a strided stack, such as an `_upper` gather, member by
-    member in a different order."""
+    member in a different order. A 1-D x is summed as it is, in the same
+    order."""
+    if x.ndim == 1:
+        return x.sum()
     x = np.ascontiguousarray(x)
     split = x.ndim - axes
     return x.reshape(*x.shape[:split], math.prod(x.shape[split:])).sum(axis=-1)
@@ -194,7 +203,7 @@ def _common_a_values(p, q, n, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v, b = n.shape[-2:]
     t_dual = _sum(q.diagonal(axis1=-2, axis2=-1))
     g = n / r[..., :, None]
-    return _a_cc(p), t_dual, 1.0 + (1.0 / r).mean(axis=-1) + t_dual / b + _sum((g @ q) * g, 2) / v
+    return _a_cc(p), t_dual, 1.0 + (1.0 / r).sum(axis=-1) / v + t_dual / b + _sum((g @ q) * g, 2) / v
 
 
 def _common_a_tt(t_dual, b: int, s: int):
@@ -285,25 +294,29 @@ def exchange_objective(p: np.ndarray, n: np.ndarray, k: int, counts, weights, j,
 
     The move changes C by u y^T + y u^T, with u = e_t - e_a and
     y = (e_t + e_a)/2 - (n_j + u/2)/k. Both sum to zero, so Woodbury on
-    C + J/v gives P' = P - Z D Z^T, Z = P [u, y], D = (S + [u, y]^T Z)^-1,
-    S = [[0, 1], [1, 0]]. With s the per-block counts, T their sum,
-    c = Pi_b s and M' = I/k + N'^T P' N'/k^2, so that Q' = Pi_b M' Pi_b,
-    the pairwise definitions in `_a_values` give A_cc = 2 tr P'/(v - 1),
-    A_ct = 1 + 1/k + tr P'/v + s^T diag(N'^T P' N')/(T k^2) and
+    C + J/v gives P' = P - Z D Z^T, Z = P [u, y], D = (S + W)^-1,
+    W = [u, y]^T Z, S = [[0, 1], [1, 0]]. With s the per-block counts, T
+    their sum and M' = I/k + N'^T P' N'/k^2, the pairwise definitions in
+    `_a_values` give A_cc = 2 tr P'/(v - 1), A_ct = 1 + 1/k + tr P'/v +
+    s^T diag(N'^T P' N')/(T k^2) and A_tt = 2 + 2 (T s^T diag(M') -
+    s^T M' s)/(T (T - 1)). Column j of N' is n_j + u, and for vectors
+    f' = f + f_j u and g' = g + g_j u Woodbury gives
 
-        A_tt = 2 + 2 (T s^T diag(Q') - c^T M' c) / (T (T - 1)),
-        s^T diag(Q') = s^T diag(M') - 2 c^T M' 1/b - T 1^T M' 1/b^2.
+        f'^T P' g' = f^T P g - (z_f^T adj z_g + f_j beta(z_g) + g_j beta(z_f) + f_j g_j w_uu)/det,
 
-    With A = 2 w_cc/(v - 1) + w_ct/v and B = 2 w_tt/(T - 1) + w_ct/T the
-    objective is therefore 2 w_tt + w_ct + B T/k + A tr P' +
-    (B/k^2) s^T diag(N'^T P' N') - (2 w_tt/(T - 1)) (T 1^T M' 1/b^2 +
-    2 c^T M' 1/b + c^T M' c/T). Every D-dependent piece of it is tr(D F)
-    for a symmetric 2 x 2 F linear in products of P, N and s, so the
-    weights are applied to those products once per call:
-    X = A P^2 + (B/k^2) P N diag(s) N^T P gives the tr P' and
-    s^T diag(N'^T P' N') pieces in one form [u, y]^T X [u, y], and the
-    whole objective is a constant, terms linear in the forms of P, and one
-    tr(D G). With common counts c is exactly 0 and its image is skipped.
+    with z_f = Z^T f, adj and det the adjugate and determinant of S + W,
+    and beta(z) = (1 + w_uy) z_u - w_uu z_y. So the objective is
+    V - (tr(adj [u, y]^T X [u, y]) + kappa_j w_uu + 2 beta([u, y]^T P w_j))/det,
+    with A = 2 w_cc/(v - 1) + w_ct/v, c_s = (2 w_tt/(T - 1) + w_ct/T)/k^2,
+    c_f = 2 w_tt/(T (T - 1) k^2), W = (c_s N - c_f N s 1^T) diag(s) with
+    columns w_j, X = A P^2 + P W N^T P, kappa = c_s s - c_f s^2 and
+    V = 2 w_tt + w_ct + (c_s T - c_f s^T s) k + A tr P + tr(N^T P W).
+
+    A 2 x 2 form [u, y]^T Y [u, y] of a symmetric Y is a table over
+    (t, a), from Y_tt, Y_aa and Y_ta, plus terms in Y n_j at t and at a
+    and in n_j^T Y n_j. So each call builds those tables for Y = P and
+    Y = X, folds the beta and kappa terms into the X row, and gathers each
+    move's entries on the flat indices t v + a, t b + j and a b + j.
     Each move's value is computed elementwise from those products, so it
     does not depend on which other moves share the call. A disconnecting
     move has no meaningful value.
@@ -312,51 +325,32 @@ def exchange_objective(p: np.ndarray, n: np.ndarray, k: int, counts, weights, j,
     w_cc, w_tt, w_ct = weights
     s = np.asarray(counts, dtype=float)
     total = float(s.sum())
-    c = s - total / b
     coef_p = 2.0 * w_cc / (v - 1) + w_ct / v
     coef_s = (2.0 * w_tt / (total - 1.0) + w_ct / total) / k**2
+    coef_f = 2.0 * w_tt / (total * (total - 1.0) * k**2)
     ct, ca = (k - 1) / (2 * k), (k + 1) / (2 * k)  # y = ct e_t + ca e_a - n_j / k
-
-    def forms(x, xn, dg):  # [u, y]^T X [u, y] and [u, y]^T X n_j of a symmetric X; xn = X N
-        xtt, xaa, xta, nt, na = x[t, t], x[a, a], x[t, a], xn[t, j], xn[a, j]
-        yn = ct * nt + ca * na - dg[j] / k  # dg = diag(N^T X N)
-        uy = ct * (xtt - xta) + ca * (xta - xaa) - (nt - na) / k
-        yy = ct * ct * xtt + ca * ca * xaa + 2 * ct * ca * xta - (ct * nt + ca * na + yn) / k
-        return xtt + xaa - 2 * xta, uy, yy, nt - na, yn
-
-    def image(al, al_j):  # al_j, u^T P N al and Z^T N' al, where N' al = N al + al_j u
-        pa = pn @ al
-        du = pa[t] - pa[a]
-        return al, al_j, du, (du + al_j * w_uu, ct * pa[t] + ca * pa[a] - (npn @ al)[j] / k + al_j * w_uy)
-
     pn = p @ n
-    npn = n.T @ pn
-    w_uu, w_uy, w_yy, h_u, h_y = forms(p, pn, np.diagonal(npn))
-    x = coef_p * (p @ p) + coef_s * ((pn * s) @ pn.T)
-    xn = x @ n
-    g_uu, g_uy, g_yy = forms(x, xn, np.sum(n * xn, axis=0))[:3]
-    value = 2.0 * w_tt + w_ct + coef_s * k * total + coef_p * np.trace(p) + coef_s * (s @ np.diagonal(npn))
-    # column j of N' is n_j + u, so n'_j^T P n'_j = n_j^T P n_j + 2 h_u + w_uu and
-    # n'_j^T Z D Z^T n'_j = h'^T D h', with h = Z^T n_j and h' = h + (w_uu, w_uy)
-    sj, grow = coef_s * s[j], 2.0 * h_u + w_uu
-    value = value + sj * grow
-    g_uu += sj * w_uu * grow
-    g_uy += sj * (h_u * w_uy + w_uu * (h_y + w_uy))
-    g_yy += sj * w_uy * (2.0 * h_y + w_uy)
-    # the M' terms, al^T M' be = al^T be/k + (al^T N'^T P' N' be)/k^2
-    e = image(np.ones(b), 1.0)
-    quad = [(e, e, -2.0 * w_tt * total / ((total - 1.0) * b * b))]
-    if c.any():
-        cc = image(c, c[j])
-        quad += [(e, cc, -4.0 * w_tt / ((total - 1.0) * b)), (cc, cc, -2.0 * w_tt / (total * (total - 1.0)))]
-    for (al, al_j, du_a, za), (be, be_j, du_b, zb), coef in quad:
-        coef_m = coef / k**2
-        value = value + coef * (al @ be) / k + coef_m * (al @ npn @ be + al_j * du_b + be_j * du_a + al_j * be_j * w_uu)
-        g_uu += coef_m * za[0] * zb[0]
-        g_uy += coef_m * (za[0] * zb[1] + za[1] * zb[0]) / 2
-        g_yy += coef_m * za[1] * zb[1]
-    det = w_uu * w_yy - (1.0 + w_uy) ** 2
-    return value - (w_yy * g_uu - 2.0 * (1.0 + w_uy) * g_uy + w_uu * g_yy) / det
+    pw = (coef_s * pn - coef_f * (pn @ s)[:, None]) * s
+    nw = (n * pw).sum(axis=0)
+    value = 2.0 * w_tt + w_ct + (coef_s * total - coef_f * (s @ s)) * k + coef_p * p.trace() + nw.sum()
+    ys = np.array((p, coef_p * (p @ p) + pw @ pn.T))  # Y = P and Y = X
+    yn = ys @ n / k  # Y N / k; the X row also takes P W, for the beta terms
+    gamma = (n * yn).sum(axis=1) / k  # n_j^T Y n_j / k^2; the X row also takes kappa and beta
+    yn[1] += pw
+    gamma[1] += (coef_s - coef_f * s) * s + 2.0 * nw / k
+    # u^T Y u and the parts of u^T Y y and y^T Y y free of n_j, as tables over (t, a)
+    dy = np.diagonal(ys, axis1=1, axis2=2)
+    coef = np.array([[1.0, 1.0, -2.0], [ct, -ca, 1.0 / k], [ct * ct, ca * ca, 2.0 * ct * ca]])
+    tables = coef[:, 2, None, None, None] * ys
+    tables += (coef[:, 0, None, None] * dy)[..., None]
+    tables += (coef[:, 1, None, None] * dy)[..., None, :]
+    uu, uy, yy = np.take(tables.reshape(3, 2, -1), t * v + a, axis=2)
+    at_t, at_a = (np.take(yn.reshape(2, -1), i * b + j, axis=1) for i in (t, a))
+    uy -= at_t - at_a
+    yy += np.take(gamma, j, axis=1) - 2.0 * (ct * at_t + ca * at_a)
+    # row 0 holds W = [u, y]^T P [u, y]; row 1 the forms of X with the beta and kappa terms
+    w_uu, w_yy, m1 = uu[0], yy[0], 1.0 + uy[0]
+    return value - (w_yy * uu[1] - 2.0 * m1 * uy[1] + w_uu * yy[1]) / (w_uu * w_yy - m1 * m1)
 
 
 def stacked_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.ndarray:
@@ -393,9 +387,12 @@ def stacked_exact_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.n
 
 def _mv_values(p, q, n, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The largest off-diagonal pairwise multipliers of P and Q and the
-    largest control-test multiplier, of one primal or of a stack of them."""
-    mv_tt = 2.0 + _upper(_pairwise(q)).max(axis=-1) if n.shape[-1] >= 2 else np.full(p.shape[:-2], 2.0)
-    return _upper(_pairwise(p)).max(axis=-1), mv_tt, _ct_matrix(q, n, r).max(axis=(-2, -1))
+    largest control-test multiplier, of one primal or of a stack of them.
+    The maxima run over whole pairwise matrices: their diagonal is exactly
+    zero, below every multiplier of a connected primal, and a single
+    block gives mv_tt = 2."""
+    mv_tt = 2.0 + _pairwise(q).max(axis=(-2, -1))
+    return _pairwise(p).max(axis=(-2, -1)), mv_tt, _ct_matrix(q, n, r).max(axis=(-2, -1))
 
 
 def mv_criteria(ib: Intrablock, d: BlockDesign) -> tuple[float, float, float]:

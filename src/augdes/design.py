@@ -138,7 +138,9 @@ def from_blocks(v: int, blocks: Iterable[Sequence[int]]) -> BlockDesign:
 def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
     """Component labels for the blocks and the treatments of the
     treatment-block incidence graph, and the number of components; a
-    treatment that appears nowhere forms its own component."""
+    treatment that appears nowhere forms its own component. Each block's
+    root is found once, and every treatment of the block is joined to it,
+    so the root stays a root for the rest of the block."""
     b = d.b
     parent = list(range(b + d.v))
 
@@ -149,10 +151,9 @@ def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
         return x
 
     for j, block in enumerate(d.blocks):
-        for label in set(block):
-            ra, rb = find(j), find(b + label - 1)
-            if ra != rb:
-                parent[ra] = rb
+        root = find(j)
+        for label in block:
+            parent[find(b + label - 1)] = root
     roots: dict[int, int] = {}
     comp = [roots.setdefault(find(node), len(roots)) for node in range(b + d.v)]
     return comp[:b], comp[b:], len(roots)

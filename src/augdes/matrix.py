@@ -57,11 +57,11 @@ def _symmetrized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     max(1, max |A|). A bitwise-symmetric input is returned as it is, since
     0.5 * (A + A^T) would give the same bits."""
     bits = a.view(np.uint64)
-    if np.array_equal(bits, bits.swapaxes(-1, -2)):
+    if (bits == bits.swapaxes(-1, -2)).all():
         return a, np.True_
     at = a.swapaxes(-1, -2)
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    ok = np.abs(a - at).max(axis=(-2, -1)) <= 1e-8 * scale
+    ok = (a - at).max(axis=(-2, -1)) <= 1e-8 * scale  # A - A^T is antisymmetric: its max is its max |.|
     return 0.5 * (a + at), ok
 
 
@@ -86,7 +86,9 @@ def _checked_inverse(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         return np.full(a.shape, np.nan)
     inverse, ok = _symmetrized(inverse)
-    inverse[~(ok & (pivot >= PIVOT_TOL))] = np.nan
+    ok = ok & (pivot >= PIVOT_TOL)
+    if not ok.all():
+        inverse[~ok] = np.nan
     return inverse
 
 
@@ -112,10 +114,11 @@ def mp_inverse_centered(a: np.ndarray) -> np.ndarray:
     Uses M+ = (M + J/n)^(-1) - J/n with J the all-ones matrix; the shifted
     matrix is invertible exactly when M has full rank on the contrast
     space, i.e. when the design behind M is connected. The steps are
-    SymMatrix's rule, the centered check, the J/n shift, `_checked_inverse`
-    and the shift taken off again, so a member of a stack gets the bits it
-    gets alone. A member that fails a check is all NaN, and so is the
-    whole input when a factorization fails. Raises DimensionMismatch
+    SymMatrix's rule, the J/n shift, `_checked_inverse`, the shift taken
+    off again in place and the centered check on M, so a member of a stack
+    gets the bits it gets alone. A member that fails a check is all NaN,
+    written only when some member fails, and so is the whole input when a
+    factorization fails. Raises DimensionMismatch
     unless the input is a square matrix, or a stack of them, of order at
     least 1.
     """
@@ -124,6 +127,9 @@ def mp_inverse_centered(a: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
     a, ok = _symmetrized(a)
     shift = 1.0 / a.shape[-1]
-    inverse = _checked_inverse(a + shift) - shift
-    inverse[~(ok & (np.abs(a.sum(axis=-1)).max(axis=-1) <= CENTERED_TOL))] = np.nan
+    inverse = _checked_inverse(a + shift)
+    inverse -= shift
+    ok = ok & (np.abs(a.sum(axis=-1)).max(axis=-1) <= CENTERED_TOL)
+    if not ok.all():
+        inverse[~ok] = np.nan
     return inverse

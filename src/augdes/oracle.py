@@ -59,7 +59,12 @@ from .matrix import SymMatrix, invert
 from .search import MOVE_TOL, SCREEN_TOL
 
 DEFAULT_ENUM_CAP = 10_000_000
-DEFAULT_PLOT_CAP = 200
+# The default plot cap covers every lattice q <= 13 and its dual at s <= 3.
+DEFAULT_PLOT_CAP = 2_950
+# The largest order p = b + v + T of X^T X that build_model inverts. A
+# model's time and memory follow p, not the plot count; q = 13 at s = 5
+# has p = 1,261.
+MAX_PARAMETERS = 1_300
 ESTIMABLE_TOL = 1e-8
 # Designs per slice of the index walk over a class.
 WALK_SLICE = 4096
@@ -126,8 +131,9 @@ def build_model(
     """Lay out the plots and pseudo-invert X^T X without forming X.
 
     The plot cap is checked first, then a design with more treatments
-    than control plots is rejected as disconnected, so p = b + v + T is
-    at most twice the plot count before anything of order p is built.
+    than control plots is rejected as disconnected, and then a model
+    whose order p = b + v + T exceeds MAX_PARAMETERS, all before anything
+    of order p is built.
     """
     counts = aug.counts(d.b)
     n_controls = sum(d.block_sizes)
@@ -137,8 +143,10 @@ def build_model(
     if d.v > n_controls:
         raise Disconnected(f"{d.v} treatments cannot all occur in {n_controls} control plots")
     b, v = d.b, d.v
+    p = b + v + sum(counts)
+    if p > MAX_PARAMETERS:
+        raise InvalidParameters(f"model would have {p} parameters, more than {MAX_PARAMETERS}")
     test_block = np.repeat(np.arange(b), counts)
-    p = b + v + test_block.size
     block_col = np.concatenate((np.repeat(np.arange(b), d.block_sizes), test_block))
     effect_col = np.concatenate((np.concatenate(d.blocks) + (b - 1), np.arange(b + v, p)))
     plots = np.column_stack((block_col, effect_col))

@@ -12,8 +12,9 @@ scores each move of a batch by a Woodbury update, with the weights
 folded into the products it makes once per batch, and with no inverse
 and no design object per move. The screen only filters: walking the
 batch in scan order, a move whose screened objective is NaN or below the
-acceptance limit plus SCREEN_TOL is built and scored exactly, and only
-that value decides acceptance. A move whose exact step raises
+acceptance limit plus SCREEN_TOL is built, from its parent's incidence
+and replications, and scored exactly, and only that value decides
+acceptance. A move whose exact step raises
 `Disconnected`, which only the connectivity check of
 `criteria.intrablock` raises, is skipped. An accepted design starts a new
 batch at the next label of the same occurrence.
@@ -48,7 +49,7 @@ from .errors import Disconnected, InvalidParameters, NoConnectedStart
 MOVE_TOL = 1e-12
 # A screened objective is confirmed exactly when it lies below the
 # acceptance limit plus this margin, relative to the objective's scale; the
-# screen agrees with the exact objective to about 1e-15 relative.
+# screen agrees with the exact objective to about 1e-14 relative.
 SCREEN_TOL = 1e-9
 # A pass is screened in chunks of whole occurrences: about this many moves
 # at first and after each accepted move, twice as many after each chunk
@@ -144,18 +145,37 @@ def _batch(
     screened objective from d's memoized P = C+, for every t != a,
     connected or not."""
     k = len(d.blocks[0])
-    o_to = d.b * k if o_to is None else o_to
-    o = np.repeat(np.arange(o_from, o_to), d.v)
-    t = np.tile(np.arange(1, d.v + 1), o_to - o_from)
-    a = np.asarray(d.blocks).reshape(-1)[o]
-    keep = (t != a) & ((o > o_from) | (t >= t_from))
-    o, a, t = o[keep], a[keep], t[keep]
+    labels = np.asarray(d.blocks).reshape(-1)[o_from:o_to]
+    keep = labels[:, None] != np.arange(1, d.v + 1)  # every t != a of each occurrence
+    keep[:1, : t_from - 1] = False
+    o, t = np.nonzero(keep)
+    a = labels[o] - 1
+    o += o_from
     weights = (cfg.w_cc, cfg.w_tt, cfg.w_ct)
     with np.errstate(all="ignore"):  # a disconnecting move may divide by zero
         screened = criteria.exchange_objective(
-            criteria.intrablock(d).c_plus, d.incidence.astype(float), k, cfg.aug.counts(d.b), weights, o // k, a - 1, t - 1
+            criteria.intrablock(d).c_plus, d.incidence.astype(float), k, cfg.aug.counts(d.b), weights, o // k, a, t
         )
-    return o, t, screened
+    return o, t + 1, screened
+
+
+def _candidate(d: BlockDesign, o: int, t: int) -> BlockDesign:
+    """d with occurrence o (index j k + pos) replaced by label t. Its
+    incidence and replications are d's with one count moved from a to t,
+    stored as the cached properties would store them."""
+    j, pos = divmod(o, len(d.blocks[0]))
+    block = d.blocks[j]
+    a = block[pos]
+    cand = BlockDesign(d.v, d.blocks[:j] + (tuple(sorted(block[:pos] + block[pos + 1 :] + (t,))),) + d.blocks[j + 1 :])
+    n = d.incidence.copy()
+    n[a - 1, j] -= 1
+    n[t - 1, j] += 1
+    n.setflags(write=False)
+    r = list(d.replications)
+    r[a - 1] -= 1
+    r[t - 1] += 1
+    cand.__dict__.update(incidence=n, replications=tuple(r), block_sizes=d.block_sizes)
+    return cand
 
 
 def _improvement_pass(
@@ -177,9 +197,7 @@ def _improvement_pass(
         moves, labels, screened = _batch(cfg, d, o_from, t_from, o_to)
         for i in np.flatnonzero(~(screened >= limit)):  # NaN is confirmed too
             o, t = int(moves[i]), int(labels[i])
-            j, pos = divmod(o, k)
-            rest = d.blocks[j][:pos] + d.blocks[j][pos + 1 :]
-            cand = BlockDesign(d.v, d.blocks[:j] + (tuple(sorted(rest + (t,))),) + d.blocks[j + 1 :])
+            cand = _candidate(d, o, t)
             try:
                 cand_obj = _objective(cfg, cand)
             except Disconnected:

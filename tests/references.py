@@ -57,3 +57,66 @@ def per_block_tt_bound_reference(b, v, k, counts):
     iu = np.triu_indices(b, k=1)
     phi_sum = float(np.sum(np.outer(counts, counts)[iu] - s0 * s0))
     return 2.0 + ((4.0 / k) * phi_sum + 2.0 * s0 * s0 * b * q.Ltilde) / (total * (total - 1.0))
+
+
+def _reference_rule(a):
+    """SymMatrix's rule as it was first written: a bitwise-symmetric A as it
+    is, else 0.5 (A + A^T) after asserting that max |A - A^T| is within
+    1e-8 max(1, max |A|)."""
+    if np.array_equal(a.view(np.uint64), a.T.view(np.uint64)):
+        return a
+    assert np.abs(a - a.T).max() <= 1e-8 * max(1.0, np.abs(a).max())
+    return 0.5 * (a + a.T)
+
+
+def _reference_mp_inverse(m):
+    """(M + J/n)^-1 - J/n of a centered M, as L^-T L^-1 from the Cholesky
+    factor L of the shifted matrix, with the rule on M and on the inverse."""
+    m = _reference_rule(m)
+    assert np.abs(m.sum(axis=1)).max() <= 1e-9
+    shift = 1.0 / len(m)
+    factor = np.linalg.cholesky(m + shift)
+    assert factor.diagonal().min() ** 2 >= 1e-12
+    factor_inv = np.linalg.inv(factor)
+    return _reference_rule(factor_inv.T @ factor_inv) - shift
+
+
+def reference_intrablock(d):
+    """P = C+ and Q = C_dual+ of a connected primal with constant block
+    size, by the arithmetic the search fixtures were recorded with:
+    C = I r - N N^T/k and C_dual = k I - N^T (N/r) from identity products,
+    then `_reference_mp_inverse` of each."""
+    k = d.uniform_block_size()
+    n = d.incidence.astype(float)
+    r = np.asarray(d.replications, dtype=float)
+    v, b = n.shape
+    c = np.eye(v) * r - (n @ n.T) / k
+    c_dual = k * np.eye(b) - n.T @ (n / r[:, None])
+    return _reference_mp_inverse(c), _reference_mp_inverse(c_dual)
+
+
+def reference_components(d):
+    """`design.components` by breadth-first search over the
+    treatment-block incidence graph: nodes 0..b-1 are the blocks and
+    b..b+v-1 the treatments, and each search starts from the lowest
+    unlabelled node, so components are numbered by their lowest node."""
+    b = d.b
+    neighbours = [[] for _ in range(b + d.v)]
+    for j, block in enumerate(d.blocks):
+        for label in block:
+            neighbours[j].append(b + label - 1)
+            neighbours[b + label - 1].append(j)
+    comp = [-1] * (b + d.v)
+    count = 0
+    for start in range(b + d.v):
+        if comp[start] >= 0:
+            continue
+        comp[start] = count
+        queue = [start]
+        for node in queue:
+            for other in neighbours[node]:
+                if comp[other] < 0:
+                    comp[other] = count
+                    queue.append(other)
+        count += 1
+    return comp[:b], comp[b:], count

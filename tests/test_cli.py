@@ -625,6 +625,30 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", path, "--max-plots", "3"])
         assert result.exit_code == 2
 
+    def test_parameter_limit_exits_2_before_order_p(self, runner, tmp_path):
+        # a 500-treatment path design at s=1 fits the plot cap with 1,497
+        # plots, but X^T X would have order p = 1,498 > MAX_PARAMETERS
+        d = from_blocks(500, [[i, i + 1] for i in range(1, 500)])
+        path = write(tmp_path, "path.design", format_design(d))
+        tracemalloc.start()
+        try:
+            result = runner.invoke(cli, ["verify", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 2
+        assert "1498 parameters" in result.output
+        assert peak < 2**20
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_every_lattice_and_dual_verifies_under_the_default_caps(self, runner, tmp_path, q):
+        for name, d in (("lattice", lattice_bib(q)), ("dual", dual(lattice_bib(q)))):
+            path = write(tmp_path, f"{name}.design", format_design(d))
+            for s in ("1", "3"):
+                result = runner.invoke(cli, ["verify", path, "--s", s])
+                assert result.exit_code == 0, (name, s, result.output)
+
     def test_huge_v_in_tiny_file_exits_2(self, runner, tmp_path):
         # three plots cannot hold a billion treatments: rejected as
         # disconnected before anything of order v is allocated

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,13 +30,15 @@ from augdes.design import (
     from_blocks,
     is_connected,
     lattice_bib,
+    read_design,
 )
 from augdes.errors import Disconnected, InvalidParameters, NonUniformBlockSize, SingularMatrix
 from augdes.matrix import SymMatrix, mp_inverse_centered
 from augdes.oracle import CRITERION_NAMES, enumerate_class
-from references import trace_identities
+from references import reference_intrablock, trace_identities
 
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
+DESIGNS = Path(__file__).resolve().parent.parent / "designs"
 ONE = AugmentationSpec.common(1)
 
 
@@ -410,3 +413,40 @@ class TestConnectivityRankEquivalence:
                 continue
             invertible = not np.isnan(mp_inverse_centered(np.diag(r) - n @ n.T / 2.0)).any()
             assert invertible == is_connected(d)
+
+
+@st.composite
+def connected_primals(draw):
+    """A connected design with constant block size over few labels, so
+    that blocks often repeat a label."""
+    v = draw(st.integers(2, 7))
+    b = draw(st.integers(2, 7))
+    k = draw(st.integers(2, 5))
+    assume(b * k >= v + b - 1)
+    blocks = draw(st.lists(st.lists(st.integers(1, v), min_size=k, max_size=k), min_size=b, max_size=b))
+    d = BlockDesign(v, tuple(tuple(sorted(block)) for block in blocks))
+    assume(is_connected(d))
+    return d
+
+
+def _assert_reference_bits(d):
+    ib = intrablock(BlockDesign(d.v, d.blocks))
+    p, q = reference_intrablock(d)
+    assert ib.c_plus.tobytes() == p.tobytes()
+    assert ib.c_dual_plus.tobytes() == q.tobytes()
+
+
+class TestIntrablockReferenceBits:
+    # P and Q keep the bits of the arithmetic the search fixtures were
+    # recorded with: identity products for C and C_dual, the rule on each,
+    # and the Cholesky inverse. C itself may differ in the sign of a zero.
+    def test_lattices_duals_and_shipped_designs(self):
+        designs = [lattice_bib(q) for q in (2, 3, 5, 7)]
+        designs += [dual(d) for d in designs] + [read_design(path) for path in sorted(DESIGNS.glob("*.design"))]
+        for d in designs:
+            _assert_reference_bits(d)
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_primals())
+    def test_random_connected_designs(self, d):
+        _assert_reference_bits(d)

@@ -11,6 +11,7 @@ from augdes.design import (
     AugmentationSpec,
     BlockDesign,
     all_k_subsets,
+    components,
     delete_blocks,
     dual,
     format_design,
@@ -33,7 +34,7 @@ from augdes.errors import (
     NotSupportedOrder,
     TooFewBlocksRemain,
 )
-from references import low_overlap_reference
+from references import low_overlap_reference, reference_components
 
 EIGHT_BLOCKS = [
     (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
@@ -94,6 +95,27 @@ class TestConnectivity:
         start = time.perf_counter()
         assert is_connected(d)
         assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda v: st.tuples(
+                st.just(v),
+                st.lists(st.lists(st.integers(1, v), min_size=1, max_size=4), max_size=7),
+            )
+        )
+    )
+    def test_components_match_breadth_first_search(self, case):
+        # few labels over few blocks: unused treatments, repeated labels
+        # within a block and several components are all common
+        v, blocks = case
+        d = BlockDesign(v, tuple(tuple(sorted(block)) for block in blocks))
+        assert components(d) == reference_components(d)
+
+    def test_long_path_components_match_breadth_first_search(self):
+        d = from_blocks(2000, [[i, i + 1] for i in range(1, 2000)])
+        assert components(d) == reference_components(d)
+        assert components(d)[2] == 1
 
     def test_huge_v_rejected_without_allocation(self):
         # fewer plots than treatments: rejected before any order-v storage

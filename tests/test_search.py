@@ -291,6 +291,32 @@ def test_move_changes_c_by_a_rank_two_term(design_aug, data):
     assert np.allclose(change, np.outer(u, y) + np.outer(y, u), rtol=0.0, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(pass_points(), st.data())
+def test_candidate_incidence_is_derived_from_its_parent(case, data):
+    # the exact step builds a move's design from its parent's incidence and
+    # replications; they, and the exact objective, must be those of the
+    # same design built fresh, and a disconnecting move must still raise
+    d, aug, _, _ = case
+    k = len(d.blocks[0])
+    o = data.draw(st.integers(0, d.b * k - 1))
+    t = data.draw(st.integers(1, d.v))
+    assume(t != d.blocks[o // k][o % k])
+    cand = search._candidate(d, o, t)
+    fresh = BlockDesign(d.v, cand.blocks)
+    assert cand == _replaced(d, o // k, o % k, t)
+    assert cand.incidence.dtype == fresh.incidence.dtype and not cand.incidence.flags.writeable
+    assert np.array_equal(cand.incidence, fresh.incidence)
+    assert cand.replications == fresh.replications
+    assert cand.block_sizes == fresh.block_sizes
+    cfg = SearchConfig(w_cc=1.0, w_tt=2.0, w_ct=0.5, aug=aug)
+    if is_connected(fresh):
+        assert search._objective(cfg, cand).hex() == search._objective(cfg, fresh).hex()
+    else:
+        with pytest.raises(Disconnected):
+            search._objective(cfg, cand)
+
+
 def test_result_is_connected_with_constant_block_size():
     cfg = SearchConfig(w_cc=1.0, w_tt=1.0, w_ct=1.0, restarts=3, rng_seed=11)
     result = exchange_search(5, 4, 3, cfg)
