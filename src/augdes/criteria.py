@@ -29,19 +29,23 @@ its value, and a failed call stores nothing. A primal with more than
 MAX_ORDER treatments or blocks is rejected before anything of order v or
 b is built.
 
-The same `Intrablock` also holds the criteria that do not depend on the
-counts, each computed the first time it is asked for and never again for
-that object: the MV triple, on the first `mv_criteria` call, and A_cc,
-tr Q and A_ct at a common count, on the first `a_criteria` call with a
-common count. A_tt at any common s is then 2 (1 + s/(bs - 1) tr Q), from
-the stored tr Q. These are scalars, so the memo stays of order v^2 + b^2.
-A search reads only the A-criteria, so it never pays for MV. Per-block
-counts are scored from P and Q on every call.
+The same `Intrablock` also holds what does not depend on the counts,
+each computed the first time it is asked for and never again for that
+object:
+- A_cc, tr Q and A_ct at a common count, on the first `a_criteria` call
+  with a common count; A_tt at any common s is then
+  2 (1 + s/(bs - 1) tr Q), from the stored tr Q;
+- the count-free matrices, read-only: the pairwise-Q entries above the
+  diagonal (b(b - 1)/2 floats) and the v x b control-test multipliers,
+  on the first `mv_criteria` call or per-block `a_criteria` call;
+- the MV triple, read off those matrices on the first `mv_criteria` call.
+Every per-block `a_criteria` call reads A_tt and A_ct off the stored
+matrices. A common-count search reads only the scalars, so it never
+builds the matrices or pays for MV.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -51,8 +55,9 @@ from .design import AugmentationSpec, BlockDesign, is_connected
 from .errors import Disconnected, InvalidParameters, NonUniformBlockSize, SingularMatrix
 from .matrix import mp_inverse_centered
 
-# The largest v or b scored. Scoring holds about 4.5 x 8 (v^2 + b^2) bytes
-# at its peak: 275 MiB by tracemalloc at v = b = 2,000.
+# The largest v or b scored. At v = b = 2,000 (a cycle of two-plot blocks),
+# scoring at s=1 and then per block peaks at 214 MiB by tracemalloc, about
+# 3.5 x 8 (v^2 + b^2) bytes, and leaves 107 MiB in the memo.
 MAX_ORDER = 2_000
 
 
@@ -61,8 +66,8 @@ class Intrablock:
     """P = C+ and Q = C_dual+, the Moore-Penrose inverses of the
     information matrices of a primal and of its dual: all that any
     criterion reads of the primal besides its incidence, as read-only
-    arrays. The count-free criteria of the primal are added to its
-    `__dict__` when they are first computed (see `_memo`)."""
+    arrays. The count-free criteria and matrices of the primal are added
+    to its `__dict__` when they are first computed (see `_memo`)."""
 
     c_plus: np.ndarray
     c_dual_plus: np.ndarray
@@ -166,16 +171,12 @@ def v_ct_matrix(ib: Intrablock, d: BlockDesign) -> np.ndarray:
     return _ct_matrix(ib.c_dual_plus, d.incidence, np.asarray(d.replications, dtype=float))
 
 
-@functools.cache
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
-
-
 def _upper(m: np.ndarray) -> np.ndarray:
     """The entries above the diagonal of a square matrix, or of each
-    matrix in a stack, row by row."""
-    rows, cols = _triu(m.shape[-1])
-    return m[..., rows, cols]
+    matrix in a stack, row by row, selected by a boolean triangle that is
+    built on each call and dropped with it."""
+    index = np.arange(m.shape[-1])
+    return m[..., index[:, None] < index]
 
 
 def _sum(x: np.ndarray, axes: int = 1) -> np.ndarray:
@@ -218,12 +219,25 @@ def _a_values(p, q, n, r, aug: AugmentationSpec) -> tuple[np.ndarray, np.ndarray
     if aug.is_common:
         a_cc, t_dual, a_ct = _common_a_values(p, q, n, r)
         return a_cc, _common_a_tt(t_dual, b, aug.s), a_ct
+    return _a_cc(p), *_per_block_a(*_count_free(q, n, r), v, b, aug)
+
+
+def _count_free(q, n, r) -> tuple[np.ndarray, np.ndarray]:
+    """The count-free matrices of one primal, or of each in a stack, from
+    Q = C_dual+, the incidence N and the replications r: the pairwise-Q
+    entries above the diagonal, row by row, and the v x b control-test
+    multipliers."""
+    return _upper(_pairwise(q)), _ct_matrix(q, n, r)
+
+
+def _per_block_a(tt, ct, v: int, b: int, aug: AugmentationSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A_tt and A_ct at per-block counts, from the `_count_free` matrices
+    tt and ct of one primal or of a stack of them."""
     counts = aug.counts(b)
     total = sum(counts)
     svec = np.asarray(counts, dtype=float)
-    a_tt = 2.0 + 2.0 * _sum(_upper(np.outer(svec, svec)) * _upper(_pairwise(q))) / (total * (total - 1.0))
-    a_ct = _sum(_ct_matrix(q, n, r) * svec, 2) / (v * total)
-    return _a_cc(p), a_tt, a_ct
+    a_tt = 2.0 + 2.0 * _sum(_upper(np.outer(svec, svec)) * tt) / (total * (total - 1.0))
+    return a_tt, _sum(ct * svec, 2) / (v * total)
 
 
 def _operands(ib: Intrablock, d: BlockDesign) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -244,6 +258,18 @@ def _memo(ib: Intrablock, d: BlockDesign, key: str, compute):
     return memo[key]
 
 
+def _stored_count_free(ib: Intrablock, d: BlockDesign) -> tuple[np.ndarray, np.ndarray]:
+    """`_count_free` of d as read-only arrays, from d's intrablock memo."""
+
+    def compute():
+        matrices = _count_free(*_operands(ib, d)[1:])
+        for m in matrices:
+            m.setflags(write=False)
+        return matrices
+
+    return _memo(ib, d, "count_free", compute)
+
+
 def _check_counts(v: int, b: int, aug: AugmentationSpec) -> None:
     """Raise InvalidParameters unless v controls and the test treatments of
     aug over b blocks are each at least two, as the A-criteria need."""
@@ -260,14 +286,17 @@ def a_criteria(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> tuple[f
     ct averages are then free of the count while the tt average is not, so
     A_cc, tr Q and A_ct are computed once per design object and kept in
     its intrablock memo. With genuinely per-block counts the pairwise
-    definitions are evaluated directly on every call, weighting block
-    pairs by the counts they carry.
+    definitions weight block pairs by the counts they carry: A_tt and A_ct
+    are read off the count-free pairwise-Q and control-test matrices,
+    which are built once per design object and kept in the same memo, and
+    A_cc off the diagonal of P.
     """
     _check_counts(d.v, d.b, aug)
     if aug.is_common:
         a_cc, t_dual, a_ct = _memo(ib, d, "common_a", lambda: _common_a_values(*_operands(ib, d)))
         return float(a_cc), float(_common_a_tt(t_dual, d.b, aug.s)), float(a_ct)
-    return tuple(float(x) for x in _a_values(*_operands(ib, d), aug))
+    a_tt, a_ct = _per_block_a(*_stored_count_free(ib, d), d.v, d.b, aug)
+    return float(_a_cc(ib.c_plus)), float(a_tt), float(a_ct)
 
 
 def dual_inverse(p: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
@@ -385,23 +414,31 @@ def stacked_exact_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.n
     return np.column_stack((*_a_values(p, q, n, r, aug), *_mv_values(p, q, n, r)))
 
 
-def _mv_values(p, q, n, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mv_values(p, q, n, r, count_free=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The largest off-diagonal pairwise multipliers of P and Q and the
     largest control-test multiplier, of one primal or of a stack of them.
-    The maxima run over whole pairwise matrices: their diagonal is exactly
-    zero, below every multiplier of a connected primal, and a single
-    block gives mv_tt = 2."""
-    mv_tt = 2.0 + _pairwise(q).max(axis=(-2, -1))
-    return _pairwise(p).max(axis=(-2, -1)), mv_tt, _ct_matrix(q, n, r).max(axis=(-2, -1))
+    The maxima run over whole pairwise matrices and zero: their diagonal
+    is exactly zero, below every multiplier of a connected primal, and a
+    single block gives mv_tt = 2. Given the `_count_free` matrices of one
+    primal, the tt maximum runs over the entries above the diagonal and
+    zero, which is the same value, since Q from `intrablock` is bitwise
+    symmetric."""
+    if count_free is None:
+        count_free = _pairwise(q).reshape(*q.shape[:-2], -1), _ct_matrix(q, n, r)
+    tt, ct = count_free
+    return _pairwise(p).max(axis=(-2, -1)), 2.0 + tt.max(axis=-1, initial=0.0), ct.max(axis=(-2, -1))
 
 
 def mv_criteria(ib: Intrablock, d: BlockDesign) -> tuple[float, float, float]:
     """Maximum variance multipliers (cc, tt, ct); these do not depend on
     how many test treatments each block receives, so they are computed
-    once per design object and kept in its intrablock memo."""
+    once per design object and kept in its intrablock memo, the tt and ct
+    maxima from the count-free matrices stored there."""
     if d.v < 2:
         raise InvalidParameters("control comparisons need at least two controls")
-    return _memo(ib, d, "mv", lambda: tuple(float(x) for x in _mv_values(*_operands(ib, d))))
+    return _memo(
+        ib, d, "mv", lambda: tuple(float(x) for x in _mv_values(*_operands(ib, d), _stored_count_free(ib, d)))
+    )
 
 
 def evaluate(d: BlockDesign, aug: AugmentationSpec) -> CriteriaReport:

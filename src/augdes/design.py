@@ -135,14 +135,43 @@ def from_blocks(v: int, blocks: Iterable[Sequence[int]]) -> BlockDesign:
     return BlockDesign(v, tuple(cleaned))
 
 
-def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
-    """Component labels for the blocks and the treatments of the
-    treatment-block incidence graph, and the number of components; a
-    treatment that appears nowhere forms its own component. Each block's
-    root is found once, and every treatment of the block is joined to it,
-    so the root stays a root for the rest of the block."""
+class Components:
+    """The components of a design's treatment-block incidence graph, as
+    its union-find left them. `count` is known from the successful
+    unions; the labels of the blocks and of the treatments are found on
+    first read. It unpacks, indexes and compares as the tuple (block
+    labels, treatment labels, count)."""
+
+    def __init__(self, find, b: int, nodes: int, count: int):
+        self._find, self._b, self._nodes = find, b, nodes
+        self.count = count
+
+    @cached_property
+    def _tuple(self) -> tuple[list[int], list[int], int]:
+        roots: dict[int, int] = {}
+        comp = [roots.setdefault(self._find(node), len(roots)) for node in range(self._nodes)]
+        return comp[: self._b], comp[self._b :], self.count
+
+    def __iter__(self):
+        return iter(self._tuple)
+
+    def __getitem__(self, i):
+        return self._tuple[i]
+
+    def __eq__(self, other) -> bool:
+        return self._tuple == other
+
+
+def components(d: BlockDesign) -> Components:
+    """The components of the treatment-block incidence graph: labels for
+    the blocks and the treatments, and their number; a treatment that
+    appears nowhere forms its own component. Each block's root is found
+    once, and every treatment of the block is joined to it, so the root
+    stays a root for the rest of the block. Each join of two components
+    lowers the count by one, so the count needs no labelling pass."""
     b = d.b
     parent = list(range(b + d.v))
+    count = len(parent)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -153,10 +182,11 @@ def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
     for j, block in enumerate(d.blocks):
         root = find(j)
         for label in block:
-            parent[find(b + label - 1)] = root
-    roots: dict[int, int] = {}
-    comp = [roots.setdefault(find(node), len(roots)) for node in range(b + d.v)]
-    return comp[:b], comp[b:], len(roots)
+            x = find(b + label - 1)
+            if x != root:
+                parent[x] = root
+                count -= 1
+    return Components(find, b, len(parent), count)
 
 
 def can_connect(v: int, b: int, n_plots: int) -> bool:
@@ -177,7 +207,7 @@ def is_connected(d: BlockDesign) -> bool:
     A design with too few plots for a spanning tree (`can_connect`) is
     rejected before `components` allocates anything of order v.
     """
-    return 0 < d.b and can_connect(d.v, d.b, sum(d.block_sizes)) and components(d)[2] == 1
+    return 0 < d.b and can_connect(d.v, d.b, sum(d.block_sizes)) and components(d).count == 1
 
 
 def stacked_connected(n: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from augdes import criteria
+from augdes import criteria, search
 from augdes.criteria import (
     Intrablock,
     a_criteria,
@@ -254,6 +256,95 @@ class TestIntrablock:
                 assert np.max(np.abs(g @ m @ g - g)) <= 1e-8
                 assert np.max(np.abs(m @ g - (m @ g).T)) <= 1e-8
                 assert np.max(np.abs(g @ m - (g @ m).T)) <= 1e-8
+
+
+class TestCountFreeMatrices:
+    """The pairwise-Q triangle and the control-test matrix, which the
+    MV-criteria and the per-block A-criteria read from the intrablock memo."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        original = criteria._count_free
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(criteria, "_count_free", counting)
+        return calls
+
+    @pytest.mark.parametrize("first", ["common", "per_block"])
+    def test_built_once_per_design_object_and_read_only(self, monkeypatch, first):
+        # s=1, s=3 and two different per-block lists on one object, in
+        # either order, build them once; the memo then holds P, Q, the
+        # triangle of b(b - 1)/2 entries and the v x b matrix
+        calls = self.counting(monkeypatch)
+        d = dual(lattice_bib(5))
+        lists = [AugmentationSpec.per_block(1 + j % 3 for j in range(d.b)), AugmentationSpec.per_block([2] * d.b)]
+        commons = [ONE, AugmentationSpec.common(3)]
+        for aug in commons + lists if first == "common" else lists + commons:
+            evaluate(d, aug)
+        assert len(calls) == 1
+        ib = intrablock(d)
+        tt, ct = vars(ib)["count_free"]
+        assert tt.shape == (d.b * (d.b - 1) // 2,) and ct.shape == (d.v, d.b)
+        for m in (tt, ct):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0] = 0.0
+        held = sum(x.nbytes for m in vars(ib).values() for x in (m if isinstance(m, tuple) else (m,))
+                   if isinstance(x, np.ndarray))
+        assert held == 8 * (d.v**2 + d.b**2 + d.b * (d.b - 1) // 2 + d.v * d.b)
+
+    def test_equal_design_never_reads_them(self, monkeypatch):
+        # a twin scored with d's intrablock, or with its own, builds its own
+        # matrices: d's memo, poisoned with NaN, changes none of its values
+        d = lattice_bib(3)
+        aug = AugmentationSpec.per_block(1 + j % 3 for j in range(d.b))
+        evaluate(d, aug)
+        ib = intrablock(d)
+        stored = vars(ib)["count_free"]
+        vars(ib)["count_free"] = tuple(np.full_like(m, np.nan) for m in stored)
+        calls = self.counting(monkeypatch)
+        twin = BlockDesign(d.v, d.blocks)
+        want = [float(x).hex() for x in dataclasses.astuple(evaluate(BlockDesign(d.v, d.blocks), aug))]
+        assert len(calls) == 1
+        with_d_memo = (*a_criteria(ib, twin, aug), *mv_criteria(ib, twin))
+        assert [float(x).hex() for x in with_d_memo] == want
+        assert len(calls) == 3
+        assert [float(x).hex() for x in dataclasses.astuple(evaluate(twin, aug))] == want
+        assert len(calls) == 4
+        own = vars(intrablock(twin))["count_free"]
+        assert all(mine is not theirs for mine in own for theirs in stored)
+        assert all(np.array_equal(mine, theirs) for mine, theirs in zip(own, stored))
+
+    def test_common_count_search_objective_stores_none(self):
+        # the exact confirm of a common-count search reads only the
+        # common-count memo, so it builds no matrix of order b^2 or v b
+        d = lattice_bib(3)
+        cfg = search.SearchConfig(w_cc=1.0, w_tt=1.0, w_ct=1.0, aug=AugmentationSpec.common(2))
+        search._objective(cfg, d)
+        assert set(vars(intrablock(d))) == {"c_plus", "c_dual_plus", "common_a"}
+
+    def test_per_block_scoring_keeps_nothing_of_order_b_squared_once_the_design_goes(self):
+        # a cycle of 1,000 two-plot blocks over 10 treatments, scored per
+        # block and then dropped: its memo goes with it, and no index
+        # arrays of the upper triangle stay behind
+        v, b = 10, 1_000
+        aug = AugmentationSpec.per_block(1 + j % 3 for j in range(b))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            d = BlockDesign(v, tuple(tuple(sorted((j % v + 1, (j + 1) % v + 1))) for j in range(b)))
+            evaluate(d, aug)
+            assert "count_free" in vars(intrablock(d))
+            del d
+            gc.collect()
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left < 2**20  # a b x b float matrix is 7.6 MiB
 
 
 class TestContrastVariances:

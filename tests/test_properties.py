@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from augdes import criteria
+from augdes.cli import build_report
 from augdes.bounds import a_bounds
 from augdes.criteria import (
     a_criteria,
@@ -199,3 +200,18 @@ def test_incidence_matches_label_loop(designs):
         n = d.incidence
         assert n.dtype == loop_incidence(d).dtype and not n.flags.writeable
         assert np.array_equal(n, loop_incidence(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_designs(), st.data())
+def test_warm_per_block_reports_equal_cold(d, data):
+    # per-block reports on an object already scored at s=1 and s=3 read
+    # the count-free matrices from its memo; by repr, they and their JSON
+    # equal those of a fresh equal design
+    for s in (1, 3):
+        build_report(d, AugmentationSpec.common(s), "warm")
+    for _ in range(2):
+        aug = AugmentationSpec.per_block(data.draw(st.lists(st.integers(1, 4), min_size=d.b, max_size=d.b)))
+        assert repr(evaluate(d, aug)) == repr(evaluate(BlockDesign(d.v, d.blocks), aug))
+        warm = build_report(d, aug, "warm").to_json_dict()
+        assert repr(warm) == repr(build_report(BlockDesign(d.v, d.blocks), aug, "warm").to_json_dict())
