@@ -174,9 +174,12 @@ def v_ct_matrix(ib: Intrablock, d: BlockDesign) -> np.ndarray:
 def _upper(m: np.ndarray) -> np.ndarray:
     """The entries above the diagonal of a square matrix, or of each
     matrix in a stack, row by row, selected by a boolean triangle that is
-    built on each call and dropped with it."""
+    built on each call and dropped with it. numpy selects with a mask of
+    the array's own shape several times faster than through an ellipsis,
+    so one matrix takes that path."""
     index = np.arange(m.shape[-1])
-    return m[..., index[:, None] < index]
+    above = index[:, None] < index
+    return m[above] if m.ndim == 2 else m[..., above]
 
 
 def _sum(x: np.ndarray, axes: int = 1) -> np.ndarray:
