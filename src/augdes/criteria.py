@@ -420,16 +420,17 @@ def stacked_exact_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.n
 def _mv_values(p, q, n, r, count_free=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The largest off-diagonal pairwise multipliers of P and Q and the
     largest control-test multiplier, of one primal or of a stack of them.
-    The maxima run over whole pairwise matrices and zero: their diagonal
-    is exactly zero, below every multiplier of a connected primal, and a
-    single block gives mv_tt = 2. Given the `_count_free` matrices of one
-    primal, the tt maximum runs over the entries above the diagonal and
-    zero, which is the same value, since Q from `intrablock` is bitwise
+    The maxima run over whole pairwise matrices: their diagonal is exactly
+    zero, below every multiplier of a connected primal, and a single
+    block gives mv_tt = 2. Given the `_count_free` matrices of one primal,
+    the tt maximum runs over the entries above the diagonal and zero,
+    which is the same value, since Q from `intrablock` is bitwise
     symmetric."""
     if count_free is None:
-        count_free = _pairwise(q).reshape(*q.shape[:-2], -1), _ct_matrix(q, n, r)
+        mv_tt = 2.0 + _pairwise(q).max(axis=(-2, -1))
+        return _pairwise(p).max(axis=(-2, -1)), mv_tt, _ct_matrix(q, n, r).max(axis=(-2, -1))
     tt, ct = count_free
-    return _pairwise(p).max(axis=(-2, -1)), 2.0 + tt.max(axis=-1, initial=0.0), ct.max(axis=(-2, -1))
+    return _pairwise(p).max(), 2.0 + tt.max(initial=0.0), ct.max()
 
 
 def mv_criteria(ib: Intrablock, d: BlockDesign) -> tuple[float, float, float]:
