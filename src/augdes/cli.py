@@ -28,6 +28,7 @@ from . import __version__, bounds, criteria, oracle, search
 from .design import (
     AugmentationSpec,
     BlockDesign,
+    _comb_within,
     all_k_subsets,
     delete_blocks,
     dual,
@@ -329,9 +330,8 @@ def modify_cmd(design_file, delete_raw, repeat_raw, auto_delete, auto_repeat, ou
     if raw is not None:
         indices = _int_list(raw, "expected comma-separated block indices")
     else:
-        if max(d.v, d.b) > criteria.MAX_ORDER:
-            _fail(2, f"{d.v} treatments and {d.b} blocks: orders above {criteria.MAX_ORDER} are too large "
-                     "for the low-overlap rule, which compares the overlaps of all block pairs")
+        criteria.check_order(d.v, d.b, "are too large for the low-overlap rule, "
+                             "which compares the overlaps of all block pairs")
         indices = low_overlap_indices(d, auto_delete if delete else auto_repeat)
         click.echo(f"{'deleting' if delete else 'repeating'} blocks {','.join(map(str, indices))}", err=True)
     result = (delete_blocks if delete else repeat_blocks)(d, indices)
@@ -350,6 +350,8 @@ def make_cmd(subsets, lattice_q, out):
         _fail(1, "give exactly one of --bib-all-subsets or --lattice")
     if subsets is not None:
         v, k = subsets
+        if 1 <= k <= v:  # C(v, k) blocks, counted before any is built
+            _comb_within(v, k, criteria.MAX_ORDER, f"{k}-subsets of 1..{v}")
         d = all_k_subsets(v, k)
     else:
         d = lattice_bib(lattice_q)

@@ -117,10 +117,10 @@ def intrablock(d: BlockDesign) -> Intrablock:
     return ib
 
 
-def check_order(v: int, b: int) -> None:
-    """Raise InvalidParameters when v or b exceeds MAX_ORDER."""
+def check_order(v: int, b: int, why: str = "are not scored") -> None:
+    """Raise InvalidParameters, saying `why`, when v or b exceeds MAX_ORDER."""
     if max(v, b) > MAX_ORDER:
-        raise InvalidParameters(f"{v} treatments and {b} blocks: orders above {MAX_ORDER} are not scored")
+        raise InvalidParameters(f"{v} treatments and {b} blocks: orders above {MAX_ORDER} {why}")
 
 
 def _information(n: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,11 +12,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    ClassTooLarge,
     DesignFormatError,
     EmptyBlock,
     IndexOutOfRange,
@@ -135,40 +136,12 @@ def from_blocks(v: int, blocks: Iterable[Sequence[int]]) -> BlockDesign:
     return BlockDesign(v, tuple(cleaned))
 
 
-class Components:
-    """The components of a design's treatment-block incidence graph, as
-    its union-find left them. `count` is known from the successful
-    unions; the labels of the blocks and of the treatments are found on
-    first read. It unpacks, indexes and compares as the tuple (block
-    labels, treatment labels, count)."""
-
-    def __init__(self, find, b: int, nodes: int, count: int):
-        self._find, self._b, self._nodes = find, b, nodes
-        self.count = count
-
-    @cached_property
-    def _tuple(self) -> tuple[list[int], list[int], int]:
-        roots: dict[int, int] = {}
-        comp = [roots.setdefault(self._find(node), len(roots)) for node in range(self._nodes)]
-        return comp[: self._b], comp[self._b :], self.count
-
-    def __iter__(self):
-        return iter(self._tuple)
-
-    def __getitem__(self, i):
-        return self._tuple[i]
-
-    def __eq__(self, other) -> bool:
-        return self._tuple == other
-
-
-def components(d: BlockDesign) -> Components:
-    """The components of the treatment-block incidence graph: labels for
-    the blocks and the treatments, and their number; a treatment that
-    appears nowhere forms its own component. Each block's root is found
-    once, and every treatment of the block is joined to it, so the root
-    stays a root for the rest of the block. Each join of two components
-    lowers the count by one, so the count needs no labelling pass."""
+def _union_find(d: BlockDesign) -> tuple[Callable[[int], int], int]:
+    """The union-find of the treatment-block incidence graph, nodes 0..b-1
+    the blocks and b..b+v-1 the treatments: its `find` and the number of
+    components. Each block's root is found once and every treatment of the
+    block joined to it, so the root stays a root for the rest of the
+    block; each join lowers the count by one, so it needs no labelling."""
     b = d.b
     parent = list(range(b + d.v))
     count = len(parent)
@@ -186,7 +159,17 @@ def components(d: BlockDesign) -> Components:
             if x != root:
                 parent[x] = root
                 count -= 1
-    return Components(find, b, len(parent), count)
+    return find, count
+
+
+def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
+    """Component labels for the blocks and the treatments of the
+    treatment-block incidence graph, and the number of components; a
+    treatment that appears nowhere forms its own component."""
+    find, count = _union_find(d)
+    roots: dict[int, int] = {}
+    comp = [roots.setdefault(find(node), len(roots)) for node in range(d.b + d.v)]
+    return comp[: d.b], comp[d.b :], count
 
 
 def can_connect(v: int, b: int, n_plots: int) -> bool:
@@ -205,9 +188,9 @@ def is_connected(d: BlockDesign) -> bool:
     and the treatment-block incidence graph has a single component.
 
     A design with too few plots for a spanning tree (`can_connect`) is
-    rejected before `components` allocates anything of order v.
+    rejected before the union-find allocates anything of order v.
     """
-    return 0 < d.b and can_connect(d.v, d.b, sum(d.block_sizes)) and components(d).count == 1
+    return 0 < d.b and can_connect(d.v, d.b, sum(d.block_sizes)) and _union_find(d)[1] == 1
 
 
 def stacked_connected(n: np.ndarray) -> np.ndarray:
@@ -269,6 +252,26 @@ def repeat_blocks(d: BlockDesign, indices: Iterable[int]) -> BlockDesign:
     idx = sorted(_check_indices(d, indices))
     extra = tuple(d.blocks[i - 1] for i in idx)
     return BlockDesign(d.v, d.blocks + extra)
+
+
+def _comb_within(n: int, r: int, cap: int, what: str) -> int:
+    """math.comb(n, r) for 0 <= r <= n, when it is at most cap.
+
+    It is built by the exact recurrence C(m + i, i) = C(m + i - 1, i - 1)
+    (m + i) / i, m = n - r', over i up to r' = min(r, n - r). Since
+    m >= r' >= i, each step at least doubles the value, so ClassTooLarge,
+    naming `what` and the cap, is raised as soon as a partial value passes
+    the cap, after at most log2(cap) + 1 steps.
+    """
+    r = min(r, n - r)
+    value = 1
+    for i in range(1, r + 1):
+        if value > cap:
+            break
+        value = value * (n - r + i) // i
+    if value > cap:
+        raise ClassTooLarge(f"more {what} than the cap {cap}")
+    return value
 
 
 def all_k_subsets(v: int, k: int) -> BlockDesign:

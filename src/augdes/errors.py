@@ -63,7 +63,7 @@ class NotEstimable(AugdesError):
 
 
 class ClassTooLarge(AugdesError):
-    """The design class exceeds the enumeration cap."""
+    """A design class, or the blocks of a construction, exceed their cap."""
 
 
 class NoConnectedStart(AugdesError):

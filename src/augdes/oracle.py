@@ -5,8 +5,9 @@ one (block column, effect column) pair per plot: a control plot in block
 j carries block effect j and its control effect, a test plot block
 effect j and its own (unreplicated) effect. X^T X is accumulated from
 those pairs; the n_plots x p model matrix X is never built.
-`gls_variance` computes the exact GLS variance of one treatment contrast
-from a Moore-Penrose inverse of X^T X; no command calls it, nor
+`gls_variance` computes the exact GLS variance of one treatment contrast,
+given as one coefficient per control and then per test, from a
+Moore-Penrose inverse of X^T X; no command calls it, nor
 `enumerate_class`, and both stay for the benchmark's tracer.
 
 X^T X is singular exactly because block and treatment effects are
@@ -25,14 +26,17 @@ treatment columns is the largest projection residual of any pair.
 One walk enumerates a small class, so that bounds and criterion minima
 can be checked exhaustively: a design is a multiset of b blocks from the
 pool of k-multisets over 1..v, walked as non-decreasing tuples of pool
-indices WALK_SLICE designs at a time. Each slice's incidence stack is a
-gather of pool rows, and `design.stacked_connected` decides the
-connectivity of the whole slice at once. `enumerate_class` builds a
-design object per yielded design, `class_counts` builds none, and
-`class_minima` screens the connected designs in stacked chunks with
-`criteria.stacked_criteria`, scores exactly, again stacked, only those
-that could move a minimum, and builds a design object only for an argmin,
-so its minima and argmins are those of one exact score per design.
+indices WALK_SLICE designs at a time. The enumeration cap bounds the
+pool's blocks and plots and the number of designs, and a class of more
+than `criteria.MAX_ORDER` blocks is rejected, all before the pool or a
+slice is built. Each slice's incidence stack is a gather of pool rows,
+and `design.stacked_connected` decides the connectivity of the whole
+slice at once. `enumerate_class` builds a design object per yielded
+design, `class_counts` builds none, and `class_minima` screens the
+connected designs in stacked chunks with `criteria.stacked_criteria`,
+scores exactly, again stacked, only those that could move a minimum, and
+builds a design object only for an argmin, so its minima and argmins are
+those of one exact score per design.
 """
 
 from __future__ import annotations
@@ -46,12 +50,11 @@ from typing import Iterator
 import numpy as np
 
 from . import criteria
-from .design import AugmentationSpec, BlockDesign, can_connect, components, stacked_connected
+from .design import AugmentationSpec, BlockDesign, _comb_within, can_connect, components, stacked_connected
 from .errors import (
     ClassTooLarge,
     DimensionMismatch,
     Disconnected,
-    IndexOutOfRange,
     InvalidParameters,
     NotEstimable,
 )
@@ -82,9 +85,9 @@ class AugmentedModel:
     Parameter layout: b block effects, then v control effects, then one
     effect per test treatment, blockwise. `plots` holds the (block column,
     effect column) pair of every control plot and then of every test
-    plot, block by block; `info` is accumulated from it. `test_offsets[j]`
-    is the position of block j+1's first test effect among the (control,
-    test) coefficients, counted after the v controls.
+    plot, block by block; `info` is accumulated from it. A contrast for
+    `gls_variance` has one coefficient per control and then one per test,
+    in that same blockwise order.
     """
 
     design: BlockDesign
@@ -92,37 +95,10 @@ class AugmentedModel:
     plots: np.ndarray
     info: np.ndarray
     info_pinv: np.ndarray
-    test_offsets: tuple[int, ...]
 
     @property
     def n_tests(self) -> int:
         return self.aug.total(self.design.b)
-
-    def _test_pos(self, j: int, w: int) -> int:
-        counts = self.aug.counts(self.design.b)
-        if not 1 <= j <= self.design.b:
-            raise IndexOutOfRange(f"block index {j} outside 1..{self.design.b}")
-        if not 1 <= w <= counts[j - 1]:
-            raise IndexOutOfRange(f"test slot {w} outside 1..{counts[j - 1]} in block {j}")
-        return self.design.v + self.test_offsets[j - 1] + (w - 1)
-
-    def _contrast(self, plus: int, minus: int) -> np.ndarray:
-        c = np.zeros(self.design.v + self.n_tests)
-        c[plus] = 1.0
-        c[minus] -= 1.0
-        return c
-
-    def cc_contrast(self, i: int, i_star: int) -> np.ndarray:
-        """Coefficients of control i minus control i* over (controls, tests)."""
-        return self._contrast(i - 1, i_star - 1)
-
-    def tt_contrast(self, j: int, w: int, j_star: int, w_star: int) -> np.ndarray:
-        """Coefficients of test (j, w) minus test (j*, w*)."""
-        return self._contrast(self._test_pos(j, w), self._test_pos(j_star, w_star))
-
-    def ct_contrast(self, i: int, j: int, w: int) -> np.ndarray:
-        """Coefficients of control i minus test (j, w)."""
-        return self._contrast(i - 1, self._test_pos(j, w))
 
 
 def build_model(
@@ -162,7 +138,7 @@ def build_model(
     basis /= np.sqrt(np.bincount(label))
     shift = basis @ basis.T
     pinv = invert(SymMatrix(info + shift)).a - shift
-    return AugmentedModel(d, aug, plots, info, pinv, (0, *itertools.accumulate(counts[:-1])))
+    return AugmentedModel(d, aug, plots, info, pinv)
 
 
 def gls_variance(m: AugmentedModel, contrast) -> float:
@@ -233,33 +209,20 @@ def verify_design(
     )
 
 
-def _comb_within(n: int, r: int, cap: int, what: str) -> int:
-    """math.comb(n, r) for 0 <= r <= n, when it is at most cap.
-
-    It is built by the exact recurrence C(m + i, i) = C(m + i - 1, i - 1)
-    (m + i) / i, m = n - r', over i up to r' = min(r, n - r). Since
-    m >= r' >= i, each step at least doubles the value, so ClassTooLarge,
-    naming `what` and the cap, is raised as soon as a partial value passes
-    the cap, after at most log2(cap) + 1 steps.
-    """
-    r = min(r, n - r)
-    value = 1
-    for i in range(1, r + 1):
-        if value > cap:
-            break
-        value = value * (n - r + i) // i
-    if value > cap:
-        raise ClassTooLarge(f"more {what} than the cap {cap}")
-    return value
-
-
 def _class_size(b: int, v: int, k: int, cap: int) -> int:
     """Number of designs with b blocks of size k on v treatments, after
-    checking the parameters and the cap."""
+    checking the parameters. The cap bounds the candidate blocks, their
+    plots and the designs; a design of more than `criteria.MAX_ORDER`
+    blocks could not be scored, so such a class is not walked either."""
     if b < 1 or v < 1 or k < 1:
         raise InvalidParameters(f"need b, v, k >= 1; got ({b}, {v}, {k})")
     n_blocks = _comb_within(v + k - 1, k, cap, "candidate blocks")
-    return _comb_within(n_blocks + b - 1, b, cap, "designs")
+    if n_blocks * k > cap:
+        raise ClassTooLarge(f"{n_blocks} candidate blocks of {k} plots: more pool plots than the cap {cap}")
+    n_designs = _comb_within(n_blocks + b - 1, b, cap, "designs")
+    if b > criteria.MAX_ORDER:
+        raise ClassTooLarge(f"{b} blocks: classes of more than {criteria.MAX_ORDER} blocks are not walked")
+    return n_designs
 
 
 class _ClassWalk:

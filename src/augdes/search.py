@@ -215,8 +215,8 @@ def _improvement_pass(
 
 def exchange_search(b: int, v: int, k: int, cfg: SearchConfig) -> SearchResult:
     """Search the class of b blocks of size k on v treatments for a
-    connected design with small weighted A-criteria. A class with v or b
-    above `criteria.MAX_ORDER` is rejected before the first draw."""
+    connected design with small weighted A-criteria. A class with v, b or
+    k above `criteria.MAX_ORDER` is rejected before the first draw."""
     if b < 2 or v < 2 or k < 1:
         raise InvalidParameters(f"need b >= 2, v >= 2 and k >= 1; got ({b}, {v}, {k})")
     if not can_connect(v, b, b * k):
@@ -225,6 +225,8 @@ def exchange_search(b: int, v: int, k: int, cfg: SearchConfig) -> SearchResult:
             f"{b} blocks takes at least {v + b - 1} plots, the class has {b * k}"
         )
     criteria.check_order(v, b)
+    if k > criteria.MAX_ORDER:
+        raise InvalidParameters(f"blocks of {k} plots: sizes above {criteria.MAX_ORDER} are not searched")
     best_design: BlockDesign | None = None
     best_obj = math.inf
     traces: list[tuple[float, ...]] = []

@@ -120,3 +120,24 @@ def reference_components(d):
                     queue.append(other)
         count += 1
     return comp[:b], comp[b:], count
+
+
+def contrast(m, plus, minus):
+    """The (control, test) coefficients of `plus` minus `minus` for
+    `oracle.gls_variance` on model m. Each side is a control 1..v or a
+    test (j, w), the w-th test of block j; the tests follow the v controls
+    in consecutive slots, block by block."""
+    v, counts = m.design.v, m.aug.counts(m.design.b)
+
+    def slot(effect):
+        if isinstance(effect, int):
+            assert 1 <= effect <= v
+            return effect - 1
+        j, w = effect
+        assert 1 <= w <= counts[j - 1]
+        return v + sum(counts[: j - 1]) + w - 1
+
+    c = np.zeros(v + sum(counts))
+    c[slot(plus)] = 1.0
+    c[slot(minus)] -= 1.0
+    return c

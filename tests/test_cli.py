@@ -394,6 +394,15 @@ class TestMakeDualModify:
     def test_make_nonprime_lattice_exits_2(self, runner):
         assert runner.invoke(cli, ["make", "--lattice", "4"]).exit_code == 2
 
+    def test_make_bib_block_limit(self, runner):
+        # C(v, 1) = v blocks: MAX_ORDER of them are built, one more is refused
+        limit = criteria.MAX_ORDER
+        assert runner.invoke(cli, ["make", "--bib-all-subsets", str(limit), "1"]).output.count("block") == limit
+        result = runner.invoke(cli, ["make", "--bib-all-subsets", str(limit + 1), "1"])
+        assert result.exit_code == 2
+        assert f"1-subsets of 1..{limit + 1} than the cap {limit}" in result.output
+        assert runner.invoke(cli, ["make", "--bib-all-subsets", "3", "4"]).exit_code == 2
+
     def test_make_lattice_then_eval_reproduces_flagship_triple(self, runner, tmp_path):
         out = str(tmp_path / "lattice5.design")
         assert runner.invoke(cli, ["make", "--lattice", "5", "-o", out]).exit_code == 0
@@ -526,6 +535,29 @@ def test_huge_class_fails_fast(bvk):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "cap 10000000" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["make", "--bib-all-subsets", "40", "20"],
+        ["enumerate", "--b", "1000000000", "--v", "1", "--k", "1"],
+        ["enumerate", "--b", "1", "--v", "2", "--k", "20000"],
+        ["search", "--b", "2", "--v", "2", "--k", "300000000", "--weights", "1,1,1", "--restarts", "1"],
+    ],
+    ids=["make_blocks", "enumerate_blocks", "enumerate_pool_plots", "search_block_size"],
+)
+def test_hostile_size_exits_2_in_bounded_memory(runner, args):
+    # each of these would build or draw far more than fits in memory
+    tracemalloc.start()
+    try:
+        result = runner.invoke(cli, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ")
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: c[0])

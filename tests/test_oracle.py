@@ -37,6 +37,7 @@ from augdes.oracle import (
     verify_design,
 )
 from augdes.search import MOVE_TOL
+from references import contrast
 
 ONE = AugmentationSpec.common(1)
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
@@ -138,21 +139,21 @@ class TestPlotLayout:
 class TestGlsVariance:
     def test_rcbd_values(self):
         m = build_model(RCBD2, ONE)
-        assert abs(gls_variance(m, m.cc_contrast(1, 2)) - 1.0) <= 1e-10
-        assert abs(gls_variance(m, m.tt_contrast(1, 1, 2, 1)) - 3.0) <= 1e-10
-        assert abs(gls_variance(m, m.ct_contrast(1, 1, 1)) - 1.75) <= 1e-10
+        assert abs(gls_variance(m, contrast(m, 1, 2)) - 1.0) <= 1e-10
+        assert abs(gls_variance(m, contrast(m, (1, 1), (2, 1))) - 3.0) <= 1e-10
+        assert abs(gls_variance(m, contrast(m, 1, (1, 1))) - 1.75) <= 1e-10
 
     def test_same_block_tests(self):
         m = build_model(RCBD2, AugmentationSpec.common(2))
-        assert abs(gls_variance(m, m.tt_contrast(1, 1, 1, 2)) - 2.0) <= 1e-10
+        assert abs(gls_variance(m, contrast(m, (1, 1), (1, 2))) - 2.0) <= 1e-10
 
     def test_not_estimable_across_components(self):
         d = from_blocks(4, [[1, 2], [3, 4]])
         m = build_model(d, ONE)
         with pytest.raises(NotEstimable):
-            gls_variance(m, m.cc_contrast(1, 3))
+            gls_variance(m, contrast(m, 1, 3))
         # within one component the contrast is still fine
-        assert gls_variance(m, m.cc_contrast(1, 2)) > 0.0
+        assert gls_variance(m, contrast(m, 1, 2)) > 0.0
 
     def test_estimability_matches_connectivity_on_small_class(self):
         for d in enumerate_class(4, 3, 2):
@@ -161,7 +162,7 @@ class TestGlsVariance:
             for i in range(1, d.v + 1):
                 for j in range(i + 1, d.v + 1):
                     try:
-                        gls_variance(m, m.cc_contrast(i, j))
+                        gls_variance(m, contrast(m, i, j))
                     except NotEstimable:
                         failures += 1
             if is_connected(d):
@@ -255,17 +256,17 @@ class TestCriteriaAgainstModelMeans:
         counts = aug.counts(d.b)
         tests = [(j, w) for j in range(1, d.b + 1) for w in range(1, counts[j - 1] + 1)]
         cc = [
-            gls_variance(model, model.cc_contrast(i, i2))
+            gls_variance(model, contrast(model, i, i2))
             for i in range(1, d.v + 1)
             for i2 in range(i + 1, d.v + 1)
         ]
         tt = [
-            gls_variance(model, model.tt_contrast(*tests[a], *tests[b]))
+            gls_variance(model, contrast(model, tests[a], tests[b]))
             for a in range(len(tests))
             for b in range(a + 1, len(tests))
         ]
         ct = [
-            gls_variance(model, model.ct_contrast(i, j, w))
+            gls_variance(model, contrast(model, i, (j, w)))
             for i in range(1, d.v + 1)
             for (j, w) in tests
         ]
@@ -302,13 +303,34 @@ class TestEnumerateClass:
         with pytest.raises(ClassTooLarge):
             list(enumerate_class(10, 10, 5, cap=1000))
 
+    @pytest.mark.parametrize("bvk", [(criteria.MAX_ORDER + 1, 1, 1), (1, 2, 20_000)], ids=["blocks", "pool-plots"])
+    def test_hostile_sizes_rejected_before_the_pool(self, bvk):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ClassTooLarge):
+                class_counts(*bvk)
+            with pytest.raises(ClassTooLarge):
+                class_minima(*bvk, ONE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_size_limits_are_inclusive(self):
+        # one design of MAX_ORDER single-plot blocks on one treatment
+        assert class_counts(criteria.MAX_ORDER, 1, 1) == (1, 1)
+        # 4 candidate blocks of 3 plots on 2 treatments: 12 pool plots
+        assert class_counts(1, 2, 3, cap=12) == (4, 2)
+        with pytest.raises(ClassTooLarge, match="more pool plots than the cap 11"):
+            class_counts(1, 2, 3, cap=11)
+
     def test_capped_binomial_is_math_comb(self):
         for n in range(40):
             for r in range(n + 1):
-                assert oracle._comb_within(n, r, 10**12, "designs") == math.comb(n, r)
-        assert oracle._comb_within(10, 5, 252, "designs") == 252
+                assert design_module._comb_within(n, r, 10**12, "designs") == math.comb(n, r)
+        assert design_module._comb_within(10, 5, 252, "designs") == 252
         with pytest.raises(ClassTooLarge, match="cap 251"):
-            oracle._comb_within(10, 5, 251, "designs")
+            design_module._comb_within(10, 5, 251, "designs")
 
     def test_bad_parameters(self):
         with pytest.raises(InvalidParameters):
@@ -366,19 +388,19 @@ class TestClassMinima:
         connectivity = []
         union_finds = []
         exact = []
-        original_components = design_module.components
+        original_union_find = design_module._union_find
         original_intrablock = criteria.intrablock
 
-        def counting_components(d):
+        def counting_union_find(d):
             union_finds.append(d)
-            return original_components(d)
+            return original_union_find(d)
 
         def counting_intrablock(d):
             exact.append(d)
             return original_intrablock(d)
 
         monkeypatch.setattr(oracle, "is_connected", connectivity.append, raising=False)
-        monkeypatch.setattr(design_module, "components", counting_components)
+        monkeypatch.setattr(design_module, "_union_find", counting_union_find)
         monkeypatch.setattr(criteria, "intrablock", counting_intrablock)
         result = class_minima(4, 3, 2, ONE)
         assert (result.n_designs, result.n_connected) == (126, 51)

@@ -76,8 +76,8 @@ def test_no_connected_design_raises_before_any_draw(bvk, monkeypatch):
         exchange_search(*bvk, cfg)
 
 
-@pytest.mark.parametrize("bvk", [(2, criteria.MAX_ORDER + 1, criteria.MAX_ORDER), (criteria.MAX_ORDER + 1, 3, 2)],
-                         ids=["v", "b"])
+@pytest.mark.parametrize("bvk", [(2, criteria.MAX_ORDER + 1, criteria.MAX_ORDER), (criteria.MAX_ORDER + 1, 3, 2),
+                                 (2, 2, criteria.MAX_ORDER + 1)], ids=["v", "b", "k"])
 def test_order_above_max_raises_before_any_draw(bvk, monkeypatch):
     def no_design(*args):
         raise AssertionError("a design was built")
@@ -1459,42 +1459,42 @@ def test_one_connectivity_check_per_exact_step(monkeypatch):
     # runs no second one, so outside the start draws every component
     # count belongs to exactly one intrablock computation: a connected one,
     # which inverts twice, or a disconnected one, which raises
-    calls = {"components": 0, "inverses": 0, "disconnected": 0, "start": 0}
-    real_components, real_inverse = design.components, criteria.mp_inverse_centered
+    calls = {"union_finds": 0, "inverses": 0, "disconnected": 0, "start": 0}
+    real_union_find, real_inverse = design._union_find, criteria.mp_inverse_centered
     real_intrablock, real_start = criteria.intrablock, search._random_connected
 
-    def components(d):
-        calls["components"] += 1
-        return real_components(d)
+    def union_find(d):
+        calls["union_finds"] += 1
+        return real_union_find(d)
 
     def inverse(a):
         calls["inverses"] += 1
         return real_inverse(a)
 
     def intrablock(d):
-        before = calls["components"]
+        before = calls["union_finds"]
         try:
             return real_intrablock(d)
         except Disconnected:
             calls["disconnected"] += 1
             raise
         finally:
-            assert calls["components"] - before in (0, 1)  # none on a memo hit
+            assert calls["union_finds"] - before in (0, 1)  # none on a memo hit
 
     def start(*args):
-        before = calls["components"]
+        before = calls["union_finds"]
         d = real_start(*args)
-        calls["start"] += calls["components"] - before
+        calls["start"] += calls["union_finds"] - before
         return d
 
-    monkeypatch.setattr(design, "components", components)
+    monkeypatch.setattr(design, "_union_find", union_find)
     monkeypatch.setattr(criteria, "mp_inverse_centered", inverse)
     monkeypatch.setattr(criteria, "intrablock", intrablock)
     monkeypatch.setattr(search, "_random_connected", start)
     exchange_search(4, 7, 3, SearchConfig(w_cc=1.0, w_tt=1.0, w_ct=1.0, restarts=2, rng_seed=3))
     assert calls["disconnected"] > 0
     assert calls["inverses"] % 2 == 0
-    assert calls["components"] == calls["inverses"] // 2 + calls["disconnected"] + calls["start"]
+    assert calls["union_finds"] == calls["inverses"] // 2 + calls["disconnected"] + calls["start"]
 
 
 @pytest.mark.parametrize("bvk, seed", [((12, 6, 3), 1), ((4, 7, 3), 3)], ids=["12-6-3", "4-7-3-sparse"])
