@@ -165,8 +165,11 @@ def _union_find(d: BlockDesign) -> tuple[Callable[[int], int], int]:
 def components(d: BlockDesign) -> tuple[list[int], list[int], int]:
     """Component labels for the blocks and the treatments of the
     treatment-block incidence graph, and the number of components; a
-    treatment that appears nowhere forms its own component."""
+    treatment that appears nowhere forms its own component. A connected
+    design skips the labelling pass: every label is then 0."""
     find, count = _union_find(d)
+    if count == 1:
+        return [0] * d.b, [0] * d.v, 1
     roots: dict[int, int] = {}
     comp = [roots.setdefault(find(node), len(roots)) for node in range(d.b + d.v)]
     return comp[: d.b], comp[d.b :], count

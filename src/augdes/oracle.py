@@ -3,25 +3,38 @@
 `build_model` lays out the fixed-effects model of an augmented design as
 one (block column, effect column) pair per plot: a control plot in block
 j carries block effect j and its control effect, a test plot block
-effect j and its own (unreplicated) effect. X^T X is accumulated from
-those pairs; the n_plots x p model matrix X is never built.
-`gls_variance` computes the exact GLS variance of one treatment contrast,
-given as one coefficient per control and then per test, from a
-Moore-Penrose inverse of X^T X; no command calls it, nor
+effect j and its own (unreplicated) effect. The n_plots x p model matrix
+X is never built. `gls_variance` computes the exact GLS variance of one
+treatment contrast, given as one coefficient per control and then per
+test, from a Moore-Penrose inverse of X^T X; no command calls it, nor
 `enumerate_class`, and both stay for the benchmark's tracer.
 
-X^T X is singular exactly because block and treatment effects are
-aliased within each connected component of the plot structure. Its
-pseudo-inverse is therefore obtained without any eigensolver: label each
-parameter with its component, take the columns of +1 on a component's
-blocks and -1 on its controls and tests, normalized, as the orthonormal
-null basis, add its rank-one pieces, invert with the dense routine, and
-subtract the same pieces again.
+Each test has one plot, so the test block of X^T X is the identity, and
+eliminating the tests (Federer 1956) leaves S, the information of the
+control plots alone, of order b + v: blocks, then controls. With B the
+(b + v) x T map of each test to its block,
 
-`verify_design` checks all pairs at once: with G the treatment block of
-that pseudo-inverse, diag(G) 1^T + 1 diag(G)^T - 2G holds every pairwise
-GLS variance, and the largest row range of X^T X G' - I' over the
-treatment columns is the largest projection residual of any pair.
+    X^T X = [[S + B B^T, B], [B^T, I]],
+
+and G = [[S+, -S+ B], [-B^T S+, I + B^T S+ B]] is a g-inverse of it.
+`build_model` pseudo-inverts S, which is singular exactly because block
+and control effects are aliased within each connected component of the
+plot structure, without any eigensolver: label each parameter with its
+component, take the columns of +1 on a component's blocks and -1 on its
+controls, normalized, as the orthonormal null basis, add its rank-one
+pieces, invert with the dense routine, and subtract the same pieces
+again. X^T X and its Moore-Penrose inverse P G P, P the projector off
+the order-p null basis, are formed only when read.
+
+`verify_design` checks all pairs at once from S+ alone. Two controls
+differ by the pairwise form of its control block, two tests in blocks
+j != j' by 2 plus that of its block block at (j, j'), two tests of one
+block by 2 exactly, and control i and a test of block j by
+1 + S+_ii + S+_jj + 2 S+_ij. A contrast is estimable when X^T X G maps it
+to itself; X^T X G - I is zero but for [E, -E B] in its first b + v rows,
+E = S S+ - I, so the largest row range of E over the control columns and
+the negated block columns is the largest residual of any pair; every
+block holds a test, so every block column is among them.
 
 One walk enumerates a small class, so that bounds and criterion minima
 can be checked exhaustively: a design is a multiset of b blocks from the
@@ -64,9 +77,9 @@ from .search import MOVE_TOL, SCREEN_TOL
 DEFAULT_ENUM_CAP = 10_000_000
 # The default plot cap covers every lattice q <= 13 and its dual at s <= 3.
 DEFAULT_PLOT_CAP = 2_950
-# The largest order p = b + v + T of X^T X that build_model inverts. A
-# model's time and memory follow p, not the plot count; q = 13 at s = 5
-# has p = 1,261.
+# The largest order p = b + v + T of X^T X that build_model accepts. A
+# model's `info` and `info_pinv`, and so `gls_variance`, are of order p;
+# q = 13 at s = 5 has p = 1,261.
 MAX_PARAMETERS = 1_300
 ESTIMABLE_TOL = 1e-8
 # Designs per slice of the index walk over a class.
@@ -79,37 +92,80 @@ CRITERION_NAMES = ("a_cc", "a_tt", "a_ct", "mv_cc", "mv_tt", "mv_ct")
 
 @dataclass(frozen=True, eq=False)
 class AugmentedModel:
-    """Plot layout of an augmented design, its information matrix X^T X
-    and the pseudo-inverse of that matrix.
+    """Plot layout of an augmented design and the pseudo-inverse of its
+    control-plot information.
 
     Parameter layout: b block effects, then v control effects, then one
     effect per test treatment, blockwise. `plots` holds the (block column,
     effect column) pair of every control plot and then of every test
-    plot, block by block; `info` is accumulated from it. A contrast for
-    `gls_variance` has one coefficient per control and then one per test,
-    in that same blockwise order.
+    plot, block by block. A contrast for `gls_variance` has one
+    coefficient per control and then one per test, in that same blockwise
+    order.
+
+    `control_info` is S, X^T X of the control plots alone, of order b + v,
+    and `control_pinv` its Moore-Penrose inverse S+; `null_basis` is the
+    orthonormal basis of the null space of X^T X, one column per
+    component. `info` (X^T X, accumulated from `plots`) and `info_pinv`
+    (its Moore-Penrose inverse, P G P with G the g-inverse built from S+
+    and P = I - `null_basis` `null_basis`^T) are of order p = b + v + T
+    and are computed when first read.
     """
 
     design: BlockDesign
     aug: AugmentationSpec
     plots: np.ndarray
-    info: np.ndarray
-    info_pinv: np.ndarray
+    control_info: np.ndarray
+    control_pinv: np.ndarray
+    null_basis: np.ndarray
 
     @property
     def n_tests(self) -> int:
         return self.aug.total(self.design.b)
 
+    @cached_property
+    def info(self) -> np.ndarray:
+        return _information(self.plots, len(self.null_basis))
+
+    @cached_property
+    def info_pinv(self) -> np.ndarray:
+        sp = self.control_pinv
+        slot = self.plots[len(self.plots) - self.n_tests :, 0]
+        cross = sp[:, slot]
+        g = np.block([[sp, -cross], [-cross.T, np.eye(len(slot)) + sp[np.ix_(slot, slot)]]])
+        proj = np.eye(len(g)) - self.null_basis @ self.null_basis.T
+        return proj @ g @ proj
+
+
+def _information(plots: np.ndarray, order: int) -> np.ndarray:
+    """X^T X of the plots, given as (block column, effect column) pairs:
+    M + M^T + diag(plots per column), M counting the pairs."""
+    info = np.zeros((order, order))
+    np.add.at(info, (plots[:, 0], plots[:, 1]), 1.0)
+    info += info.T
+    info[np.diag_indices(order)] = np.bincount(plots.ravel(), minlength=order)
+    return info
+
+
+def _null_basis(label: np.ndarray, b: int, n_comp: int) -> np.ndarray:
+    """The orthonormal null basis of an information matrix whose first b
+    parameters are blocks: per component, +1 on its blocks and -1 on its
+    other parameters, normalized, from each parameter's component label."""
+    basis = np.zeros((len(label), n_comp))
+    basis[np.arange(len(label)), label] = np.where(np.arange(len(label)) < b, 1.0, -1.0)
+    basis /= np.sqrt(np.bincount(label))
+    return basis
+
 
 def build_model(
     d: BlockDesign, aug: AugmentationSpec, max_plots: int = DEFAULT_PLOT_CAP
 ) -> AugmentedModel:
-    """Lay out the plots and pseudo-invert X^T X without forming X.
+    """Lay out the plots and pseudo-invert the control-plot information S,
+    of order b + v, without forming X or anything of order p.
 
     The plot cap is checked first, then a design with more treatments
     than control plots is rejected as disconnected, and then a model
-    whose order p = b + v + T exceeds MAX_PARAMETERS, all before anything
-    of order p is built.
+    whose order p = b + v + T exceeds MAX_PARAMETERS, before anything of
+    order b + v is built.
     """
     counts = aug.counts(d.b)
     n_controls = sum(d.block_sizes)
@@ -126,19 +182,14 @@ def build_model(
     block_col = np.concatenate((np.repeat(np.arange(b), d.block_sizes), test_block))
     effect_col = np.concatenate((np.concatenate(d.blocks) + (b - 1), np.arange(b + v, p)))
     plots = np.column_stack((block_col, effect_col))
-    # X^T X = M + M^T + diag(plots per column), M counting (block, effect) pairs
-    info = np.zeros((p, p))
-    np.add.at(info, (plots[:, 0], plots[:, 1]), 1.0)
-    info += info.T
-    info[np.diag_indices(p)] = np.bincount(plots.ravel(), minlength=p)
     comp_block, comp_control, n_comp = components(d)
-    label = np.concatenate((comp_block, comp_control, np.asarray(comp_block)[test_block]))
-    basis = np.zeros((p, n_comp))
-    basis[np.arange(p), label] = np.where(np.arange(p) < b, 1.0, -1.0)
-    basis /= np.sqrt(np.bincount(label))
+    label = np.concatenate((comp_block, comp_control))
+    basis = _null_basis(label, b, n_comp)
     shift = basis @ basis.T
-    pinv = invert(SymMatrix(info + shift)).a - shift
-    return AugmentedModel(d, aug, plots, info, pinv)
+    control_info = _information(plots[:n_controls], b + v)
+    control_pinv = invert(SymMatrix(control_info + shift)).a - shift
+    null_basis = _null_basis(np.concatenate((label, label[test_block])), b, n_comp)
+    return AugmentedModel(d, aug, plots, control_info, control_pinv, null_basis)
 
 
 def gls_variance(m: AugmentedModel, contrast) -> float:
@@ -181,31 +232,36 @@ def verify_design(
     d: BlockDesign, aug: AugmentationSpec, max_plots: int = DEFAULT_PLOT_CAP
 ) -> VerificationReport:
     """Compare every cc, tt and ct contrast variance of the closed forms
-    against the plot-level GLS value, all pairs in one matrix: controls
-    against `criteria.v_cc_matrix`, tests in different blocks against
-    2 + `criteria.v_tt_matrix`, tests sharing a block against the constant
-    2, control-test pairs against `criteria.v_ct_matrix`. `build_model`
-    runs first, so its guards precede anything of order v or b."""
+    against the plot-level GLS value, all pairs at once from the model's
+    S+: controls against `criteria.v_cc_matrix`, tests in different
+    blocks against 2 + `criteria.v_tt_matrix` per block pair, control-test
+    pairs against `criteria.v_ct_matrix` per control and block. Two tests
+    of one block differ only in their own effects, so their GLS variance
+    is 2 exactly, as the closed form says. Estimability is read off
+    S S+ - I, and nothing of order p is formed. `build_model` runs first,
+    so its guards precede anything of order v or b."""
     model = build_model(d, aug, max_plots=max_plots)
     ib = criteria.intrablock(d)
     b, v = d.b, d.v
-    residual = model.info @ model.info_pinv[:, b:]
-    residual[b:, :][np.diag_indices(len(residual) - b)] -= 1.0
+    sp = model.control_pinv
+    residual = model.control_info @ sp
+    residual[np.diag_indices(b + v)] -= 1.0
+    residual[:, :b] *= -1.0  # a test of block j has the negated column j
     worst = float(np.max(np.ptp(residual, axis=1)))
     if worst > ESTIMABLE_TOL:
         raise NotEstimable(f"some contrast is not estimable (projection residual {worst:.3e})")
-    gls = criteria._pairwise(model.info_pinv[b:, b:])
-    slot = model.plots[-model.n_tests :, 0]
-    same = slot[:, None] == slot
-    want_tt = 2.0 + np.where(same, 0.0, criteria.v_tt_matrix(ib)[np.ix_(slot, slot)])
-    dev_tt = np.abs(gls[v:, v:] - want_tt)
+    # the 2 of both sides of a test pair cancels
+    dev_tt = np.abs(criteria._pairwise(sp[:b, :b]) - criteria.v_tt_matrix(ib))
     np.fill_diagonal(dev_tt, 0.0)
+    dg = np.diagonal(sp)
+    gls_ct = 1.0 + dg[b:, None] + dg[:b] + 2.0 * sp[b:, :b]
+    tests = model.n_tests
     return VerificationReport(
-        max_dev_cc=float(np.max(np.abs(gls[:v, :v] - criteria.v_cc_matrix(ib)))),
-        max_dev_tt_same=float(np.max(dev_tt[same], initial=0.0)),
-        max_dev_tt_cross=float(np.max(dev_tt[~same], initial=0.0)),
-        max_dev_ct=float(np.max(np.abs(gls[:v, v:] - criteria.v_ct_matrix(ib, d)[:, slot]))),
-        n_contrasts=math.comb(v, 2) + math.comb(slot.size, 2) + v * slot.size,
+        max_dev_cc=float(np.max(np.abs(criteria._pairwise(sp[b:, b:]) - criteria.v_cc_matrix(ib)))),
+        max_dev_tt_same=0.0,
+        max_dev_tt_cross=float(np.max(dev_tt)),
+        max_dev_ct=float(np.max(np.abs(gls_ct - criteria.v_ct_matrix(ib, d)))),
+        n_contrasts=math.comb(v, 2) + math.comb(tests, 2) + v * tests,
     )
 
 

@@ -5,7 +5,10 @@ from collections import Counter
 
 import numpy as np
 
+from augdes import criteria
 from augdes.bounds import bound_quantities
+from augdes.errors import NotEstimable
+from augdes.oracle import ESTIMABLE_TOL
 
 
 def trace_identities(ib, d):
@@ -141,3 +144,52 @@ def contrast(m, plus, minus):
     c[slot(plus)] = 1.0
     c[slot(minus)] -= 1.0
     return c
+
+
+def reference_info_pinv(m):
+    """The Moore-Penrose inverse of X^T X = `m.info` at its full order
+    p = b + v + T, as `oracle.build_model` once took it: shift X^T X by
+    the projector onto its orthonormal null basis (per component, +1 on
+    its blocks and -1 on its controls and tests, normalized, with labels
+    from `reference_components`), invert, and subtract the shift again."""
+    d = m.design
+    comp_block, comp_control, n_comp = reference_components(d)
+    label = np.concatenate((comp_block, comp_control, np.repeat(comp_block, m.aug.counts(d.b)))).astype(int)
+    p = len(label)
+    basis = np.zeros((p, n_comp))
+    basis[np.arange(p), label] = np.where(np.arange(p) < d.b, 1.0, -1.0)
+    basis /= np.sqrt(np.bincount(label))
+    shift = basis @ basis.T
+    return np.linalg.inv(m.info + shift) - shift
+
+
+def reference_deviations(m):
+    """The four deviations (cc, tt in one block, tt across blocks, ct) of
+    `oracle.verify_design`, by comparing whole matrices at order p: the
+    estimability residual X^T X A - I over the control and test columns,
+    A = `reference_info_pinv(m)`, raises NotEstimable above ESTIMABLE_TOL
+    in some row range; then every pairwise GLS variance, from the
+    treatment block of A, is compared per test slot with the closed-form
+    matrices of `criteria`."""
+    d = m.design
+    b, v = d.b, d.v
+    pinv = reference_info_pinv(m)
+    residual = m.info @ pinv[:, b:]
+    residual[b:, :] -= np.eye(len(residual) - b)
+    worst = float(np.max(np.ptp(residual, axis=1)))
+    if worst > ESTIMABLE_TOL:
+        raise NotEstimable(f"projection residual {worst:.3e}")
+    ib = criteria.intrablock(d)
+    g = pinv[b:, b:]
+    gls = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
+    slot = np.repeat(np.arange(b), m.aug.counts(b))
+    same = slot[:, None] == slot
+    want_tt = 2.0 + np.where(same, 0.0, criteria.v_tt_matrix(ib)[np.ix_(slot, slot)])
+    dev_tt = np.abs(gls[v:, v:] - want_tt)
+    np.fill_diagonal(dev_tt, 0.0)
+    return (
+        float(np.max(np.abs(gls[:v, :v] - criteria.v_cc_matrix(ib)))),
+        float(np.max(dev_tt[same], initial=0.0)),
+        float(np.max(dev_tt[~same], initial=0.0)),
+        float(np.max(np.abs(gls[:v, v:] - criteria.v_ct_matrix(ib, d)[:, slot]))),
+    )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from augdes import design as design_module
 from augdes.design import (
     AugmentationSpec,
     BlockDesign,
@@ -116,6 +117,29 @@ class TestConnectivity:
         d = from_blocks(2000, [[i, i + 1] for i in range(1, 2000)])
         assert components(d) == reference_components(d)
         assert components(d)[2] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda v: st.tuples(
+                st.just(v),
+                st.lists(st.lists(st.integers(1, v), min_size=1, max_size=4), min_size=1, max_size=6),
+                st.booleans(),
+            )
+        )
+    )
+    def test_labels_equal_the_full_labelling_pass(self, case):
+        # a chain of blocks (i, i + 1) makes the design connected, where
+        # components skips the pass; without it several components are common
+        v, blocks, chain = case
+        if chain:
+            blocks = blocks + [[i, i + 1] for i in range(1, v)]
+        d = BlockDesign(v, tuple(tuple(sorted(block)) for block in blocks))
+        find, count = design_module._union_find(d)
+        roots = {}
+        full = [roots.setdefault(find(node), len(roots)) for node in range(d.b + d.v)]
+        assert components(d) == (full[: d.b], full[d.b :], count)
+        assert count == 1 or not chain
 
     def test_huge_v_rejected_without_allocation(self):
         # fewer plots than treatments: rejected before any order-v storage

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from augdes import criteria, matrix, oracle
 from augdes import design as design_module
 from augdes.design import (
     AugmentationSpec,
+    BlockDesign,
     all_k_subsets,
     can_connect,
     components,
@@ -37,7 +40,7 @@ from augdes.oracle import (
     verify_design,
 )
 from augdes.search import MOVE_TOL
-from references import contrast
+from references import contrast, reference_deviations, reference_info_pinv
 
 ONE = AugmentationSpec.common(1)
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
@@ -240,6 +243,71 @@ class TestVerifyBatched:
         finally:
             tracemalloc.stop()
         assert peak < 2**21
+
+
+MOORE_PENROSE_DESIGNS = [from_blocks(4, [[1, 2], [3, 4]]), from_blocks(3, [[1, 1], [2, 2]]), lattice_bib(3)]
+
+
+@st.composite
+def connected_with_counts(draw):
+    """A connected design with constant block size, possibly non-binary
+    and non-equireplicate, and a per-block list of test counts."""
+    v = draw(st.integers(2, 6))
+    b = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 4))
+    assume(b * k >= v + b - 1)
+    blocks = draw(st.lists(st.lists(st.integers(1, v), min_size=k, max_size=k), min_size=b, max_size=b))
+    d = BlockDesign(v, tuple(tuple(sorted(block)) for block in blocks))
+    assume(is_connected(d))
+    return d, AugmentationSpec.per_block(draw(st.lists(st.integers(1, 3), min_size=b, max_size=b)))
+
+
+def assert_matches_order_p_reference(d, aug, deviations=True):
+    # the model's derived pseudo-inverse and verify's deviations against
+    # the order-p shift-and-invert and the order-p matrix comparison
+    cap = sum(d.block_sizes) + aug.total(d.b)
+    m = build_model(d, aug, max_plots=cap)
+    tol = 1e-12 * len(m.info) * np.max(np.abs(m.info))
+    assert np.max(np.abs(m.info_pinv - reference_info_pinv(m))) <= tol
+    if deviations:
+        rep = verify_design(d, aug, max_plots=cap)
+        got = (rep.max_dev_cc, rep.max_dev_tt_same, rep.max_dev_tt_cross, rep.max_dev_ct)
+        assert np.max(np.abs(np.subtract(got, reference_deviations(m)))) <= 1e-12
+
+
+class TestAgainstOrderPReference:
+    @pytest.mark.parametrize("d, aug", [c[1:] for c in CATALOGUE], ids=[c[0] for c in CATALOGUE])
+    def test_catalogue(self, d, aug):
+        assert_matches_order_p_reference(d, aug)
+
+    @pytest.mark.parametrize("d", MOORE_PENROSE_DESIGNS, ids=["two-components", "unused-treatment", "lattice_q3"])
+    def test_moore_penrose_designs(self, d):
+        assert_matches_order_p_reference(d, AugmentationSpec.common(2), deviations=is_connected(d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_with_counts())
+    def test_random_connected_designs(self, case):
+        assert_matches_order_p_reference(*case)
+
+    def test_lattice13_at_s5_stays_at_order_b_plus_v(self, monkeypatch):
+        # p = 1,261 and 3,276 plots: verify reads S+ of order b + v = 351
+        # and forms neither X^T X nor its pseudo-inverse
+        d = lattice_bib(13)
+        criteria.intrablock(d)
+
+        def refuse(model):
+            raise AssertionError("verify_design read a matrix of order p")
+
+        monkeypatch.setattr(oracle.AugmentedModel, "info", property(refuse))
+        monkeypatch.setattr(oracle.AugmentedModel, "info_pinv", property(refuse))
+        tracemalloc.start()
+        try:
+            rep = verify_design(d, AugmentationSpec.common(5), max_plots=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.max_deviation <= 1e-9
+        assert peak < 16 * 2**20
 
 
 class TestCriteriaAgainstModelMeans:
