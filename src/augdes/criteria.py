@@ -133,8 +133,8 @@ def _information(n: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     nt = n.swapaxes(-1, -2)
     c = -(n @ nt) / k
     c_dual = -(nt @ (n / r[..., :, None]))
-    c.reshape(*c.shape[:-2], -1)[..., :: v + 1] += r
-    c_dual.reshape(*c_dual.shape[:-2], -1)[..., :: b + 1] += k
+    c.reshape(*c.shape[:-2], v * v)[..., :: v + 1] += r
+    c_dual.reshape(*c_dual.shape[:-2], b * b)[..., :: b + 1] += k
     return c, c_dual
 
 
@@ -302,22 +302,6 @@ def a_criteria(ib: Intrablock, d: BlockDesign, aug: AugmentationSpec) -> tuple[f
     return float(_a_cc(ib.c_plus)), float(a_tt), float(a_ct)
 
 
-def dual_inverse(p: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
-    """Q = C_dual+ from P = C+ through the identity
-
-        Q = Pi_b (I/k + N^T P N / k^2) Pi_b,   Pi_b = I - J/b,
-
-    for one v x b incidence N with block size k, or for a stack of them
-    (shape (m, v, b), with P of shape (m, v, v)).
-    """
-    b = n.shape[-1]
-    q = np.swapaxes(n, -1, -2) @ p @ n / k**2
-    q[..., range(b), range(b)] += 1.0 / k
-    q -= q.mean(axis=-1, keepdims=True)
-    q -= q.mean(axis=-2, keepdims=True)
-    return q
-
-
 def exchange_objective(p: np.ndarray, n: np.ndarray, k: int, counts, weights, j, a, t) -> np.ndarray:
     """w_cc A_cc + w_tt A_tt + w_ct A_ct, for weights (w_cc, w_tt, w_ct),
     of the designs that replace treatment a by t in block j of one
@@ -385,20 +369,69 @@ def exchange_objective(p: np.ndarray, n: np.ndarray, k: int, counts, weights, j,
     return value - (w_yy * uu[1] - 2.0 * m1 * uy[1] + w_uu * yy[1]) / (w_uu * w_yy - m1 * m1)
 
 
+def _gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of each member of a stack-last (n, n, m) stack of SPD
+    matrices, in place, by Gauss-Jordan without pivoting: every pivot of
+    an SPD matrix is positive."""
+    for t in range(len(a)):
+        pivot = a[t, t].copy()
+        a[t] /= pivot
+        column = a[:, t].copy()
+        column[t] = 0.0
+        a -= column[:, None] * a[t]
+        a[:, t] = -column / pivot
+        a[t, t] = 1.0 / pivot
+    return a
+
+
 def stacked_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.ndarray:
-    """All six criteria (a_cc, a_tt, a_ct, mv_cc, mv_tt, mv_ct) of a stack
-    of connected primals as an (m, 6) array, by the arithmetic of
-    `stacked_exact_criteria`, `_a_values` and `_mv_values`. It screens:
-    P comes from one stacked np.linalg.inv of C + J/v and Q from
-    `dual_inverse`, so the values agree with the exact ones to rounding
-    only."""
-    v = n.shape[1]
-    r = n.sum(axis=2)
-    c = -(n @ np.swapaxes(n, 1, 2)) / k
-    c[:, range(v), range(v)] += r
-    p = np.linalg.inv(c + 1.0 / v) - 1.0 / v
-    q = dual_inverse(p, n, k)
-    return np.column_stack((*_a_values(p, q, n, r, aug), *_mv_values(p, q, n, r)))
+    """All six criteria (a_cc, a_tt, a_ct, mv_cc, mv_tt, mv_ct) of an
+    (m, v, b) stack of connected primals as an (m, 6) array, to screen
+    them; the values agree with `stacked_exact_criteria` to rounding only.
+
+    It computes with the design axis last, on the (v, b, m) stack, which
+    is free when n is a `np.moveaxis` view of one, and forms no inverse of
+    order b. P = (C + J/v)^-1 - J/v comes from `_gauss_jordan_inverse`.
+    Q = Pi_b M Pi_b with M = I/k + N^T P N / k^2 and Pi_b = I - J/b, and
+    the pairwise forms and the ct forms xi = f_j - N^T R^-1 e_i of
+    `_ct_matrix` all sum to zero, so they read M without Pi_b. With
+    g_i = N^T R^-1 e_i, PC = I - J/v gives M g_i = (PN)_i / k +
+    1/(v r_i), so the ct multipliers are 1 + (1 - 1/v)/r_i +
+    g_i . (PN)_i / k + M_jj - 2 (PN)_ij / k. With s the counts and T
+    their sum, A_tt = 2 + 2 (T s^T diag(M) - s^T M s)/(T (T - 1)), the
+    common-count form at a common s. Only mv_tt reads all of M, of shape
+    (b, b, m).
+    """
+    v, b = n.shape[1:]
+    s = np.asarray(aug.counts(b), dtype=float)
+    total = s.sum()
+    nl = np.ascontiguousarray(np.moveaxis(n, 0, -1), dtype=float)
+    r = nl.sum(axis=1)
+    c = np.einsum("ijm,ljm->ilm", nl, nl) / -k
+    c[range(v), range(v)] += r
+    p = _gauss_jordan_inverse(c + 1.0 / v) - 1.0 / v
+    dp = p[range(v), range(v)]
+    pn = np.einsum("ilm,ljm->ijm", p, nl)
+    dm = 1.0 / k + np.einsum("ijm,ijm->jm", nl, pn) / k**2
+    own = (1.0 - 1.0 / v) / r + np.einsum("ijm,ijm->im", nl, pn) / (k * r)
+    ct = 1.0 + own[:, None] + dm - (2.0 / k) * pn
+    ns = np.einsum("ijm,j->im", nl, s)
+    sms = s @ s / k + np.einsum("ilm,im,lm->m", p, ns, ns) / k**2
+    tt = np.einsum("ijm,ilm->jlm", nl, pn)
+    tt *= -2.0 / k**2
+    tt += dm[:, None]
+    tt += dm
+    tt[range(b), range(b)] = 0.0
+    return np.column_stack(
+        (
+            2.0 * dp.sum(axis=0) / (v - 1),
+            2.0 + 2.0 * (total * (s @ dm) - sms) / (total * (total - 1.0)),
+            np.einsum("ijm,j->m", ct, s) / (v * total),
+            (dp[:, None] + dp - 2.0 * p).max(axis=(0, 1)),
+            2.0 + tt.max(axis=(0, 1)),
+            ct.max(axis=(0, 1)),
+        )
+    )
 
 
 def stacked_exact_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.ndarray:

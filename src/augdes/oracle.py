@@ -42,14 +42,16 @@ pool of k-multisets over 1..v, walked as non-decreasing tuples of pool
 indices WALK_SLICE designs at a time. The enumeration cap bounds the
 pool's blocks and plots and the number of designs, and a class of more
 than `criteria.MAX_ORDER` blocks is rejected, all before the pool or a
-slice is built. Each slice's incidence stack is a gather of pool rows,
-and `design.stacked_connected` decides the connectivity of the whole
-slice at once. `enumerate_class` builds a design object per yielded
-design, `class_counts` builds none, and `class_minima` screens the
-connected designs in stacked chunks with `criteria.stacked_criteria`,
-scores exactly, again stacked, only those that could move a minimum, and
-builds a design object only for an argmin, so its minima and argmins are
-those of one exact score per design.
+slice is built. Each slice's links are a gather of pool columns with the
+design axis last, shape (v, b, m), and `design.stacked_connected`
+decides the connectivity of the whole slice at once. `enumerate_class`
+builds a design object per yielded design, `class_counts` builds none,
+and `class_minima` screens the connected designs in stack-last chunks
+with `criteria.stacked_criteria`, admits by one running floor per
+criterion only those that could move a minimum, scores them exactly in
+one stacked call per chunk of admitted designs, usually one per class,
+and builds a design object only for an argmin, so its minima and
+argmins are those of one exact score per design.
 """
 
 from __future__ import annotations
@@ -84,8 +86,12 @@ MAX_PARAMETERS = 1_300
 ESTIMABLE_TOL = 1e-8
 # Designs per slice of the index walk over a class.
 WALK_SLICE = 4096
-# Connected designs scored per stacked evaluation in class_minima.
+# Connected designs per stacked screen, and per stacked exact call, in
+# class_minima, at most; a chunk holds at most CHUNK_BUDGET // (v + b)^2
+# designs, so that its (v + b)^2 floats per design stay near
+# CHUNK_BUDGET floats.
 CHUNK = 512
+CHUNK_BUDGET = 2**21
 
 CRITERION_NAMES = ("a_cc", "a_tt", "a_ct", "mv_cc", "mv_tt", "mv_ct")
 
@@ -287,7 +293,7 @@ class _ClassWalk:
     The pool holds the k-multisets over 1..v in lexicographic order. A
     design is a non-decreasing b-tuple of pool indices, so the designs are
     `itertools.combinations_with_replacement(range(n_pool), b)` and the
-    incidence of a stack of them is a gather of pool rows; no design
+    incidence of a stack of them is a gather of pool columns; no design
     object is built until one is asked for.
     """
 
@@ -297,13 +303,19 @@ class _ClassWalk:
         self.pool = list(itertools.combinations_with_replacement(range(1, v + 1), k))
 
     @cached_property
-    def pool_inc(self) -> np.ndarray:
-        """The (n_pool, v) incidence counts of the pool, built when first
-        read; a class without connected designs never reads them."""
+    def pool_counts(self) -> np.ndarray:
+        """The (v, n_pool) float incidence counts of the pool, built when
+        first read; a class without connected designs never reads them."""
         labels = np.fromiter(itertools.chain.from_iterable(self.pool), dtype=np.intp)
-        inc = np.zeros((len(self.pool), self.v), dtype=np.min_scalar_type(self.k))
-        np.add.at(inc, (np.arange(len(self.pool)).repeat(self.k), labels - 1), 1)
-        return inc
+        counts = np.zeros((self.v, len(self.pool)))
+        np.add.at(counts, (labels - 1, np.arange(len(self.pool)).repeat(self.k)), 1.0)
+        return counts
+
+    @cached_property
+    def pool_links(self) -> np.ndarray:
+        """`pool_counts` as booleans: whether each treatment is in each
+        pool block."""
+        return self.pool_counts > 0
 
     def slices(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The designs WALK_SLICE at a time: an (m, b) array of pool indices
@@ -314,11 +326,22 @@ class _ClassWalk:
         possible = can_connect(self.v, b, b * self.k)
         while (idx := np.fromiter(itertools.islice(flat, WALK_SLICE * b), dtype=np.intp)).size:
             idx = idx.reshape(-1, b)
-            yield idx, stacked_connected(self.incidence(idx)) if possible else np.zeros(len(idx), bool)
+            if possible:
+                yield idx, stacked_connected(np.moveaxis(self.stack(self.pool_links, idx), -1, 0))
+            else:
+                yield idx, np.zeros(len(idx), bool)
+
+    @staticmethod
+    def stack(pool: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """The columns of a (v, n_pool) pool array for the designs with
+        pool indices idx, shape (m, b): a contiguous (v, b, m) stack, the
+        design axis last."""
+        return np.take(pool, idx.T, axis=1)
 
     def incidence(self, idx: np.ndarray) -> np.ndarray:
-        """The (m, v, b) incidence counts of the designs with pool indices idx."""
-        return np.swapaxes(self.pool_inc[idx], 1, 2)
+        """The contiguous (m, v, b) float incidence of the designs with
+        pool indices idx."""
+        return np.ascontiguousarray(np.moveaxis(self.stack(self.pool_counts, idx), -1, 0))
 
     def design(self, row) -> BlockDesign:
         return BlockDesign(self.v, tuple(self.pool[i] for i in row))
@@ -368,76 +391,82 @@ def class_minima(
     recording per criterion the first minimizing design in enumeration
     order, with values within MOVE_TOL counted as ties.
 
-    Connected designs are screened CHUNK at a time. `_confirm_chunk`
-    admits those that could move a minimum, scores them exactly in one
-    stacked call that gives each the bits of its per-design
-    `criteria.evaluate(d, aug)`, and updates in enumeration order
-    from exact values only. This is exact: a design updates only if its
-    exact value is below best_t - MOVE_TOL, best_t being the running best
-    before it. best_t is at most the chunk-start best, and at most
-    exact(e) + MOVE_TOL for every earlier design e. So, with every
-    criterion positive and the screen's drift below SCREEN_TOL, both
-    confirm limits admit every design that would update, and skipping the
-    rest moves no running best.
+    Connected designs are screened with `criteria.stacked_criteria` in
+    chunks of at most CHUNK designs, fewer when (v + b)^2 floats per
+    design would pass CHUNK_BUDGET. One running floor per criterion, the
+    smallest screened value of every earlier connected design, admits a
+    design when some screened value is NaN or lies below floor +
+    2 SCREEN_TOL max(1, |floor|). After the walk, the admitted designs are
+    scored by `criteria.stacked_exact_criteria`, one chunk at a time,
+    which gives each the bits of its per-design `criteria.evaluate(d,
+    aug)`, and folded into the minima in enumeration order from exact
+    values only. This is exact: a design d updates only if exact(d) <
+    best_t - MOVE_TOL, best_t being the running best before it, and best_t
+    - MOVE_TOL <= exact(e) for every earlier design e, since the running
+    best is at most exact(e) + MOVE_TOL once e is scored and never rises.
+    So exact(d) < exact(e), and with the screen's drift below SCREEN_TOL
+    max(1, |value|), screened(d) < screened(e) + 2 SCREEN_TOL max(1,
+    |screened(e)|): the floor admits every design that would update, and
+    skipping the rest moves no running best. A design whose exact row
+    holds NaN (a failed check), or every design of a stack whose Cholesky
+    factorization fails, is scored alone by `evaluate` instead, which
+    raises the check's error. A design object is built only for a new
+    argmin.
     """
     walk = _ClassWalk(b, v, k, cap)
     if can_connect(v, b, b * k):  # a connected design exists, so a_criteria's checks apply
         criteria._check_counts(v, b, aug)
-    best: dict[str, float] = {}
-    arg: dict[str, BlockDesign] = {}
-    n_connected = 0
+    chunk = max(1, min(CHUNK, CHUNK_BUDGET // (v + b) ** 2))
+    floor = np.full(len(CRITERION_NAMES), np.inf)
     pending = np.empty((0, b), dtype=np.intp)
+    admitted = [pending]
+    n_connected = 0
     for idx, connected in walk.slices():
         n_connected += int(connected.sum())
         pending = np.concatenate((pending, idx[connected]))
-        while len(pending) >= CHUNK:
-            _confirm_chunk(walk, pending[:CHUNK], aug, best, arg)
-            pending = pending[CHUNK:]
+        while len(pending) >= chunk:
+            admitted.append(_admit(walk, pending[:chunk], aug, floor))
+            pending = pending[chunk:]
     if len(pending):
-        _confirm_chunk(walk, pending, aug, best, arg)
+        admitted.append(_admit(walk, pending, aug, floor))
+    rows = np.concatenate(admitted)
+    best: dict[str, float] = {}
+    arg: dict[str, BlockDesign] = {}
+    for start in range(0, len(rows), chunk):
+        _fold(walk, rows[start : start + chunk], aug, best, arg)
     return ClassMinima(b, v, k, walk.n_designs, n_connected, best, arg)
 
 
-def _confirm_chunk(
+def _admit(walk: _ClassWalk, rows: np.ndarray, aug: AugmentationSpec, floor: np.ndarray) -> np.ndarray:
+    """The pool index rows, of a chunk of connected designs, that the
+    running floor of `class_minima` admits; the floor is lowered in place
+    to cover the chunk."""
+    screened = criteria.stacked_criteria(np.moveaxis(walk.stack(walk.pool_counts, rows), -1, 0), walk.k, aug)
+    earlier = np.fmin.accumulate(np.vstack((floor, screened)))
+    floor[:] = earlier[-1]
+    earlier = earlier[:-1]
+    admit = np.isnan(screened) | (screened < earlier + 2.0 * SCREEN_TOL * np.maximum(1.0, np.abs(earlier)))
+    return rows[admit.any(axis=1)]
+
+
+def _fold(
     walk: _ClassWalk,
     rows: np.ndarray,
     aug: AugmentationSpec,
     best: dict[str, float],
     arg: dict[str, BlockDesign],
 ) -> None:
-    """Screen a chunk of connected designs, given by their pool index
-    rows, and fold the admitted ones into the running minima in order.
-
-    A design is admitted when its screened value of some criterion is NaN
-    or lies below both (a) the chunk-start best - MOVE_TOL + SCREEN_TOL
-    max(1, |best|) and (b) the smallest screened value earlier in the
-    chunk + 2 SCREEN_TOL max(1, |that|). The admitted designs are scored
-    exactly in one `criteria.stacked_exact_criteria` call, which gives the
-    bits of `criteria.evaluate(d, aug)`. A design whose exact row holds
-    NaN (a failed check), or every admitted design when a Cholesky
-    factorization of the stack fails, is scored alone by `evaluate`
-    instead, which raises the check's error. A design object is built
-    only for a new argmin.
-    """
-    n = np.ascontiguousarray(walk.incidence(rows), dtype=float)
-    screened = criteria.stacked_criteria(n, walk.k, aug)
-    start = np.array([best.get(name, np.inf) for name in CRITERION_NAMES])
-    below_best = screened < start - MOVE_TOL + SCREEN_TOL * np.maximum(1.0, np.abs(start))
-    earlier = np.fmin.accumulate(np.vstack((np.full(len(start), np.inf), screened[:-1])))
-    below_earlier = screened < earlier + 2.0 * SCREEN_TOL * np.maximum(1.0, np.abs(earlier))
-    confirm = np.isnan(screened) | (below_best & below_earlier)
-    admitted = np.flatnonzero(confirm.any(axis=1))
-    if not len(admitted):
-        return
-    exact = criteria.stacked_exact_criteria(n[admitted], walk.k, aug)
-    for i, values in zip(admitted.tolist(), exact.tolist()):
+    """Score admitted designs, given by their pool index rows, exactly in
+    one stacked call and fold them into the running minima in order."""
+    exact = criteria.stacked_exact_criteria(walk.incidence(rows), walk.k, aug)
+    for row, values, failed in zip(rows, exact.tolist(), np.isnan(exact).any(axis=1).tolist()):
         d = None
-        if any(math.isnan(x) for x in values):
-            d = walk.design(rows[i])
+        if failed:
+            d = walk.design(row)
             report = criteria.evaluate(d, aug)
             values = [getattr(report, name) for name in CRITERION_NAMES]
         for name, value in zip(CRITERION_NAMES, values):
             if name not in best or value < best[name] - MOVE_TOL:
-                d = d or walk.design(rows[i])
+                d = d or walk.design(row)
                 best[name] = value
                 arg[name] = d

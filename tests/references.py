@@ -30,6 +30,21 @@ def trace_identities(ib, d):
     return first, second
 
 
+def dual_inverse(p, n, k):
+    """Q = C_dual+ from P = C+ through the identity
+
+        Q = Pi_b (I/k + N^T P N / k^2) Pi_b,   Pi_b = I - J/b,
+
+    for one v x b incidence N with block size k, or for a stack of them
+    (shape (m, v, b), with P of shape (m, v, v))."""
+    b = n.shape[-1]
+    q = np.swapaxes(n, -1, -2) @ p @ n / k**2
+    q[..., range(b), range(b)] += 1.0 / k
+    q -= q.mean(axis=-1, keepdims=True)
+    q -= q.mean(axis=-2, keepdims=True)
+    return q
+
+
 def low_overlap_reference(d, n):
     """`design.low_overlap_indices` by the definition: the multiset
     intersection of every block pair counted with `Counter`, the

@@ -14,7 +14,6 @@ from augdes import criteria, search
 from augdes.criteria import (
     Intrablock,
     a_criteria,
-    dual_inverse,
     evaluate,
     intrablock,
     mv_criteria,
@@ -37,7 +36,7 @@ from augdes.design import (
 from augdes.errors import Disconnected, InvalidParameters, NonUniformBlockSize, SingularMatrix
 from augdes.matrix import SymMatrix, mp_inverse_centered
 from augdes.oracle import CRITERION_NAMES, enumerate_class
-from references import reference_intrablock, trace_identities
+from references import dual_inverse, reference_intrablock, trace_identities
 
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
 DESIGNS = Path(__file__).resolve().parent.parent / "designs"
@@ -431,6 +430,11 @@ class TestStackedExactCriteria:
             report = evaluate(d, aug)
             assert [x.hex() for x in row] == [getattr(report, name).hex() for name in CRITERION_NAMES]
         assert np.all(np.abs(stacked_criteria(n, 2, aug) - exact) <= 1e-12 * np.abs(exact))
+
+    @pytest.mark.parametrize("score", [stacked_exact_criteria, stacked_criteria], ids=["exact", "screen"])
+    @pytest.mark.parametrize("aug", [ONE, AugmentationSpec.per_block([1, 2, 3])], ids=["s1", "s_list"])
+    def test_empty_stack(self, score, aug):
+        assert score(np.empty((0, 4, 3)), 2, aug).shape == (0, 6)
 
     def test_disconnected_member_fails_the_stack(self):
         designs = [from_blocks(4, [[1, 2], [1, 3], [2, 4]]), from_blocks(4, [[1, 2], [1, 2], [3, 4]])]

@@ -526,11 +526,64 @@ class TestStackedClassMinima:
         assert result.argmin == arg
 
     def test_chunks_span_the_class(self, monkeypatch):
-        # 574 connected designs in chunks of 7: the running best crosses 82 chunk starts
+        # 574 connected designs in chunks of 7: the running floor and the exact folds cross 82 chunk starts
         _, _, best, arg = reference_class_minima(5, 4, 2, ONE)
         monkeypatch.setattr(oracle, "CHUNK", 7)
         result = class_minima(5, 4, 2, ONE)
         assert result.minima == best and result.argmin == arg
+
+    @pytest.mark.parametrize("cls, most", [((5, 4, 2), 59), ((6, 4, 2), 89)], ids=["5-4-2", "6-4-2"])
+    def test_one_exact_call_per_class(self, monkeypatch, cls, most):
+        # the running floor admits few designs, and they are scored in one stacked call
+        original = criteria.stacked_exact_criteria
+        calls = []
+
+        def counting(n, k, aug):
+            calls.append(len(n))
+            return original(n, k, aug)
+
+        monkeypatch.setattr(criteria, "stacked_exact_criteria", counting)
+        class_minima(*cls, ONE)
+        assert len(calls) == 1 and calls[0] <= most
+
+    def test_chunks_capped_by_budget(self, monkeypatch):
+        # a budget of 7 designs' (v + b)^2 = 81 floats gives screens of at most 7 designs
+        _, _, best, arg = reference_class_minima(5, 4, 2, ONE)
+        original = criteria.stacked_criteria
+        sizes = []
+
+        def recording(n, k, aug):
+            sizes.append(len(n))
+            return original(n, k, aug)
+
+        monkeypatch.setattr(oracle, "CHUNK_BUDGET", 7 * 81 + 80)
+        monkeypatch.setattr(criteria, "stacked_criteria", recording)
+        result = class_minima(5, 4, 2, ONE)
+        assert max(sizes) == 7 and sum(sizes) == 574
+        assert result.minima == best and result.argmin == arg
+
+    def test_many_blocks_bounded_memory(self):
+        # at b = 60 the screen keeps one (b, b, m) array and the exact
+        # call few rows; the minima are recorded as hex, the argmins as
+        # counts of (1,1), (1,2) and (2,2) blocks
+        tracemalloc.start()
+        try:
+            result = class_minima(60, 2, 2, ONE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert (result.n_designs, result.n_connected) == (1891, 1830)
+        assert {n: x.hex() for n, x in result.minima.items()} == {
+            "a_cc": "0x1.11111111112e0p-5",
+            "a_tt": "0x1.8000000000000p+1",
+            "a_ct": "0x1.8222222222222p+0",
+            "mv_cc": "0x1.1111111111110p-5",
+            "mv_tt": "0x1.8000000000001p+1",
+            "mv_ct": "0x1.8222222222223p+0",
+        }
+        for d in result.argmin.values():
+            assert [d.blocks.count(block) for block in ((1, 1), (1, 2), (2, 2))] == [0, 60, 0]
 
     def test_nan_screen_is_confirmed(self, monkeypatch):
         def nan_screen(n, k, counts):

@@ -183,6 +183,39 @@ def test_stacked_exact_criteria_match_report_bit_for_bit(case):
         assert [x.hex() for x in row] == [getattr(report, name).hex() for name in CRITERION_NAMES]
 
 
+@settings(max_examples=150, deadline=None)
+@given(connected_stacks())
+@example(([BlockDesign(2, ((1, 1, 2),)), BlockDesign(2, ((1, 2, 2),))], 3, AugmentationSpec.per_block([2])))
+@example(([BlockDesign(2, ((1, 1), (1, 2), (2, 2)))], 2, AugmentationSpec.per_block([1, 3, 2])))
+def test_stack_last_screen_within_rel_of_exact(case):
+    # the premise of the running floor in oracle.class_minima, at s=1, s=3
+    # and the drawn counts, on a stack given as a np.moveaxis view of a
+    # stack-last array and as it is
+    designs, k, drawn = case
+    b = designs[0].b
+    n = np.array([d.incidence for d in designs], dtype=float)
+    last = np.moveaxis(np.ascontiguousarray(np.moveaxis(n, 0, -1)), -1, 0)
+    for aug in (AugmentationSpec.common(1), AugmentationSpec.common(3), drawn):
+        if aug.total(b) < 2:
+            continue
+        exact = stacked_exact_criteria(n, k, aug)
+        for stack in (last, n):
+            assert np.all(np.abs(stacked_criteria(stack, k, aug) - exact) <= REL * np.abs(exact))
+
+
+@settings(max_examples=100, deadline=None)
+@given(design_stacks())
+def test_stacked_connected_on_strided_views(designs):
+    # (m, v, b) views that are not contiguous: every other member, the
+    # members reversed, a transposed (m, b, v) stack and a stack-last one
+    n = np.array([d.incidence for d in designs])
+    want = [is_connected(d) for d in designs]
+    assert stacked_connected(np.repeat(n, 2, axis=0)[::2]).tolist() == want
+    assert stacked_connected(n[::-1]).tolist() == want[::-1]
+    assert stacked_connected(np.swapaxes(np.ascontiguousarray(np.swapaxes(n, 1, 2)), 1, 2)).tolist() == want
+    assert stacked_connected(np.moveaxis(np.ascontiguousarray(np.moveaxis(n, 0, -1)), -1, 0)).tolist() == want
+
+
 def loop_incidence(d):
     """The v x b incidence counted one label at a time."""
     n = np.zeros((d.v, d.b), dtype=int)
