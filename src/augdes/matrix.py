@@ -40,15 +40,22 @@ class SymMatrix:
         arr = np.array(self.a, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix of order at least 1, got shape {arr.shape}")
-        arr, ok = _symmetrized(arr)
-        if not ok:
-            raise NotSymmetric("matrix is not symmetric within tolerance")
+        arr = _symmetric(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 
     @property
     def order(self) -> int:
         return self.a.shape[0]
+
+
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    """SymMatrix's rule on a plain array, without building a SymMatrix:
+    the symmetrized matrix, or NotSymmetric as SymMatrix raises it."""
+    a, ok = _symmetrized(a)
+    if not ok:
+        raise NotSymmetric("matrix is not symmetric within tolerance")
+    return a
 
 
 def _symmetrized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,6 +99,15 @@ def _checked_inverse(a: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _spd_inverse(a: np.ndarray) -> np.ndarray:
+    """`invert` on a plain symmetric array, without building a SymMatrix:
+    the same bits, or SingularMatrix as `invert` raises it."""
+    inverse = _checked_inverse(a)
+    if np.isnan(inverse).any():
+        raise SingularMatrix(f"Cholesky factorization failed or a squared pivot fell below {PIVOT_TOL:g}")
+    return inverse
+
+
 def invert(m: SymMatrix) -> SymMatrix:
     """Inverse of a symmetric positive definite matrix, built as
     L^-T L^-1 from its Cholesky factor L.
@@ -101,10 +117,7 @@ def invert(m: SymMatrix) -> SymMatrix:
     squared diagonal entry of L drops below PIVOT_TOL, or when the inverse
     fails SymMatrix's rule.
     """
-    inverse = _checked_inverse(m.a)
-    if np.isnan(inverse).any():
-        raise SingularMatrix(f"Cholesky factorization failed or a squared pivot fell below {PIVOT_TOL:g}")
-    return SymMatrix(inverse)
+    return SymMatrix(_spd_inverse(m.a))
 
 
 def mp_inverse_centered(a: np.ndarray) -> np.ndarray:

@@ -17,19 +17,21 @@ control plots alone, of order b + v: blocks, then controls. With B the
     X^T X = [[S + B B^T, B], [B^T, I]],
 
 and G = [[S+, -S+ B], [-B^T S+, I + B^T S+ B]] is a g-inverse of it.
-`build_model` pseudo-inverts S, which is singular exactly because block
-and control effects are aliased within each connected component of the
-plot structure, without any eigensolver: label each parameter with its
-component, take the columns of +1 on a component's blocks and -1 on its
-controls, normalized, as the orthonormal null basis, add its rank-one
-pieces, invert with the dense routine, and subtract the same pieces
-again. X^T X and its Moore-Penrose inverse P G P, P the projector off
-the order-p null basis, are formed only when read.
+`_control_model` pseudo-inverts S, which is singular exactly because
+block and control effects are aliased within each connected component
+of the plot structure, without any eigensolver: label each parameter
+with its component, take the columns of +1 on a component's blocks and
+-1 on its controls, normalized, as the orthonormal null basis, add its
+rank-one pieces, invert with the checked Cholesky inverse of `matrix`,
+and subtract the same pieces again. `build_model` adds the test plots
+and the order-p null basis; X^T X and its Moore-Penrose inverse P G P,
+P the projector off the order-p null basis, are formed only when read.
 
-`verify_design` checks all pairs at once from S+ alone. Two controls
-differ by the pairwise form of its control block, two tests in blocks
-j != j' by 2 plus that of its block block at (j, j'), two tests of one
-block by 2 exactly, and control i and a test of block j by
+`verify_design` calls only `_control_model` and checks all pairs at
+once from S+ alone. Two controls differ by the pairwise form of its
+control block, two tests in blocks j != j' by 2 plus that of its block
+block at (j, j'), two tests of one block by 2 exactly, and control i
+and a test of block j by
 1 + S+_ii + S+_jj + 2 S+_ij. A contrast is estimable when X^T X G maps it
 to itself; X^T X G - I is zero but for [E, -E B] in its first b + v rows,
 E = S S+ - I, so the largest row range of E over the control columns and
@@ -39,19 +41,24 @@ block holds a test, so every block column is among them.
 One walk enumerates a small class, so that bounds and criterion minima
 can be checked exhaustively: a design is a multiset of b blocks from the
 pool of k-multisets over 1..v, walked as non-decreasing tuples of pool
-indices WALK_SLICE designs at a time. The enumeration cap bounds the
-pool's blocks and plots and the number of designs, and a class of more
-than `criteria.MAX_ORDER` blocks is rejected, all before the pool or a
-slice is built. Each slice's links are a gather of pool columns with the
-design axis last, shape (v, b, m), and `design.stacked_connected`
-decides the connectivity of the whole slice at once. `enumerate_class`
-builds a design object per yielded design, `class_counts` builds none,
-and `class_minima` screens the connected designs in stack-last chunks
-with `criteria.stacked_criteria`, admits by one running floor per
-criterion only those that could move a minimum, scores them exactly in
-one stacked call per chunk of admitted designs, usually one per class,
-and builds a design object only for an argmin, so its minima and
-argmins are those of one exact score per design.
+indices at most WALK_SLICE designs at a time. `_walk` generates them in
+numpy, with no Python object per design: one table of every
+non-decreasing s-tuple, unranked in the combinatorial number system,
+supplies the last s indices, and each prefix is joined to the tail of
+the table that may follow it. The enumeration cap bounds the pool's
+blocks and plots and the number of designs, and a class of more than
+`criteria.MAX_ORDER` blocks is rejected, all before the pool or a slice
+is built; `class_minima` also rejects a class whose designs x (v + b)^2
+exceeds MINIMA_BUDGET. Each slice's links are a gather of pool columns
+with the design axis last, shape (v, b, m), and
+`design.stacked_connected` decides the connectivity of the whole slice
+at once. `enumerate_class` builds a design object per yielded design,
+`class_counts` builds none, and `class_minima` screens the connected
+designs in stack-last chunks with `criteria.stacked_criteria`, admits by
+one running floor per criterion only those that could move a minimum,
+scores them exactly in one stacked call per chunk of admitted designs,
+usually one per class, and builds a design object only for an argmin,
+so its minima and argmins are those of one exact score per design.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import criteria
+from . import criteria, matrix
 from .design import AugmentationSpec, BlockDesign, _comb_within, can_connect, components, stacked_connected
 from .errors import (
     ClassTooLarge,
@@ -73,7 +80,6 @@ from .errors import (
     InvalidParameters,
     NotEstimable,
 )
-from .matrix import SymMatrix, invert
 from .search import MOVE_TOL, SCREEN_TOL
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -92,6 +98,12 @@ WALK_SLICE = 4096
 # CHUNK_BUDGET floats.
 CHUNK = 512
 CHUNK_BUDGET = 2**21
+# The largest designs x (v + b)^2 that class_minima walks. Its time grows
+# about as that product, at 7-13 ns per unit on one core of a shared
+# 2-core x86 host: (120,2,2), 1.1e8, took 0.7 s and (7,4,3), 8.0e7, 1.0 s,
+# so a class at the budget takes about 1.5-2.6 s. (140,2,2), 2.02e8, is
+# the first class of two treatments and blocks of two that it rejects.
+MINIMA_BUDGET = 200_000_000
 
 CRITERION_NAMES = ("a_cc", "a_tt", "a_ct", "mv_cc", "mv_tt", "mv_ct")
 
@@ -162,16 +174,19 @@ def _null_basis(label: np.ndarray, b: int, n_comp: int) -> np.ndarray:
     return basis
 
 
-def build_model(
-    d: BlockDesign, aug: AugmentationSpec, max_plots: int = DEFAULT_PLOT_CAP
-) -> AugmentedModel:
-    """Lay out the plots and pseudo-invert the control-plot information S,
-    of order b + v, without forming X or anything of order p.
+def _control_model(
+    d: BlockDesign, aug: AugmentationSpec, max_plots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The control-plot part of `build_model`, all that `verify_design`
+    reads: the control plots, S, S+, each parameter's component label and
+    the number of components, without a SymMatrix or anything of order p.
 
     The plot cap is checked first, then a design with more treatments
     than control plots is rejected as disconnected, and then a model
     whose order p = b + v + T exceeds MAX_PARAMETERS, before anything of
-    order b + v is built.
+    order b + v is built. S + shift goes through SymMatrix's rule and the
+    checked Cholesky inverse as plain arrays, which gives the bits and
+    the errors of `invert(SymMatrix(S + shift)).a - shift`.
     """
     counts = aug.counts(d.b)
     n_controls = sum(d.block_sizes)
@@ -184,16 +199,32 @@ def build_model(
     p = b + v + sum(counts)
     if p > MAX_PARAMETERS:
         raise InvalidParameters(f"model would have {p} parameters, more than {MAX_PARAMETERS}")
-    test_block = np.repeat(np.arange(b), counts)
-    block_col = np.concatenate((np.repeat(np.arange(b), d.block_sizes), test_block))
-    effect_col = np.concatenate((np.concatenate(d.blocks) + (b - 1), np.arange(b + v, p)))
-    plots = np.column_stack((block_col, effect_col))
+    plots = np.column_stack((np.repeat(np.arange(b), d.block_sizes), np.concatenate(d.blocks) + (b - 1)))
     comp_block, comp_control, n_comp = components(d)
     label = np.concatenate((comp_block, comp_control))
     basis = _null_basis(label, b, n_comp)
     shift = basis @ basis.T
-    control_info = _information(plots[:n_controls], b + v)
-    control_pinv = invert(SymMatrix(control_info + shift)).a - shift
+    control_info = _information(plots, b + v)
+    control_pinv = matrix._spd_inverse(matrix._symmetric(control_info + shift)) - shift
+    return plots, control_info, control_pinv, label, n_comp
+
+
+def build_model(
+    d: BlockDesign, aug: AugmentationSpec, max_plots: int = DEFAULT_PLOT_CAP
+) -> AugmentedModel:
+    """Lay out the plots and pseudo-invert the control-plot information S,
+    of order b + v, without forming X or anything of order p.
+
+    `_control_model` runs the guards and takes S+; the test-plot rows and
+    the order-p null basis are added on top, for `gls_variance` and for
+    the model's `info` and `info_pinv`.
+    """
+    control_plots, control_info, control_pinv, label, n_comp = _control_model(d, aug, max_plots)
+    b, v = d.b, d.v
+    counts = aug.counts(b)
+    test_block = np.repeat(np.arange(b), counts)
+    test_plots = np.column_stack((test_block, np.arange(b + v, b + v + len(test_block))))
+    plots = np.concatenate((control_plots, test_plots))
     null_basis = _null_basis(np.concatenate((label, label[test_block])), b, n_comp)
     return AugmentedModel(d, aug, plots, control_info, control_pinv, null_basis)
 
@@ -244,13 +275,13 @@ def verify_design(
     pairs against `criteria.v_ct_matrix` per control and block. Two tests
     of one block differ only in their own effects, so their GLS variance
     is 2 exactly, as the closed form says. Estimability is read off
-    S S+ - I, and nothing of order p is formed. `build_model` runs first,
-    so its guards precede anything of order v or b."""
-    model = build_model(d, aug, max_plots=max_plots)
+    S S+ - I. Only `_control_model` is called, not `build_model`, so no
+    test plot, nothing of order p and no SymMatrix is formed, and its
+    guards precede anything of order v or b."""
+    _, control_info, sp, _, _ = _control_model(d, aug, max_plots)
     ib = criteria.intrablock(d)
     b, v = d.b, d.v
-    sp = model.control_pinv
-    residual = model.control_info @ sp
+    residual = control_info @ sp
     residual[np.diag_indices(b + v)] -= 1.0
     residual[:, :b] *= -1.0  # a test of block j has the negated column j
     worst = float(np.max(np.ptp(residual, axis=1)))
@@ -261,7 +292,7 @@ def verify_design(
     np.fill_diagonal(dev_tt, 0.0)
     dg = np.diagonal(sp)
     gls_ct = 1.0 + dg[b:, None] + dg[:b] + 2.0 * sp[b:, :b]
-    tests = model.n_tests
+    tests = aug.total(b)
     return VerificationReport(
         max_dev_cc=float(np.max(np.abs(criteria._pairwise(sp[b:, b:]) - criteria.v_cc_matrix(ib)))),
         max_dev_tt_same=0.0,
@@ -271,11 +302,12 @@ def verify_design(
     )
 
 
-def _class_size(b: int, v: int, k: int, cap: int) -> int:
-    """Number of designs with b blocks of size k on v treatments, after
-    checking the parameters. The cap bounds the candidate blocks, their
-    plots and the designs; a design of more than `criteria.MAX_ORDER`
-    blocks could not be scored, so such a class is not walked either."""
+def _class_size(b: int, v: int, k: int, cap: int) -> tuple[int, int]:
+    """Numbers of candidate blocks and of designs with b blocks of size k
+    on v treatments, after checking the parameters. The cap bounds the
+    candidate blocks, their plots and the designs; a design of more than
+    `criteria.MAX_ORDER` blocks could not be scored, so such a class is
+    not walked either."""
     if b < 1 or v < 1 or k < 1:
         raise InvalidParameters(f"need b, v, k >= 1; got ({b}, {v}, {k})")
     n_blocks = _comb_within(v + k - 1, k, cap, "candidate blocks")
@@ -284,7 +316,100 @@ def _class_size(b: int, v: int, k: int, cap: int) -> int:
     n_designs = _comb_within(n_blocks + b - 1, b, cap, "designs")
     if b > criteria.MAX_ORDER:
         raise ClassTooLarge(f"{b} blocks: classes of more than {criteria.MAX_ORDER} blocks are not walked")
-    return n_designs
+    return n_blocks, n_designs
+
+
+def _combinations(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) with the given lexicographic ranks, as a
+    (k, len(ranks)) array whose column j holds the increasing members of
+    subset j, by the combinatorial number system (Knuth, TAOCP 4A,
+    7.2.1.3): {a_1 < ... < a_k} has rank C(n, k) - 1 - sum_i
+    C(n - 1 - a_i, k + 1 - i), and each a_i follows greedily from the
+    largest binomial that fits. For k <= n / 2 every binomial used is at
+    most C(n, k), so int64 holds them."""
+    binomials = [np.ones(n, dtype=np.int64)]  # binomials[j][c] = C(c, j)
+    for _ in range(k):
+        binomials.append(np.concatenate(([0], np.cumsum(binomials[-1][:-1]))))
+    rest = math.comb(n, k) - 1 - ranks
+    out = np.empty((k, len(ranks)), dtype=np.intp)
+    for i in range(k):
+        row = binomials[k - i]
+        c = np.searchsorted(row, rest, side="right") - 1
+        rest = rest - row[c]
+        out[i] = n - 1 - c
+    return out
+
+
+def _tuples(n: int, s: int, ranks: np.ndarray) -> np.ndarray:
+    """The non-decreasing s-tuples over range(n) with the given
+    lexicographic ranks, one per column of an (s, len(ranks)) array,
+    unranked in one pass of at most min(s, n - 1) rows. Adding i to the
+    i-th entry maps the tuples, in order, onto the s-subsets of
+    range(n + s - 1). When s > n - 1, the complementary n - 1 "bars" of
+    each subset are unranked instead: the gaps between them are the
+    copies of each index, and the tuples rise as their bars fall in
+    lexicographic order."""
+    if s <= n - 1:
+        return _combinations(ranks, n + s - 1, s) - np.arange(s)[:, None]
+    bars = _combinations(math.comb(n + s - 1, s) - 1 - ranks, n + s - 1, n - 1)
+    edges = np.vstack((np.full(len(ranks), -1), bars, np.full(len(ranks), n + s - 1)))
+    copies = np.diff(edges, axis=0) - 1
+    return np.repeat(np.tile(np.arange(n), len(ranks)), copies.T.ravel()).reshape(-1, s).T
+
+
+def _walk(n: int, b: int) -> Iterator[np.ndarray]:
+    """Every non-decreasing b-tuple over range(n), in lexicographic order,
+    as (m, b) arrays of m <= WALK_SLICE rows, each column contiguous.
+
+    The last s columns come from one table of every non-decreasing
+    s-tuple, s as large as keeps it within WALK_SLICE tuples, or 1. The
+    first b - s columns, the prefixes, are unranked WALK_SLICE at a time,
+    and each prefix is joined to the tail of the table whose first index
+    is at least the prefix's last; consecutive prefixes share a slice
+    while their tails fit, and a tail longer than a slice is cut into
+    slices. So at most one table, one block of prefixes and one slice
+    are held at a time.
+    """
+    s = 1
+    while s < b and math.comb(n + s, s + 1) <= WALK_SLICE:
+        s += 1
+    count = math.comb(n + s - 1, s)
+    table = np.ascontiguousarray(_tuples(n, s, np.arange(count)))
+    if s == b:
+        for start in range(0, count, WALK_SLICE):
+            yield table[:, start : start + WALK_SLICE].T
+        return
+    # tuples of the table whose first index is at least j
+    tail = np.array([math.comb(n - j + s - 1, s) for j in range(n)])
+    n_prefixes = math.comb(n + b - s - 1, b - s)
+    for block in range(0, n_prefixes, WALK_SLICE):
+        prefixes = _tuples(n, b - s, np.arange(block, min(block + WALK_SLICE, n_prefixes))).T
+        lengths = tail[prefixes[:, -1]]
+        ends = np.cumsum(lengths)
+        first = 0
+        while first < len(prefixes):
+            last = int(np.searchsorted(ends, ends[first] - lengths[first] + WALK_SLICE, side="right"))
+            if last > first:
+                yield _join(prefixes[first:last], lengths[first:last], table)
+                first = last
+                continue
+            for start in range(count - lengths[first], count, WALK_SLICE):
+                piece = table[:, start : start + WALK_SLICE]
+                yield _join(prefixes[first : first + 1], np.array([piece.shape[1]]), piece)
+            first += 1
+
+
+def _join(prefixes: np.ndarray, lengths: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Each prefix row followed by each of the last `lengths` tuples of
+    the table, prefix by prefix, as an (m, b) array with contiguous
+    columns."""
+    total = int(lengths.sum())
+    width = prefixes.shape[1]
+    out = np.empty((width + len(table), total), dtype=np.intp)
+    out[:width] = np.repeat(prefixes.T, lengths, axis=1)
+    # output row t of a prefix whose rows end at e takes tuple t + count - e
+    out[width:] = np.take(table, np.arange(total) + np.repeat(table.shape[1] - np.cumsum(lengths), lengths), axis=1)
+    return out.T
 
 
 class _ClassWalk:
@@ -292,23 +417,28 @@ class _ClassWalk:
 
     The pool holds the k-multisets over 1..v in lexicographic order. A
     design is a non-decreasing b-tuple of pool indices, so the designs are
-    `itertools.combinations_with_replacement(range(n_pool), b)` and the
-    incidence of a stack of them is a gather of pool columns; no design
-    object is built until one is asked for.
+    `itertools.combinations_with_replacement(range(n_pool), b)`, generated
+    in numpy by `_walk`, and the incidence of a stack of them is a gather
+    of pool columns; no Python object is built per design, and no design
+    object until one is asked for. The pool itself is built when first
+    read, after every size check.
     """
 
     def __init__(self, b: int, v: int, k: int, cap: int):
-        self.n_designs = _class_size(b, v, k, cap)
+        self.n_pool, self.n_designs = _class_size(b, v, k, cap)
         self.b, self.v, self.k = b, v, k
-        self.pool = list(itertools.combinations_with_replacement(range(1, v + 1), k))
+
+    @cached_property
+    def pool(self) -> list[tuple[int, ...]]:
+        return list(itertools.combinations_with_replacement(range(1, self.v + 1), self.k))
 
     @cached_property
     def pool_counts(self) -> np.ndarray:
         """The (v, n_pool) float incidence counts of the pool, built when
         first read; a class without connected designs never reads them."""
         labels = np.fromiter(itertools.chain.from_iterable(self.pool), dtype=np.intp)
-        counts = np.zeros((self.v, len(self.pool)))
-        np.add.at(counts, (labels - 1, np.arange(len(self.pool)).repeat(self.k)), 1.0)
+        counts = np.zeros((self.v, self.n_pool))
+        np.add.at(counts, (labels - 1, np.arange(self.n_pool).repeat(self.k)), 1.0)
         return counts
 
     @cached_property
@@ -318,14 +448,12 @@ class _ClassWalk:
         return self.pool_counts > 0
 
     def slices(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The designs WALK_SLICE at a time: an (m, b) array of pool indices
-        and the (m,) mask of the connected ones. When the class fails
-        `can_connect`, the mask is all False without any reachability run."""
-        b = self.b
-        flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(len(self.pool)), b))
-        possible = can_connect(self.v, b, b * self.k)
-        while (idx := np.fromiter(itertools.islice(flat, WALK_SLICE * b), dtype=np.intp)).size:
-            idx = idx.reshape(-1, b)
+        """The designs at most WALK_SLICE at a time: an (m, b) array of
+        pool indices and the (m,) mask of the connected ones. When the
+        class fails `can_connect`, the mask is all False without any
+        reachability run."""
+        possible = can_connect(self.v, self.b, self.b * self.k)
+        for idx in _walk(self.n_pool, self.b):
             if possible:
                 yield idx, stacked_connected(np.moveaxis(self.stack(self.pool_links, idx), -1, 0))
             else:
@@ -391,6 +519,10 @@ def class_minima(
     recording per criterion the first minimizing design in enumeration
     order, with values within MOVE_TOL counted as ties.
 
+    After the class-size checks of the walk, a class whose designs x
+    (v + b)^2 exceeds MINIMA_BUDGET is rejected with ClassTooLarge, before
+    the pool or the first slice is built.
+
     Connected designs are screened with `criteria.stacked_criteria` in
     chunks of at most CHUNK designs, fewer when (v + b)^2 floats per
     design would pass CHUNK_BUDGET. One running floor per criterion, the
@@ -414,6 +546,11 @@ def class_minima(
     argmin.
     """
     walk = _ClassWalk(b, v, k, cap)
+    work = walk.n_designs * (v + b) ** 2
+    if work > MINIMA_BUDGET:
+        raise ClassTooLarge(
+            f"{walk.n_designs} designs x (v + b)^2 {(v + b) ** 2} = {work}: above the minima budget {MINIMA_BUDGET}"
+        )
     if can_connect(v, b, b * k):  # a connected design exists, so a_criteria's checks apply
         criteria._check_counts(v, b, aug)
     chunk = max(1, min(CHUNK, CHUNK_BUDGET // (v + b) ** 2))

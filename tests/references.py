@@ -8,6 +8,7 @@ import numpy as np
 from augdes import criteria
 from augdes.bounds import bound_quantities
 from augdes.errors import NotEstimable
+from augdes.matrix import SymMatrix, invert
 from augdes.oracle import ESTIMABLE_TOL
 
 
@@ -168,14 +169,30 @@ def reference_info_pinv(m):
     its blocks and -1 on its controls and tests, normalized, with labels
     from `reference_components`), invert, and subtract the shift again."""
     d = m.design
-    comp_block, comp_control, n_comp = reference_components(d)
-    label = np.concatenate((comp_block, comp_control, np.repeat(comp_block, m.aug.counts(d.b)))).astype(int)
-    p = len(label)
-    basis = np.zeros((p, n_comp))
-    basis[np.arange(p), label] = np.where(np.arange(p) < d.b, 1.0, -1.0)
-    basis /= np.sqrt(np.bincount(label))
-    shift = basis @ basis.T
+    comp_block, comp_control, _ = reference_components(d)
+    shift = _null_projector(np.concatenate((comp_block, comp_control, np.repeat(comp_block, m.aug.counts(d.b)))), d.b)
     return np.linalg.inv(m.info + shift) - shift
+
+
+def reference_control_pinv(m):
+    """S+ = `m.control_pinv` as `oracle.build_model` once took it, through
+    a SymMatrix and `invert`: invert(SymMatrix(S + shift)).a - shift, the
+    shift being the projector onto the null basis of S, with labels from
+    `reference_components`."""
+    comp_block, comp_control, _ = reference_components(m.design)
+    shift = _null_projector(np.concatenate((comp_block, comp_control)), m.design.b)
+    return invert(SymMatrix(m.control_info + shift)).a - shift
+
+
+def _null_projector(label, b):
+    """B B^T for the orthonormal null basis B of component labels: per
+    component, +1 on its blocks, the first b parameters, and -1 on its
+    other parameters, normalized."""
+    label = np.asarray(label, dtype=int)
+    basis = np.zeros((len(label), label.max() + 1))
+    basis[np.arange(len(label)), label] = np.where(np.arange(len(label)) < b, 1.0, -1.0)
+    basis /= np.sqrt(np.bincount(label))
+    return basis @ basis.T
 
 
 def reference_deviations(m):

@@ -734,6 +734,12 @@ class TestEnumerate:
         name = "enumerate_b{}_v{}_k{}".format(*args[1:6:2]) + ("_minima" if "--minima" in args else "")
         assert result.output == (DATA / f"{name}.txt").read_text(encoding="utf-8")
 
+    def test_minima_over_the_work_budget_exit_2(self, runner):
+        # (200,2,2): 20,301 designs of order 202, 8.3e8 against the budget
+        result = runner.invoke(cli, ["enumerate", "--b", "200", "--v", "2", "--k", "2", "--minima"])
+        assert result.exit_code == 2, result.output
+        assert "minima budget" in result.output
+
     def test_env_cap(self, runner):
         result = runner.invoke(
             cli,

@@ -40,7 +40,7 @@ from augdes.oracle import (
     verify_design,
 )
 from augdes.search import MOVE_TOL
-from references import contrast, reference_deviations, reference_info_pinv
+from references import contrast, reference_control_pinv, reference_deviations, reference_info_pinv
 
 ONE = AugmentationSpec.common(1)
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
@@ -310,6 +310,35 @@ class TestAgainstOrderPReference:
         assert peak < 16 * 2**20
 
 
+class TestControlInverse:
+    def test_verify_builds_no_symmatrix_and_calls_no_invert(self, monkeypatch):
+        # verify takes S+ through the checked inverse of plain arrays: no
+        # SymMatrix, no `invert`, no `build_model` and nothing of order p
+        d = lattice_bib(13)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_design left the order b + v array path")
+
+        monkeypatch.setattr(matrix.SymMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(matrix, "invert", refuse)
+        monkeypatch.setattr(oracle, "build_model", refuse)
+        monkeypatch.setattr(oracle.AugmentedModel, "info", property(refuse))
+        monkeypatch.setattr(oracle.AugmentedModel, "info_pinv", property(refuse))
+        rep = verify_design(d, AugmentationSpec.common(5), max_plots=10**6)
+        assert rep.max_deviation <= 1e-9
+
+    @pytest.mark.parametrize(
+        "d, aug",
+        [c[1:] for c in CATALOGUE] + [(d, AugmentationSpec.common(2)) for d in MOORE_PENROSE_DESIGNS],
+        ids=[c[0] for c in CATALOGUE] + ["two-components", "unused-treatment", "lattice_q3"],
+    )
+    def test_control_pinv_is_the_old_inverse_bit_for_bit(self, d, aug):
+        m = build_model(d, aug, max_plots=sum(d.block_sizes) + aug.total(d.b))
+        want = reference_control_pinv(m)
+        assert m.control_pinv.dtype == want.dtype and m.control_pinv.shape == want.shape
+        assert m.control_pinv.tobytes() == want.tobytes()
+
+
 class TestCriteriaAgainstModelMeans:
     def test_averages_and_maxima_match_plot_level_definitions(self):
         # the A-criteria are literally the means (and the MV-criteria the
@@ -427,6 +456,35 @@ class TestEnumerateClass:
         for b, v, k in itertools.product(range(1, 5), range(1, 5), range(1, 4)):
             any_connected = any(components(d)[2] == 1 for d in enumerate_class(b, v, k))
             assert can_connect(v, b, b * k) == (class_counts(b, v, k)[1] > 0) == any_connected, (b, v, k)
+
+
+class TestWalk:
+    @pytest.mark.parametrize(
+        "cls",
+        [(1, 3, 2), (1, 2, 2), (2, 4, 2), (1, 12, 5), (6, 4, 2), (120, 2, 2), (2000, 2, 1)],
+        ids=["b1", "b1-connects", "cannot-connect", "pool-over-slice", "6-4-2", "120-2-2", "2000-2-1"],
+    )
+    def test_slices_match_combinations_with_replacement(self, cls):
+        b = cls[0]
+        walk = oracle._ClassWalk(*cls, oracle.DEFAULT_ENUM_CAP)
+        slices = list(walk.slices())
+        assert all(0 < len(idx) <= oracle.WALK_SLICE and len(mask) == len(idx) for idx, mask in slices)
+        idx = np.concatenate([idx for idx, _ in slices])
+        want = np.array(list(itertools.combinations_with_replacement(range(walk.n_pool), b)), dtype=np.intp)
+        assert idx.dtype == np.intp and np.array_equal(idx, want.reshape(-1, b))
+        mask = np.concatenate([mask for _, mask in slices])
+        assert mask.tolist() == [is_connected(walk.design(row)) for row in idx.tolist()]
+
+    def test_tables_and_joins_against_combinations(self, monkeypatch):
+        # every pool size and design length to 6, with slices so small
+        # that tables fall back to one column and long tails are cut
+        for size in (1, 2, 3, 7, 50, 4096):
+            monkeypatch.setattr(oracle, "WALK_SLICE", size)
+            for n, b in itertools.product(range(1, 7), range(1, 7)):
+                got = list(oracle._walk(n, b))
+                assert all(len(rows) <= size for rows in got)
+                want = list(itertools.combinations_with_replacement(range(n), b))
+                assert np.concatenate(got).tolist() == [list(row) for row in want], (size, n, b)
 
 
 class TestClassMinima:
@@ -584,6 +642,24 @@ class TestStackedClassMinima:
         }
         for d in result.argmin.values():
             assert [d.blocks.count(block) for block in ((1, 1), (1, 2), (2, 2))] == [0, 60, 0]
+
+    def test_classes_in_use_are_within_the_budget(self):
+        # classes whose minima the tests, CI, benchmark or README compute
+        for b, v, k in ((7, 4, 3), (5, 5, 3), (60, 2, 2), (120, 2, 2), (6, 4, 3), (6, 4, 2)):
+            assert oracle._ClassWalk(b, v, k, oracle.DEFAULT_ENUM_CAP).n_designs * (v + b) ** 2 <= oracle.MINIMA_BUDGET
+
+    def test_class_just_over_the_budget_raises_in_bounded_memory(self):
+        # (139,2,2) is 1.96e8 and (140,2,2) 2.02e8, one percent over
+        assert math.comb(141, 2) * 141**2 <= oracle.MINIMA_BUDGET < math.comb(142, 2) * 142**2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ClassTooLarge, match="minima budget"):
+                class_minima(140, 2, 2, ONE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert class_counts(140, 2, 2) == (10011, 9870)
 
     def test_nan_screen_is_confirmed(self, monkeypatch):
         def nan_screen(n, k, counts):
