@@ -1,18 +1,14 @@
 """Ground truth for the closed-form criteria.
 
-`build_model` lays out the fixed-effects model of an augmented design as
-one (block column, effect column) pair per plot: a control plot in block
-j carries block effect j and its control effect, a test plot block
-effect j and its own (unreplicated) effect. The n_plots x p model matrix
-X is never built. `gls_variance` computes the exact GLS variance of one
-treatment contrast, given as one coefficient per control and then per
-test, from a Moore-Penrose inverse of X^T X; no command calls it, nor
-`enumerate_class`, and both stay for the benchmark's tracer.
-
-Each test has one plot, so the test block of X^T X is the identity, and
-eliminating the tests (Federer 1956) leaves S, the information of the
-control plots alone, of order b + v: blocks, then controls. With B the
-(b + v) x T map of each test to its block,
+The fixed-effects model of an augmented design has one (block column,
+effect column) pair per plot: a control plot in block j carries block
+effect j and its control effect, a test plot block effect j and its own
+(unreplicated) effect. The n_plots x p model matrix X is never built,
+nor anything else of order p = b + v + T. Each test has one plot, so the
+test block of X^T X is the identity, and eliminating the tests (Federer
+1956) leaves S, the information of the control plots alone, of order
+b + v: blocks, then controls. With B the (b + v) x T map of each test to
+its block,
 
     X^T X = [[S + B B^T, B], [B^T, I]],
 
@@ -23,20 +19,23 @@ of the plot structure, without any eigensolver: label each parameter
 with its component, take the columns of +1 on a component's blocks and
 -1 on its controls, normalized, as the orthonormal null basis, add its
 rank-one pieces, invert with the checked Cholesky inverse of `matrix`,
-and subtract the same pieces again. `build_model` adds the test plots
-and the order-p null basis; X^T X and its Moore-Penrose inverse P G P,
-P the projector off the order-p null basis, are formed only when read.
+and subtract the same pieces again. `build_model` wraps its control
+plots, S and S+ in an `AugmentedModel`.
 
-`verify_design` calls only `_control_model` and checks all pairs at
-once from S+ alone. Two controls differ by the pairwise form of its
-control block, two tests in blocks j != j' by 2 plus that of its block
-block at (j, j'), two tests of one block by 2 exactly, and control i
-and a test of block j by
-1 + S+_ii + S+_jj + 2 S+_ij. A contrast is estimable when X^T X G maps it
-to itself; X^T X G - I is zero but for [E, -E B] in its first b + v rows,
-E = S S+ - I, so the largest row range of E over the control columns and
-the negated block columns is the largest residual of any pair; every
-block holds a test, so every block column is among them.
+A contrast is estimable when X^T X G maps it to itself; X^T X G - I is
+zero but for [E, -E B] in its first b + v rows, E = S S+ - I.
+`gls_variance` computes the exact GLS variance of one treatment
+contrast, c per control and y per test, from S+ alone: with z = (-(the
+per-block sums of y), c), it is z^T S+ z + y^T y, estimable when
+E z = 0. No command calls it, nor `enumerate_class`, and both stay for
+the benchmark's tracer. `verify_design` calls only `_control_model` and
+checks all pairs at once from S+. Two controls differ by the pairwise
+form of its control block, two tests in blocks j != j' by 2 plus that of
+its block block at (j, j'), two tests of one block by 2 exactly, and
+control i and a test of block j by 1 + S+_ii + S+_jj + 2 S+_ij. The
+largest row range of E over the control columns and the negated block
+columns is the largest residual of any pair; every block holds a test,
+so every block column is among them.
 
 One walk enumerates a small class, so that bounds and criterion minima
 can be checked exhaustively: a design is a multiset of b blocks from the
@@ -48,17 +47,18 @@ supplies the last s indices, and each prefix is joined to the tail of
 the table that may follow it. The enumeration cap bounds the pool's
 blocks and plots and the number of designs, and a class of more than
 `criteria.MAX_ORDER` blocks is rejected, all before the pool or a slice
-is built; `class_minima` also rejects a class whose designs x (v + b)^2
-exceeds MINIMA_BUDGET. Each slice's links are a gather of pool columns
-with the design axis last, shape (v, b, m), and
+is built; `class_counts` also rejects a connectable class whose designs
+x v x b exceeds COUNT_BUDGET, and `class_minima` one whose designs x
+(v + b)^2 exceeds MINIMA_BUDGET. Each slice's links are a gather of pool
+columns with the design axis last, shape (v, b, m), and
 `design.stacked_connected` decides the connectivity of the whole slice
 at once. `enumerate_class` builds a design object per yielded design,
 `class_counts` builds none, and `class_minima` screens the connected
 designs in stack-last chunks with `criteria.stacked_criteria`, admits by
 one running floor per criterion only those that could move a minimum,
 scores them exactly in one stacked call per chunk of admitted designs,
-usually one per class, and builds a design object only for an argmin,
-so its minima and argmins are those of one exact score per design.
+usually one per class, and builds a design object only for an argmin, so
+its minima and argmins are those of one exact score per design.
 """
 
 from __future__ import annotations
@@ -85,9 +85,10 @@ from .search import MOVE_TOL, SCREEN_TOL
 DEFAULT_ENUM_CAP = 10_000_000
 # The default plot cap covers every lattice q <= 13 and its dual at s <= 3.
 DEFAULT_PLOT_CAP = 2_950
-# The largest order p = b + v + T of X^T X that build_model accepts. A
-# model's `info` and `info_pinv`, and so `gls_variance`, are of order p;
-# q = 13 at s = 5 has p = 1,261.
+# The most parameters p = b + v + T of a model that build_model and
+# verify_design accept; q = 13 at s = 5 has p = 1,261. Nothing of order p
+# is formed (S and S+ are of order b + v), so, like the plot cap, it
+# bounds the size of a model, not of a matrix.
 MAX_PARAMETERS = 1_300
 ESTIMABLE_TOL = 1e-8
 # Designs per slice of the index walk over a class.
@@ -104,29 +105,27 @@ CHUNK_BUDGET = 2**21
 # so a class at the budget takes about 1.5-2.6 s. (140,2,2), 2.02e8, is
 # the first class of two treatments and blocks of two that it rejects.
 MINIMA_BUDGET = 200_000_000
+# The largest designs x v x b that class_counts walks, at 2.3-9.3 ns per
+# unit on the same host: (8,6,2), 1.5e8, took 0.74 s, (583,2,2), 2.0e8,
+# 1.6 s at 111 MB maxrss, and (1000,2,2), 1.0e9, 9.3 s at 174 MB.
+# (584,2,2) is the first two-treatment class of pairs that it rejects.
+COUNT_BUDGET = 200_000_000
 
 CRITERION_NAMES = ("a_cc", "a_tt", "a_ct", "mv_cc", "mv_tt", "mv_ct")
 
 
 @dataclass(frozen=True, eq=False)
 class AugmentedModel:
-    """Plot layout of an augmented design and the pseudo-inverse of its
-    control-plot information.
+    """The control plots of an augmented design, their information and its
+    pseudo-inverse.
 
     Parameter layout: b block effects, then v control effects, then one
     effect per test treatment, blockwise. `plots` holds the (block column,
-    effect column) pair of every control plot and then of every test
-    plot, block by block. A contrast for `gls_variance` has one
+    effect column) pair of every control plot, block by block; the test
+    plots are implied by `aug`. A contrast for `gls_variance` has one
     coefficient per control and then one per test, in that same blockwise
-    order.
-
-    `control_info` is S, X^T X of the control plots alone, of order b + v,
-    and `control_pinv` its Moore-Penrose inverse S+; `null_basis` is the
-    orthonormal basis of the null space of X^T X, one column per
-    component. `info` (X^T X, accumulated from `plots`) and `info_pinv`
-    (its Moore-Penrose inverse, P G P with G the g-inverse built from S+
-    and P = I - `null_basis` `null_basis`^T) are of order p = b + v + T
-    and are computed when first read.
+    order. `control_info` is S, X^T X of the control plots alone, of order
+    b + v, and `control_pinv` its Moore-Penrose inverse S+.
     """
 
     design: BlockDesign
@@ -134,59 +133,20 @@ class AugmentedModel:
     plots: np.ndarray
     control_info: np.ndarray
     control_pinv: np.ndarray
-    null_basis: np.ndarray
-
-    @property
-    def n_tests(self) -> int:
-        return self.aug.total(self.design.b)
-
-    @cached_property
-    def info(self) -> np.ndarray:
-        return _information(self.plots, len(self.null_basis))
-
-    @cached_property
-    def info_pinv(self) -> np.ndarray:
-        sp = self.control_pinv
-        slot = self.plots[len(self.plots) - self.n_tests :, 0]
-        cross = sp[:, slot]
-        g = np.block([[sp, -cross], [-cross.T, np.eye(len(slot)) + sp[np.ix_(slot, slot)]]])
-        proj = np.eye(len(g)) - self.null_basis @ self.null_basis.T
-        return proj @ g @ proj
 
 
-def _information(plots: np.ndarray, order: int) -> np.ndarray:
-    """X^T X of the plots, given as (block column, effect column) pairs:
-    M + M^T + diag(plots per column), M counting the pairs."""
-    info = np.zeros((order, order))
-    np.add.at(info, (plots[:, 0], plots[:, 1]), 1.0)
-    info += info.T
-    info[np.diag_indices(order)] = np.bincount(plots.ravel(), minlength=order)
-    return info
-
-
-def _null_basis(label: np.ndarray, b: int, n_comp: int) -> np.ndarray:
-    """The orthonormal null basis of an information matrix whose first b
-    parameters are blocks: per component, +1 on its blocks and -1 on its
-    other parameters, normalized, from each parameter's component label."""
-    basis = np.zeros((len(label), n_comp))
-    basis[np.arange(len(label)), label] = np.where(np.arange(len(label)) < b, 1.0, -1.0)
-    basis /= np.sqrt(np.bincount(label))
-    return basis
-
-
-def _control_model(
-    d: BlockDesign, aug: AugmentationSpec, max_plots: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """The control-plot part of `build_model`, all that `verify_design`
-    reads: the control plots, S, S+, each parameter's component label and
-    the number of components, without a SymMatrix or anything of order p.
+def _control_model(d: BlockDesign, aug: AugmentationSpec, max_plots: int) -> tuple[np.ndarray, ...]:
+    """The control plots, S and S+ of `build_model`, without a SymMatrix
+    or anything of order p.
 
     The plot cap is checked first, then a design with more treatments
-    than control plots is rejected as disconnected, and then a model
-    whose order p = b + v + T exceeds MAX_PARAMETERS, before anything of
-    order b + v is built. S + shift goes through SymMatrix's rule and the
-    checked Cholesky inverse as plain arrays, which gives the bits and
-    the errors of `invert(SymMatrix(S + shift)).a - shift`.
+    than control plots is rejected as disconnected, and then a model of
+    more than MAX_PARAMETERS parameters, before anything of order b + v
+    is built. S is M + M^T + diag(plots per column), M counting the
+    plots' (block column, effect column) pairs. S + shift goes through
+    SymMatrix's rule and the checked Cholesky inverse as plain arrays,
+    which gives the bits and the errors of
+    `invert(SymMatrix(S + shift)).a - shift`.
     """
     counts = aug.counts(d.b)
     n_controls = sum(d.block_sizes)
@@ -202,52 +162,48 @@ def _control_model(
     plots = np.column_stack((np.repeat(np.arange(b), d.block_sizes), np.concatenate(d.blocks) + (b - 1)))
     comp_block, comp_control, n_comp = components(d)
     label = np.concatenate((comp_block, comp_control))
-    basis = _null_basis(label, b, n_comp)
+    basis = np.zeros((b + v, n_comp))
+    basis[np.arange(b + v), label] = np.where(np.arange(b + v) < b, 1.0, -1.0)
+    basis /= np.sqrt(np.bincount(label))
     shift = basis @ basis.T
-    control_info = _information(plots, b + v)
+    control_info = np.zeros((b + v, b + v))
+    np.add.at(control_info, (plots[:, 0], plots[:, 1]), 1.0)
+    control_info += control_info.T
+    control_info[np.diag_indices(b + v)] = np.bincount(plots.ravel(), minlength=b + v)
     control_pinv = matrix._spd_inverse(matrix._symmetric(control_info + shift)) - shift
-    return plots, control_info, control_pinv, label, n_comp
+    return plots, control_info, control_pinv
 
 
-def build_model(
-    d: BlockDesign, aug: AugmentationSpec, max_plots: int = DEFAULT_PLOT_CAP
-) -> AugmentedModel:
-    """Lay out the plots and pseudo-invert the control-plot information S,
-    of order b + v, without forming X or anything of order p.
-
-    `_control_model` runs the guards and takes S+; the test-plot rows and
-    the order-p null basis are added on top, for `gls_variance` and for
-    the model's `info` and `info_pinv`.
-    """
-    control_plots, control_info, control_pinv, label, n_comp = _control_model(d, aug, max_plots)
-    b, v = d.b, d.v
-    counts = aug.counts(b)
-    test_block = np.repeat(np.arange(b), counts)
-    test_plots = np.column_stack((test_block, np.arange(b + v, b + v + len(test_block))))
-    plots = np.concatenate((control_plots, test_plots))
-    null_basis = _null_basis(np.concatenate((label, label[test_block])), b, n_comp)
-    return AugmentedModel(d, aug, plots, control_info, control_pinv, null_basis)
+def build_model(d: BlockDesign, aug: AugmentationSpec, max_plots: int = DEFAULT_PLOT_CAP) -> AugmentedModel:
+    """Lay out the control plots and pseudo-invert their information S,
+    of order b + v, through `_control_model`, without forming X or
+    anything of order p."""
+    return AugmentedModel(d, aug, *_control_model(d, aug, max_plots))
 
 
 def gls_variance(m: AugmentedModel, contrast) -> float:
     """Exact variance multiplier of a treatment contrast, in sigma^2 units.
 
-    `contrast` holds one coefficient per control followed by one per test
-    treatment (blockwise); block effects are nuisance and implicitly carry
-    zero. Raises NotEstimable when the contrast is outside the row space
-    of the model matrix.
+    `contrast` holds one coefficient per control, c, followed by one per
+    test treatment (blockwise), y; block effects are nuisance and
+    implicitly carry zero. With z = (-(the per-block sums of y), c), the
+    variance is z^T S+ z + y^T y. Raises NotEstimable when the contrast is
+    outside the row space of the model matrix: max |S S+ z - z| above
+    ESTIMABLE_TOL.
     """
     c = np.asarray(contrast, dtype=float)
-    b = m.design.b
-    expected = len(m.info) - b
+    b, v = m.design.b, m.design.v
+    counts = m.aug.counts(b)
+    expected = v + sum(counts)
     if c.shape != (expected,):
         raise DimensionMismatch(f"expected {expected} coefficients, got shape {c.shape}")
-    full = np.concatenate([np.zeros(b), c])
-    solved = m.info_pinv @ full
-    residual = float(np.max(np.abs(m.info @ solved - full)))
+    y = c[v:]
+    z = np.concatenate((-np.bincount(np.repeat(np.arange(b), counts), weights=y, minlength=b), c[:v]))
+    solved = m.control_pinv @ z
+    residual = float(np.max(np.abs(m.control_info @ solved - z)))
     if residual > ESTIMABLE_TOL:
         raise NotEstimable(f"contrast not estimable (projection residual {residual:.3e})")
-    return float(full @ solved)
+    return float(z @ solved + y @ y)
 
 
 @dataclass(frozen=True)
@@ -278,7 +234,7 @@ def verify_design(
     S S+ - I. Only `_control_model` is called, not `build_model`, so no
     test plot, nothing of order p and no SymMatrix is formed, and its
     guards precede anything of order v or b."""
-    _, control_info, sp, _, _ = _control_model(d, aug, max_plots)
+    _, control_info, sp = _control_model(d, aug, max_plots)
     ib = criteria.intrablock(d)
     b, v = d.b, d.v
     residual = control_info @ sp
@@ -494,8 +450,16 @@ def enumerate_class(
 
 
 def class_counts(b: int, v: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, int]:
-    """Number of designs of a class and number of connected ones."""
+    """Number of designs of a class and number of connected ones. A class
+    that fails `can_connect` is not walked; one whose designs x v x b
+    exceeds COUNT_BUDGET is rejected with ClassTooLarge before the pool or
+    a slice is built."""
     walk = _ClassWalk(b, v, k, cap)
+    if not can_connect(v, b, b * k):
+        return walk.n_designs, 0
+    work = walk.n_designs * v * b
+    if work > COUNT_BUDGET:
+        raise ClassTooLarge(f"{walk.n_designs} designs x v x b = {work}: above the count budget {COUNT_BUDGET}")
     return walk.n_designs, sum(int(connected.sum()) for _, connected in walk.slices())
 
 

@@ -162,16 +162,48 @@ def contrast(m, plus, minus):
     return c
 
 
-def reference_info_pinv(m):
-    """The Moore-Penrose inverse of X^T X = `m.info` at its full order
-    p = b + v + T, as `oracle.build_model` once took it: shift X^T X by
-    the projector onto its orthonormal null basis (per component, +1 on
-    its blocks and -1 on its controls and tests, normalized, with labels
-    from `reference_components`), invert, and subtract the shift again."""
-    d = m.design
+def reference_plots(d, aug):
+    """The (block column, effect column) pair of every plot of d augmented
+    by aug, laid out apart from `oracle`: the parameters are b blocks, v
+    controls and one effect per test, blockwise; the control plots come
+    block by block, then the test plots, the t-th test in column b + v + t."""
+    b, v = d.b, d.v
+    controls = [(j, b + label - 1) for j, block in enumerate(d.blocks) for label in block]
+    test_blocks = [j for j, count in enumerate(aug.counts(b)) for _ in range(count)]
+    return np.array(controls + [(j, b + v + t) for t, j in enumerate(test_blocks)], dtype=int)
+
+
+def model_matrix(d, aug):
+    """The n_plots x p model matrix X of `reference_plots`: a one in each
+    plot's two columns."""
+    plots = reference_plots(d, aug)
+    x = np.zeros((len(plots), d.b + d.v + aug.total(d.b)))
+    x[np.arange(len(plots))[:, None], plots] = 1.0
+    return x
+
+
+def reference_info(d, aug):
+    """X^T X at its full order p = b + v + T, accumulated plot by plot from
+    `reference_plots` without forming X."""
+    p = d.b + d.v + aug.total(d.b)
+    info = np.zeros((p, p))
+    for block, effect in reference_plots(d, aug).tolist():
+        info[block, block] += 1.0
+        info[effect, effect] += 1.0
+        info[block, effect] += 1.0
+        info[effect, block] += 1.0
+    return info
+
+
+def reference_info_pinv(d, aug):
+    """The Moore-Penrose inverse of X^T X = `reference_info(d, aug)` at its
+    full order p, as `oracle.build_model` once took it: shift X^T X by the
+    projector onto its orthonormal null basis (per component, +1 on its
+    blocks and -1 on its controls and tests, normalized, with labels from
+    `reference_components`), invert, and subtract the shift again."""
     comp_block, comp_control, _ = reference_components(d)
-    shift = _null_projector(np.concatenate((comp_block, comp_control, np.repeat(comp_block, m.aug.counts(d.b)))), d.b)
-    return np.linalg.inv(m.info + shift) - shift
+    shift = _null_projector(np.concatenate((comp_block, comp_control, np.repeat(comp_block, aug.counts(d.b)))), d.b)
+    return np.linalg.inv(reference_info(d, aug) + shift) - shift
 
 
 def reference_control_pinv(m):
@@ -195,18 +227,17 @@ def _null_projector(label, b):
     return basis @ basis.T
 
 
-def reference_deviations(m):
+def reference_deviations(d, aug):
     """The four deviations (cc, tt in one block, tt across blocks, ct) of
     `oracle.verify_design`, by comparing whole matrices at order p: the
     estimability residual X^T X A - I over the control and test columns,
-    A = `reference_info_pinv(m)`, raises NotEstimable above ESTIMABLE_TOL
-    in some row range; then every pairwise GLS variance, from the
-    treatment block of A, is compared per test slot with the closed-form
-    matrices of `criteria`."""
-    d = m.design
+    X^T X = `reference_info(d, aug)` and A = `reference_info_pinv(d, aug)`,
+    raises NotEstimable above ESTIMABLE_TOL in some row range; then every
+    pairwise GLS variance, from the treatment block of A, is compared per
+    test slot with the closed-form matrices of `criteria`."""
     b, v = d.b, d.v
-    pinv = reference_info_pinv(m)
-    residual = m.info @ pinv[:, b:]
+    pinv = reference_info_pinv(d, aug)
+    residual = reference_info(d, aug) @ pinv[:, b:]
     residual[b:, :] -= np.eye(len(residual) - b)
     worst = float(np.max(np.ptp(residual, axis=1)))
     if worst > ESTIMABLE_TOL:
@@ -214,7 +245,7 @@ def reference_deviations(m):
     ib = criteria.intrablock(d)
     g = pinv[b:, b:]
     gls = np.diag(g)[:, None] + np.diag(g)[None, :] - 2.0 * g
-    slot = np.repeat(np.arange(b), m.aug.counts(b))
+    slot = np.repeat(np.arange(b), aug.counts(b))
     same = slot[:, None] == slot
     want_tt = 2.0 + np.where(same, 0.0, criteria.v_tt_matrix(ib)[np.ix_(slot, slot)])
     dev_tt = np.abs(gls[v:, v:] - want_tt)

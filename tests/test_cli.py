@@ -659,7 +659,8 @@ class TestVerify:
 
     def test_parameter_limit_exits_2_before_order_p(self, runner, tmp_path):
         # a 500-treatment path design at s=1 fits the plot cap with 1,497
-        # plots, but X^T X would have order p = 1,498 > MAX_PARAMETERS
+        # plots, but its model has p = 1,498 > MAX_PARAMETERS parameters;
+        # the limit rejects it before S, of order b + v = 999, is built
         d = from_blocks(500, [[i, i + 1] for i in range(1, 500)])
         path = write(tmp_path, "path.design", format_design(d))
         tracemalloc.start()
@@ -739,6 +740,12 @@ class TestEnumerate:
         result = runner.invoke(cli, ["enumerate", "--b", "200", "--v", "2", "--k", "2", "--minima"])
         assert result.exit_code == 2, result.output
         assert "minima budget" in result.output
+
+    def test_counts_over_the_work_budget_exit_2(self, runner):
+        # (2000,2,2): 2,003,001 designs inside the cap, 8.0e9 against the budget
+        result = runner.invoke(cli, ["enumerate", "--b", "2000", "--v", "2", "--k", "2"])
+        assert result.exit_code == 2, result.output
+        assert "count budget" in result.output
 
     def test_env_cap(self, runner):
         result = runner.invoke(

@@ -32,6 +32,7 @@ from augdes.errors import (
 )
 from augdes.oracle import (
     CRITERION_NAMES,
+    ESTIMABLE_TOL,
     build_model,
     class_counts,
     class_minima,
@@ -40,18 +41,19 @@ from augdes.oracle import (
     verify_design,
 )
 from augdes.search import MOVE_TOL
-from references import contrast, reference_control_pinv, reference_deviations, reference_info_pinv
+from references import (
+    contrast,
+    model_matrix,
+    reference_control_pinv,
+    reference_deviations,
+    reference_info,
+    reference_info_pinv,
+    reference_plots,
+)
 
 ONE = AugmentationSpec.common(1)
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
 DESIGNS = Path(__file__).resolve().parent.parent / "designs"
-
-
-def model_matrix(m):
-    """The n_plots x p model matrix X of a model: a one in each plot's two columns."""
-    x = np.zeros((len(m.plots), len(m.info)))
-    x[np.arange(len(m.plots))[:, None], m.plots] = 1.0
-    return x
 
 
 def _catalogue():
@@ -73,11 +75,13 @@ CATALOGUE = _catalogue()
 
 class TestModel:
     def test_row_structure(self):
-        x = model_matrix(build_model(RCBD2, ONE))
+        x = model_matrix(RCBD2, ONE)
         # 4 control plots + 2 test plots; every row has exactly two ones
         assert x.shape == (6, 6)
         assert (x.sum(axis=1) == 2).all()
         assert set(np.unique(x)) == {0.0, 1.0}
+        # the model holds the control plots, the reference's first rows
+        assert np.array_equal(build_model(RCBD2, ONE).plots, reference_plots(RCBD2, ONE)[:4])
 
     def test_plot_cap(self):
         with pytest.raises(InvalidParameters):
@@ -85,7 +89,7 @@ class TestModel:
 
     def test_pseudo_inverse_conditions(self):
         m = build_model(RCBD2, AugmentationSpec.common(2))
-        a, g = m.info, m.info_pinv
+        a, g = m.control_info, m.control_pinv
         assert np.max(np.abs(a @ g @ a - a)) <= 1e-9
         assert np.max(np.abs(g @ a @ g - g)) <= 1e-9
 
@@ -93,9 +97,17 @@ class TestModel:
 class TestPlotLayout:
     @pytest.mark.parametrize("d, aug", [c[1:] for c in CATALOGUE], ids=[c[0] for c in CATALOGUE])
     def test_info_is_x_transpose_x(self, d, aug):
-        m = build_model(d, aug, max_plots=sum(d.block_sizes) + aug.total(d.b))
-        x = model_matrix(m)
-        assert np.array_equal(m.info, x.T @ x)
+        # X^T X = [[S + B B^T, B], [B^T, I]]: S is its leading b + v block
+        # less the test count of each block on the block diagonal
+        n_controls = sum(d.block_sizes)
+        m = build_model(d, aug, max_plots=n_controls + aug.total(d.b))
+        x = model_matrix(d, aug)
+        info = reference_info(d, aug)
+        assert np.array_equal(info, x.T @ x)
+        order = d.b + d.v
+        want = info[:order, :order] - np.diag(np.concatenate((aug.counts(d.b), np.zeros(d.v))))
+        assert np.array_equal(m.control_info, want)
+        assert np.array_equal(m.plots, reference_plots(d, aug)[:n_controls])
 
     @pytest.mark.parametrize(
         "d",
@@ -103,10 +115,10 @@ class TestPlotLayout:
         ids=["two-components", "unused-treatment", "lattice_q3"],
     )
     def test_moore_penrose_conditions(self, d):
-        # the component labels must give the orthonormal null basis, one
+        # the component labels must give the orthonormal null basis of S, one
         # column per component, so that the shifted inverse is the MP inverse
         m = build_model(d, AugmentationSpec.common(2))
-        a, g = m.info, m.info_pinv
+        a, g = m.control_info, m.control_pinv
         tol = 1e-12 * len(a) * np.max(np.abs(a))
         assert np.max(np.abs(a @ g @ a - a)) <= tol
         assert np.max(np.abs(g @ a @ g - g)) <= tol
@@ -124,7 +136,8 @@ class TestPlotLayout:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
-        assert model_matrix(m).shape == (3010, 30)
+        assert m.plots.shape == (3000, 2)
+        assert model_matrix(d, ONE).shape == (3010, 30)
 
     def test_unused_treatments_rejected_before_order_v(self):
         # one block of two plots cannot reach 1,000 treatments
@@ -262,44 +275,81 @@ def connected_with_counts(draw):
     return d, AugmentationSpec.per_block(draw(st.lists(st.integers(1, 3), min_size=b, max_size=b)))
 
 
-def assert_matches_order_p_reference(d, aug, deviations=True):
-    # the model's derived pseudo-inverse and verify's deviations against
-    # the order-p shift-and-invert and the order-p matrix comparison
-    cap = sum(d.block_sizes) + aug.total(d.b)
-    m = build_model(d, aug, max_plots=cap)
-    tol = 1e-12 * len(m.info) * np.max(np.abs(m.info))
-    assert np.max(np.abs(m.info_pinv - reference_info_pinv(m))) <= tol
+def pair_contrasts(n):
+    """Every pairwise difference of n treatment slots."""
+    eye = np.eye(n)
+    return [eye[i] - eye[j] for i, j in itertools.combinations(range(n), 2)]
+
+
+def random_contrasts(n, count, seed):
+    """Seeded zero-sum contrasts of n treatment slots."""
+    c = np.random.default_rng(seed).normal(size=(count, n))
+    return list(c - c.mean(axis=1, keepdims=True))
+
+
+def assert_gls_matches_reference(d, aug, contrasts):
+    # gls_variance against full^T A full at order p, A the reference
+    # pseudo-inverse and full the contrast with zero block coefficients;
+    # NotEstimable exactly where X^T X A misses full
+    m = build_model(d, aug, max_plots=sum(d.block_sizes) + aug.total(d.b))
+    info, pinv = reference_info(d, aug), reference_info_pinv(d, aug)
+    tol = 1e-14 * len(info) * np.max(np.abs(info))
+    for c in contrasts:
+        full = np.concatenate((np.zeros(d.b), c))
+        solved = pinv @ full
+        if np.max(np.abs(info @ solved - full)) > ESTIMABLE_TOL:
+            with pytest.raises(NotEstimable):
+                gls_variance(m, c)
+        else:
+            want = float(full @ solved)
+            assert abs(gls_variance(m, c) - want) <= tol * abs(want)
+
+
+def assert_matches_order_p_reference(d, aug, contrasts, deviations=True):
+    # gls_variance and verify's deviations against the order-p
+    # shift-and-invert and the order-p matrix comparison
+    assert_gls_matches_reference(d, aug, contrasts)
     if deviations:
-        rep = verify_design(d, aug, max_plots=cap)
+        rep = verify_design(d, aug, max_plots=sum(d.block_sizes) + aug.total(d.b))
         got = (rep.max_dev_cc, rep.max_dev_tt_same, rep.max_dev_tt_cross, rep.max_dev_ct)
-        assert np.max(np.abs(np.subtract(got, reference_deviations(m)))) <= 1e-12
+        assert np.max(np.abs(np.subtract(got, reference_deviations(d, aug)))) <= 1e-12
+
+
+def sampled_contrasts(d, aug, seed=0):
+    """Forty seeded pairwise contrasts and ten zero-sum ones."""
+    n = d.v + aug.total(d.b)
+    eye, rng = np.eye(n), np.random.default_rng(seed)
+    pairs = [rng.choice(n, 2, replace=False) for _ in range(40)]
+    return [eye[i] - eye[j] for i, j in pairs] + random_contrasts(n, 10, seed)
 
 
 class TestAgainstOrderPReference:
     @pytest.mark.parametrize("d, aug", [c[1:] for c in CATALOGUE], ids=[c[0] for c in CATALOGUE])
     def test_catalogue(self, d, aug):
-        assert_matches_order_p_reference(d, aug)
+        assert_matches_order_p_reference(d, aug, sampled_contrasts(d, aug))
 
     @pytest.mark.parametrize("d", MOORE_PENROSE_DESIGNS, ids=["two-components", "unused-treatment", "lattice_q3"])
     def test_moore_penrose_designs(self, d):
-        assert_matches_order_p_reference(d, AugmentationSpec.common(2), deviations=is_connected(d))
+        aug = AugmentationSpec.common(2)
+        n = d.v + aug.total(d.b)
+        contrasts = pair_contrasts(n) + random_contrasts(n, 20, 1)
+        assert_matches_order_p_reference(d, aug, contrasts, deviations=is_connected(d))
 
     @settings(max_examples=60, deadline=None)
-    @given(connected_with_counts())
-    def test_random_connected_designs(self, case):
-        assert_matches_order_p_reference(*case)
+    @given(connected_with_counts(), st.data())
+    def test_random_connected_designs(self, case, data):
+        # random zero-sum contrasts, not only pairs: n c - sum(c) for
+        # integer c, so the sum is exactly zero
+        d, aug = case
+        n = d.v + aug.total(d.b)
+        drawn = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=1, max_size=5))
+        assert_matches_order_p_reference(d, aug, [n * np.array(c, dtype=float) - sum(c) for c in drawn])
 
-    def test_lattice13_at_s5_stays_at_order_b_plus_v(self, monkeypatch):
+    def test_lattice13_at_s5_stays_at_order_b_plus_v(self):
         # p = 1,261 and 3,276 plots: verify reads S+ of order b + v = 351
         # and forms neither X^T X nor its pseudo-inverse
         d = lattice_bib(13)
         criteria.intrablock(d)
-
-        def refuse(model):
-            raise AssertionError("verify_design read a matrix of order p")
-
-        monkeypatch.setattr(oracle.AugmentedModel, "info", property(refuse))
-        monkeypatch.setattr(oracle.AugmentedModel, "info_pinv", property(refuse))
         tracemalloc.start()
         try:
             rep = verify_design(d, AugmentationSpec.common(5), max_plots=10**6)
@@ -308,6 +358,21 @@ class TestAgainstOrderPReference:
             tracemalloc.stop()
         assert rep.max_deviation <= 1e-9
         assert peak < 16 * 2**20
+
+    def test_lattice13_at_s5_gls_variance_stays_at_order_b_plus_v(self):
+        # p = 1,261: one contrast reads S+, of order b + v = 351, and forms
+        # nothing of order p; the value is the closed form's
+        d = lattice_bib(13)
+        m = build_model(d, AugmentationSpec.common(5), max_plots=10**6)
+        c = contrast(m, 1, (d.b, 5))
+        tracemalloc.start()
+        try:
+            value = gls_variance(m, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert value == pytest.approx(criteria.v_ct_matrix(criteria.intrablock(d), d)[0, d.b - 1], rel=1e-12)
 
 
 class TestControlInverse:
@@ -322,8 +387,6 @@ class TestControlInverse:
         monkeypatch.setattr(matrix.SymMatrix, "__post_init__", refuse)
         monkeypatch.setattr(matrix, "invert", refuse)
         monkeypatch.setattr(oracle, "build_model", refuse)
-        monkeypatch.setattr(oracle.AugmentedModel, "info", property(refuse))
-        monkeypatch.setattr(oracle.AugmentedModel, "info_pinv", property(refuse))
         rep = verify_design(d, AugmentationSpec.common(5), max_plots=10**6)
         assert rep.max_deviation <= 1e-9
 
@@ -420,6 +483,31 @@ class TestEnumerateClass:
         assert class_counts(1, 2, 3, cap=12) == (4, 2)
         with pytest.raises(ClassTooLarge, match="more pool plots than the cap 11"):
             class_counts(1, 2, 3, cap=11)
+
+    def test_count_budget_rejects_before_the_pool(self):
+        # (583,2,2) is the last class of pairs on two treatments inside the
+        # budget; (2000,2,2) has 2,003,001 designs, inside the cap, and 8.0e9
+        assert math.comb(585, 2) * 2 * 583 <= oracle.COUNT_BUDGET < math.comb(586, 2) * 2 * 584
+        tracemalloc.start()
+        try:
+            for b in (584, 2000):
+                with pytest.raises(ClassTooLarge, match="count budget"):
+                    class_counts(b, 2, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_count_classes_in_use_are_within_the_budget(self):
+        # classes whose counts the tests, CI and README compute
+        for b, v, k in ((2, 2, 2), (4, 3, 2), (3, 4, 2), (4, 4, 2), (5, 4, 2), (2, 3, 2), (140, 2, 2), (6, 4, 3)):
+            assert oracle._ClassWalk(b, v, k, oracle.DEFAULT_ENUM_CAP).n_designs * v * b <= oracle.COUNT_BUDGET
+
+    def test_class_that_cannot_connect_is_not_walked(self, monkeypatch):
+        # 9,541,896 designs of two blocks of five plots on 12 treatments,
+        # over the budget, but none can connect
+        monkeypatch.setattr(oracle, "_walk", None)
+        assert class_counts(2, 12, 5) == (9541896, 0)
 
     def test_capped_binomial_is_math_comb(self):
         for n in range(40):
