@@ -42,7 +42,6 @@ from .design import (
 from .errors import AugdesError, DesignFormatError, EmptyBlock, LabelOutOfRange
 
 VERIFY_TOL = 1e-6
-ENUM_CAP_ENV = "AUGDES_ENUM_CAP"
 
 # malformed input, and any failed read or write of a file or stream
 _INPUT_ERRORS = (DesignFormatError, LabelOutOfRange, EmptyBlock, OSError)
@@ -78,16 +77,6 @@ def _parse_aug(s_common: int | None, s_list: str | None) -> AugmentationSpec:
     if s_list is not None:
         return AugmentationSpec.per_block(_int_list(s_list, "--s-list must be comma-separated integers"))
     return AugmentationSpec.common(1 if s_common is None else s_common)
-
-
-def _enum_cap() -> int:
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return oracle.DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        _fail(1, f"{ENUM_CAP_ENV} must be an integer, got {raw!r}")
 
 
 def _emit(fmt: str, payload: dict, lines: list[str]) -> None:
@@ -360,14 +349,12 @@ def make_cmd(subsets, lattice_q, out):
 
 @cli.command(name="verify")
 @click.argument("design_file")
-@_options("s", "s-list")
-@click.option("--max-plots", type=int, default=oracle.DEFAULT_PLOT_CAP, show_default=True)
-@_options("format")
-def verify_cmd(design_file, s_common, s_list, max_plots, fmt):
+@_options("s", "s-list", "format")
+def verify_cmd(design_file, s_common, s_list, fmt):
     """Check the closed-form variances against the plot-level GLS oracle."""
     d = read_design(design_file)
     aug = _parse_aug(s_common, s_list)
-    report = oracle.verify_design(d, aug, max_plots=max_plots)
+    report = oracle.verify_design(d, aug)
     # the JSON key, table label and largest deviation of each contrast type
     rows = (
         ("cc", "cc", report.max_dev_cc),
@@ -394,13 +381,12 @@ def verify_cmd(design_file, s_common, s_list, max_plots, fmt):
 @_options("format")
 def enumerate_cmd(b, v, k, s_common, minima, fmt):
     """Count (and optionally minimize over) all designs of a class."""
-    cap = _enum_cap()
     aug = _parse_aug(s_common, None)
     if minima:
-        result = oracle.class_minima(b, v, k, aug, cap=cap)
+        result = oracle.class_minima(b, v, k, aug)
         n_raw, n_connected = result.n_designs, result.n_connected
     else:
-        n_raw, n_connected = oracle.class_counts(b, v, k, cap=cap)
+        n_raw, n_connected = oracle.class_counts(b, v, k)
     payload = {"params": _params_json(b, v, k, aug), "designs": n_raw, "connected": n_connected}
     lines = [f"class (b={b}, v={v}, k={k}): {n_raw} designs, {n_connected} connected"]
     if minima:

@@ -13,14 +13,21 @@ its block,
     X^T X = [[S + B B^T, B], [B^T, I]],
 
 and G = [[S+, -S+ B], [-B^T S+, I + B^T S+ B]] is a g-inverse of it.
-`_control_model` pseudo-inverts S, which is singular exactly because
-block and control effects are aliased within each connected component
-of the plot structure, without any eigensolver: label each parameter
-with its component, take the columns of +1 on a component's blocks and
--1 on its controls, normalized, as the orthonormal null basis, add its
-rank-one pieces, invert with the checked Cholesky inverse of `matrix`,
-and subtract the same pieces again. `build_model` wraps its control
-plots, S and S+ in an `AugmentedModel`.
+`_control_model` builds S straight from the incidence N (v x b),
+
+    S = [[diag(block sizes), N^T], [N, diag(r)]],
+
+and pseudo-inverts it. S is singular exactly because block and control
+effects are aliased within each connected component of the plot
+structure, and it is inverted without any eigensolver: label each
+parameter with its component, take the columns of +1 on a component's
+blocks and -1 on its controls, normalized, as the orthonormal null basis,
+add its rank-one pieces, invert with the checked Cholesky inverse of
+`matrix`, and subtract the same pieces again. A design with more
+treatments than control plots is rejected as disconnected, and one of
+b + v > `criteria.MAX_ORDER` as too large, before anything of order
+b + v exists; these two guards are all that bound `verify`.
+`build_model` wraps S and S+ in an `AugmentedModel`.
 
 A contrast is estimable when X^T X G maps it to itself; X^T X G - I is
 zero but for [E, -E B] in its first b + v rows, E = S S+ - I.
@@ -44,12 +51,13 @@ indices at most WALK_SLICE designs at a time. `_walk` generates them in
 numpy, with no Python object per design: one table of every
 non-decreasing s-tuple, unranked in the combinatorial number system,
 supplies the last s indices, and each prefix is joined to the tail of
-the table that may follow it. The enumeration cap bounds the pool's
+the table that may follow it. DEFAULT_ENUM_CAP bounds the pool's
 blocks and plots and the number of designs, and a class of more than
 `criteria.MAX_ORDER` blocks is rejected, all before the pool or a slice
-is built; `class_counts` also rejects a connectable class whose designs
-x v x b exceeds COUNT_BUDGET, and `class_minima` one whose designs x
-(v + b)^2 exceeds MINIMA_BUDGET. Each slice's links are a gather of pool
+is built. A class that fails `can_connect` is then answered from its
+size alone, with no walk; of the others, `class_counts` rejects one
+whose designs x v x b exceeds COUNT_BUDGET, and `class_minima` one whose
+designs x (v + b)^2 exceeds MINIMA_BUDGET. Each slice's links are a gather of pool
 columns with the design axis last, shape (v, b, m), and
 `design.stacked_connected` decides the connectivity of the whole slice
 at once. `enumerate_class` builds a design object per yielded design,
@@ -82,14 +90,13 @@ from .errors import (
 )
 from .search import MOVE_TOL, SCREEN_TOL
 
+# The most candidate blocks, pool plots and designs of a class that the
+# walk accepts; read when a walk starts.
 DEFAULT_ENUM_CAP = 10_000_000
-# The default plot cap covers every lattice q <= 13 and its dual at s <= 3.
+# No model is bounded by it: it is kept, with the max_plots keyword of
+# build_model and verify_design, only because perfbench/workloads.py
+# passes max_plots=max(plots, DEFAULT_PLOT_CAP).
 DEFAULT_PLOT_CAP = 2_950
-# The most parameters p = b + v + T of a model that build_model and
-# verify_design accept; q = 13 at s = 5 has p = 1,261. Nothing of order p
-# is formed (S and S+ are of order b + v), so, like the plot cap, it
-# bounds the size of a model, not of a matrix.
-MAX_PARAMETERS = 1_300
 ESTIMABLE_TOL = 1e-8
 # Designs per slice of the index walk over a class.
 WALK_SLICE = 4096
@@ -116,68 +123,64 @@ CRITERION_NAMES = ("a_cc", "a_tt", "a_ct", "mv_cc", "mv_tt", "mv_ct")
 
 @dataclass(frozen=True, eq=False)
 class AugmentedModel:
-    """The control plots of an augmented design, their information and its
+    """The information of the control plots of an augmented design and its
     pseudo-inverse.
 
     Parameter layout: b block effects, then v control effects, then one
-    effect per test treatment, blockwise. `plots` holds the (block column,
-    effect column) pair of every control plot, block by block; the test
-    plots are implied by `aug`. A contrast for `gls_variance` has one
-    coefficient per control and then one per test, in that same blockwise
-    order. `control_info` is S, X^T X of the control plots alone, of order
-    b + v, and `control_pinv` its Moore-Penrose inverse S+.
+    effect per test treatment, blockwise. A contrast for `gls_variance`
+    has one coefficient per control and then one per test, in that same
+    blockwise order. `control_info` is S, X^T X of the control plots
+    alone, of order b + v: [[diag(block sizes), N^T], [N, diag(r)]] for
+    the incidence N. `control_pinv` is its Moore-Penrose inverse S+. The
+    test plots are implied by `aug`.
     """
 
     design: BlockDesign
     aug: AugmentationSpec
-    plots: np.ndarray
     control_info: np.ndarray
     control_pinv: np.ndarray
 
 
-def _control_model(d: BlockDesign, aug: AugmentationSpec, max_plots: int) -> tuple[np.ndarray, ...]:
-    """The control plots, S and S+ of `build_model`, without a SymMatrix
-    or anything of order p.
+def _control_model(d: BlockDesign, aug: AugmentationSpec, max_plots: int | None = None) -> tuple[np.ndarray, ...]:
+    """S and S+ of `build_model`, without a SymMatrix or anything of order p.
 
-    The plot cap is checked first, then a design with more treatments
-    than control plots is rejected as disconnected, and then a model of
-    more than MAX_PARAMETERS parameters, before anything of order b + v
-    is built. S is M + M^T + diag(plots per column), M counting the
-    plots' (block column, effect column) pairs. S + shift goes through
-    SymMatrix's rule and the checked Cholesky inverse as plain arrays,
-    which gives the bits and the errors of
-    `invert(SymMatrix(S + shift)).a - shift`.
+    A design with more treatments than control plots is rejected as
+    disconnected, and then one of b + v > `criteria.MAX_ORDER` with
+    InvalidParameters, before anything of order b + v is built. A given
+    `max_plots` is checked first; nothing in the package passes one. S is
+    read off the incidence. S + shift goes through SymMatrix's rule and
+    the checked Cholesky inverse as plain arrays, which gives the bits and
+    the errors of `invert(SymMatrix(S + shift)).a - shift`.
     """
-    counts = aug.counts(d.b)
     n_controls = sum(d.block_sizes)
-    n_plots = n_controls + sum(counts)
-    if n_plots > max_plots:
+    n_plots = n_controls + aug.total(d.b)
+    if max_plots is not None and n_plots > max_plots:
         raise InvalidParameters(f"model would need {n_plots} plots, cap is {max_plots}")
     if d.v > n_controls:
         raise Disconnected(f"{d.v} treatments cannot all occur in {n_controls} control plots")
     b, v = d.b, d.v
-    p = b + v + sum(counts)
-    if p > MAX_PARAMETERS:
-        raise InvalidParameters(f"model would have {p} parameters, more than {MAX_PARAMETERS}")
-    plots = np.column_stack((np.repeat(np.arange(b), d.block_sizes), np.concatenate(d.blocks) + (b - 1)))
+    if b + v > criteria.MAX_ORDER:
+        raise InvalidParameters(
+            f"{b} blocks and {v} treatments: the control information would be of order {b + v}, "
+            f"more than {criteria.MAX_ORDER}"
+        )
     comp_block, comp_control, n_comp = components(d)
     label = np.concatenate((comp_block, comp_control))
     basis = np.zeros((b + v, n_comp))
     basis[np.arange(b + v), label] = np.where(np.arange(b + v) < b, 1.0, -1.0)
     basis /= np.sqrt(np.bincount(label))
     shift = basis @ basis.T
-    control_info = np.zeros((b + v, b + v))
-    np.add.at(control_info, (plots[:, 0], plots[:, 1]), 1.0)
-    control_info += control_info.T
-    control_info[np.diag_indices(b + v)] = np.bincount(plots.ravel(), minlength=b + v)
+    control_info = np.diag(np.concatenate((d.block_sizes, d.replications)).astype(float))
+    control_info[:b, b:] = d.incidence.T
+    control_info[b:, :b] = d.incidence
     control_pinv = matrix._spd_inverse(matrix._symmetric(control_info + shift)) - shift
-    return plots, control_info, control_pinv
+    return control_info, control_pinv
 
 
-def build_model(d: BlockDesign, aug: AugmentationSpec, max_plots: int = DEFAULT_PLOT_CAP) -> AugmentedModel:
-    """Lay out the control plots and pseudo-invert their information S,
-    of order b + v, through `_control_model`, without forming X or
-    anything of order p."""
+def build_model(d: BlockDesign, aug: AugmentationSpec, max_plots: int | None = None) -> AugmentedModel:
+    """Pseudo-invert the control information S, of order b + v, through
+    `_control_model`, without forming X or anything of order p.
+    `max_plots`, no cap by default, is kept for perfbench/workloads.py."""
     return AugmentedModel(d, aug, *_control_model(d, aug, max_plots))
 
 
@@ -221,9 +224,7 @@ class VerificationReport:
         return max(self.max_dev_cc, self.max_dev_tt_same, self.max_dev_tt_cross, self.max_dev_ct)
 
 
-def verify_design(
-    d: BlockDesign, aug: AugmentationSpec, max_plots: int = DEFAULT_PLOT_CAP
-) -> VerificationReport:
+def verify_design(d: BlockDesign, aug: AugmentationSpec, max_plots: int | None = None) -> VerificationReport:
     """Compare every cc, tt and ct contrast variance of the closed forms
     against the plot-level GLS value, all pairs at once from the model's
     S+: controls against `criteria.v_cc_matrix`, tests in different
@@ -233,8 +234,10 @@ def verify_design(
     is 2 exactly, as the closed form says. Estimability is read off
     S S+ - I. Only `_control_model` is called, not `build_model`, so no
     test plot, nothing of order p and no SymMatrix is formed, and its
-    guards precede anything of order v or b."""
-    _, control_info, sp = _control_model(d, aug, max_plots)
+    guards, v <= control plots and b + v <= `criteria.MAX_ORDER`, precede
+    anything of order v or b. `max_plots`, no cap by default, is kept for
+    perfbench/workloads.py."""
+    control_info, sp = _control_model(d, aug, max_plots)
     ib = criteria.intrablock(d)
     b, v = d.b, d.v
     residual = control_info @ sp
@@ -258,14 +261,15 @@ def verify_design(
     )
 
 
-def _class_size(b: int, v: int, k: int, cap: int) -> tuple[int, int]:
+def _class_size(b: int, v: int, k: int) -> tuple[int, int]:
     """Numbers of candidate blocks and of designs with b blocks of size k
-    on v treatments, after checking the parameters. The cap bounds the
-    candidate blocks, their plots and the designs; a design of more than
-    `criteria.MAX_ORDER` blocks could not be scored, so such a class is
-    not walked either."""
+    on v treatments, after checking the parameters. DEFAULT_ENUM_CAP, read
+    at the call, bounds the candidate blocks, their plots and the designs;
+    a design of more than `criteria.MAX_ORDER` blocks could not be scored,
+    so such a class is not walked either."""
     if b < 1 or v < 1 or k < 1:
         raise InvalidParameters(f"need b, v, k >= 1; got ({b}, {v}, {k})")
+    cap = DEFAULT_ENUM_CAP
     n_blocks = _comb_within(v + k - 1, k, cap, "candidate blocks")
     if n_blocks * k > cap:
         raise ClassTooLarge(f"{n_blocks} candidate blocks of {k} plots: more pool plots than the cap {cap}")
@@ -380,8 +384,8 @@ class _ClassWalk:
     read, after every size check.
     """
 
-    def __init__(self, b: int, v: int, k: int, cap: int):
-        self.n_pool, self.n_designs = _class_size(b, v, k, cap)
+    def __init__(self, b: int, v: int, k: int):
+        self.n_pool, self.n_designs = _class_size(b, v, k)
         self.b, self.v, self.k = b, v, k
 
     @cached_property
@@ -431,9 +435,7 @@ class _ClassWalk:
         return BlockDesign(self.v, tuple(self.pool[i] for i in row))
 
 
-def enumerate_class(
-    b: int, v: int, k: int, connected_only: bool = False, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[BlockDesign]:
+def enumerate_class(b: int, v: int, k: int, connected_only: bool = False) -> Iterator[BlockDesign]:
     """Yield every design with b blocks of size k on v treatments, or only
     the connected ones.
 
@@ -442,19 +444,19 @@ def enumerate_class(
     each design appears exactly once. Connectivity is decided per slice of
     the index walk by `stacked_connected`.
     """
-    walk = _ClassWalk(b, v, k, cap)
+    walk = _ClassWalk(b, v, k)
     for idx, connected in walk.slices():
         for row, ok in zip(idx.tolist(), connected.tolist()):
             if ok or not connected_only:
                 yield walk.design(row)
 
 
-def class_counts(b: int, v: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, int]:
+def class_counts(b: int, v: int, k: int) -> tuple[int, int]:
     """Number of designs of a class and number of connected ones. A class
     that fails `can_connect` is not walked; one whose designs x v x b
     exceeds COUNT_BUDGET is rejected with ClassTooLarge before the pool or
     a slice is built."""
-    walk = _ClassWalk(b, v, k, cap)
+    walk = _ClassWalk(b, v, k)
     if not can_connect(v, b, b * k):
         return walk.n_designs, 0
     work = walk.n_designs * v * b
@@ -476,16 +478,16 @@ class ClassMinima:
     argmin: dict[str, BlockDesign]
 
 
-def class_minima(
-    b: int, v: int, k: int, aug: AugmentationSpec, cap: int = DEFAULT_ENUM_CAP
-) -> ClassMinima:
+def class_minima(b: int, v: int, k: int, aug: AugmentationSpec) -> ClassMinima:
     """Minimize all six criteria over the connected designs of a class,
     recording per criterion the first minimizing design in enumeration
     order, with values within MOVE_TOL counted as ties.
 
-    After the class-size checks of the walk, a class whose designs x
-    (v + b)^2 exceeds MINIMA_BUDGET is rejected with ClassTooLarge, before
-    the pool or the first slice is built.
+    After the class-size checks of the walk, a class that fails
+    `can_connect` is answered at once, with no connected design and no
+    minima, and one whose designs x (v + b)^2 exceeds MINIMA_BUDGET is
+    rejected with ClassTooLarge, before the pool or the first slice is
+    built.
 
     Connected designs are screened with `criteria.stacked_criteria` in
     chunks of at most CHUNK designs, fewer when (v + b)^2 floats per
@@ -509,14 +511,15 @@ def class_minima(
     raises the check's error. A design object is built only for a new
     argmin.
     """
-    walk = _ClassWalk(b, v, k, cap)
+    walk = _ClassWalk(b, v, k)
+    if not can_connect(v, b, b * k):
+        return ClassMinima(b, v, k, walk.n_designs, 0, {}, {})
     work = walk.n_designs * (v + b) ** 2
     if work > MINIMA_BUDGET:
         raise ClassTooLarge(
             f"{walk.n_designs} designs x (v + b)^2 {(v + b) ** 2} = {work}: above the minima budget {MINIMA_BUDGET}"
         )
-    if can_connect(v, b, b * k):  # a connected design exists, so a_criteria's checks apply
-        criteria._check_counts(v, b, aug)
+    criteria._check_counts(v, b, aug)  # a connected design exists, so a_criteria's checks apply
     chunk = max(1, min(CHUNK, CHUNK_BUDGET // (v + b) ** 2))
     floor = np.full(len(CRITERION_NAMES), np.inf)
     pending = np.empty((0, b), dtype=np.intp)

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import augdes
 from augdes import AugmentationSpec, bounds, criteria, oracle
 from augdes.bounds import efficiencies, threshold_class
-from augdes.cli import build_report, cli, render_table, round3
+from augdes.cli import VERIFY_TOL, build_report, cli, render_table, round3
 from augdes.errors import InvalidParameters
 from augdes.matrix import SymMatrix
 from augdes.design import (
@@ -503,7 +503,7 @@ INFEASIBLE = {
     "bounds": ["bounds", "--b", "4", "--v", "6", "--k", "1"],
     "modify": ["modify", "{disconnected}", "--delete", "9"],
     "make": ["make", "--lattice", "4"],
-    "verify": ["verify", "{disconnected}", "--max-plots", "3"],
+    "verify": ["verify", "{disconnected}"],
     "enumerate": ["enumerate", "--b", "8", "--v", "8", "--k", "4"],
     "search": ["search", "--b", "4", "--v", "3", "--k", "2", "--weights", "0,0,0"],
 }
@@ -652,16 +652,21 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", path])
         assert result.exit_code == 3
 
-    def test_plot_cap_exits_2(self, runner, tmp_path):
-        path = write(tmp_path, "d.design", RCBD2_TEXT)
-        result = runner.invoke(cli, ["verify", path, "--max-plots", "3"])
-        assert result.exit_code == 2
-
-    def test_parameter_limit_exits_2_before_order_p(self, runner, tmp_path):
-        # a 500-treatment path design at s=1 fits the plot cap with 1,497
-        # plots, but its model has p = 1,498 > MAX_PARAMETERS parameters;
-        # the limit rejects it before S, of order b + v = 999, is built
+    def test_path_of_500_treatments_verifies(self, runner, tmp_path):
+        # p = 1,498 parameters and 1,497 plots, but S is of order
+        # b + v = 999, inside criteria.MAX_ORDER
         d = from_blocks(500, [[i, i + 1] for i in range(1, 500)])
+        path = write(tmp_path, "path.design", format_design(d))
+        result = runner.invoke(cli, ["verify", path, "--s", "1", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["max_deviation"] <= VERIFY_TOL
+        assert doc["n_contrasts"] == 500 * 499 // 2 + 499 * 498 // 2 + 500 * 499
+
+    def test_order_over_the_limit_exits_2_before_order_b_plus_v(self, runner, tmp_path):
+        # a 1,001-treatment path design has b + v = 2,001 > MAX_ORDER, and
+        # is rejected before anything of that order is built
+        d = from_blocks(1001, [[i, i + 1] for i in range(1, 1001)])
         path = write(tmp_path, "path.design", format_design(d))
         tracemalloc.start()
         try:
@@ -670,7 +675,7 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert result.exit_code == 2
-        assert "1498 parameters" in result.output
+        assert "of order 2001" in result.output
         assert peak < 2**20
 
     @pytest.mark.slow
@@ -747,13 +752,21 @@ class TestEnumerate:
         assert result.exit_code == 2, result.output
         assert "count budget" in result.output
 
-    def test_env_cap(self, runner):
-        result = runner.invoke(
-            cli,
-            ["enumerate", "--b", "8", "--v", "8", "--k", "4"],
-            env={"AUGDES_ENUM_CAP": "100"},
-        )
-        assert result.exit_code == 2
+    def test_minima_of_a_class_that_cannot_connect(self, runner):
+        # (2,12,5): 9,541,896 designs, over the minima budget, but ten
+        # plots cannot connect 12 treatments and 2 blocks, so no walk runs
+        tracemalloc.start()
+        try:
+            result = runner.invoke(
+                cli, ["enumerate", "--b", "2", "--v", "12", "--k", "5", "--minima", "--format", "json"]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert (doc["designs"], doc["connected"], doc["minima"]) == (9541896, 0, {})
+        assert peak < 2**20
 
 
 class TestSearch:

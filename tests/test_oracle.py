@@ -40,6 +40,7 @@ from augdes.oracle import (
     gls_variance,
     verify_design,
 )
+from augdes.cli import VERIFY_TOL
 from augdes.search import MOVE_TOL
 from references import (
     contrast,
@@ -54,6 +55,20 @@ from references import (
 ONE = AugmentationSpec.common(1)
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
 DESIGNS = Path(__file__).resolve().parent.parent / "designs"
+
+
+@st.composite
+def designs_with_counts(draw):
+    """A design whose control plots can hold its treatments, and a
+    per-block list of test counts: blocks may differ in size and repeat a
+    label, a treatment may occur nowhere, and the design may be
+    disconnected."""
+    b = draw(st.integers(1, 6))
+    v = draw(st.integers(1, 8))
+    blocks = draw(st.lists(st.lists(st.integers(1, v), min_size=1, max_size=5), min_size=b, max_size=b))
+    assume(v <= sum(map(len, blocks)))
+    d = from_blocks(v, blocks)
+    return d, AugmentationSpec.per_block(draw(st.lists(st.integers(1, 3), min_size=b, max_size=b)))
 
 
 def _catalogue():
@@ -80,8 +95,8 @@ class TestModel:
         assert x.shape == (6, 6)
         assert (x.sum(axis=1) == 2).all()
         assert set(np.unique(x)) == {0.0, 1.0}
-        # the model holds the control plots, the reference's first rows
-        assert np.array_equal(build_model(RCBD2, ONE).plots, reference_plots(RCBD2, ONE)[:4])
+        # the control plots come first, block by block, then the tests
+        assert reference_plots(RCBD2, ONE).tolist() == [[0, 2], [0, 3], [1, 2], [1, 3], [0, 4], [1, 5]]
 
     def test_plot_cap(self):
         with pytest.raises(InvalidParameters):
@@ -99,15 +114,24 @@ class TestPlotLayout:
     def test_info_is_x_transpose_x(self, d, aug):
         # X^T X = [[S + B B^T, B], [B^T, I]]: S is its leading b + v block
         # less the test count of each block on the block diagonal
-        n_controls = sum(d.block_sizes)
-        m = build_model(d, aug, max_plots=n_controls + aug.total(d.b))
+        m = build_model(d, aug)
         x = model_matrix(d, aug)
         info = reference_info(d, aug)
         assert np.array_equal(info, x.T @ x)
         order = d.b + d.v
         want = info[:order, :order] - np.diag(np.concatenate((aug.counts(d.b), np.zeros(d.v))))
         assert np.array_equal(m.control_info, want)
-        assert np.array_equal(m.plots, reference_plots(d, aug)[:n_controls])
+
+    @settings(max_examples=300, deadline=None)
+    @given(designs_with_counts())
+    def test_control_info_is_the_reference_block_bit_for_bit(self, case):
+        # S read off the incidence against X^T X accumulated plot by plot
+        d, aug = case
+        control_info, _ = oracle._control_model(d, aug)
+        order = d.b + d.v
+        want = reference_info(d, aug)[:order, :order] - np.diag(np.concatenate((aug.counts(d.b), np.zeros(d.v))))
+        assert control_info.dtype == want.dtype and control_info.shape == want.shape
+        assert control_info.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "d",
@@ -131,12 +155,12 @@ class TestPlotLayout:
         d = from_blocks(10, [[1 + i % 10 for i in range(300)]] * 10)
         tracemalloc.start()
         try:
-            m = build_model(d, ONE, max_plots=3010)
+            m = build_model(d, ONE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
-        assert m.plots.shape == (3000, 2)
+        assert m.control_info.shape == (20, 20)
         assert model_matrix(d, ONE).shape == (3010, 30)
 
     def test_unused_treatments_rejected_before_order_v(self):
@@ -215,6 +239,21 @@ class TestVerifyBatched:
         assert rep.max_deviation <= 1e-9
         assert rep.n_contrasts == math.comb(d.v, 2) + math.comb(tests, 2) + d.v * tests
 
+    @pytest.mark.slow
+    def test_cycle_at_the_order_limit(self):
+        # 1,000 treatments on a cycle of 1,000 pairs: S is of order
+        # b + v = 2,000 = MAX_ORDER, the largest that verify inverts
+        d = from_blocks(1000, [[i, i % 1000 + 1] for i in range(1, 1001)])
+        assert d.b + d.v == criteria.MAX_ORDER
+        tracemalloc.start()
+        try:
+            rep = verify_design(d, ONE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.max_deviation <= VERIFY_TOL
+        assert peak < 256 * 2**20
+
     @pytest.mark.parametrize(
         "name, field",
         [("v_cc_matrix", "max_dev_cc"), ("v_tt_matrix", "max_dev_tt_cross"), ("v_ct_matrix", "max_dev_ct")],
@@ -244,13 +283,13 @@ class TestVerifyBatched:
         with pytest.raises(NotEstimable):
             verify_design(from_blocks(4, [[1, 2], [3, 4]]), ONE)
 
-    def test_plot_cap_checked_before_intrablock(self):
-        # a 1,001-treatment path needs 3,000 plots; the cap rejects it
-        # before any dense order-v or order-b matrix exists
+    def test_order_checked_before_intrablock(self):
+        # a 1,001-treatment path has b + v = 2,001 > MAX_ORDER; the guard
+        # rejects it before any dense order-v or order-b matrix exists
         d = from_blocks(1001, [[i, i + 1] for i in range(1, 1001)])
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidParameters):
+            with pytest.raises(InvalidParameters, match="of order 2001"):
                 verify_design(d, ONE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -459,9 +498,10 @@ class TestEnumerateClass:
     def test_connected_only_filter(self):
         assert all(is_connected(d) for d in enumerate_class(3, 3, 2, connected_only=True))
 
-    def test_cap(self):
-        with pytest.raises(ClassTooLarge):
-            list(enumerate_class(10, 10, 5, cap=1000))
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_ENUM_CAP", 1000)
+        with pytest.raises(ClassTooLarge, match="cap 1000"):
+            list(enumerate_class(10, 10, 5))
 
     @pytest.mark.parametrize("bvk", [(criteria.MAX_ORDER + 1, 1, 1), (1, 2, 20_000)], ids=["blocks", "pool-plots"])
     def test_hostile_sizes_rejected_before_the_pool(self, bvk):
@@ -476,13 +516,15 @@ class TestEnumerateClass:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_size_limits_are_inclusive(self):
+    def test_size_limits_are_inclusive(self, monkeypatch):
         # one design of MAX_ORDER single-plot blocks on one treatment
         assert class_counts(criteria.MAX_ORDER, 1, 1) == (1, 1)
         # 4 candidate blocks of 3 plots on 2 treatments: 12 pool plots
-        assert class_counts(1, 2, 3, cap=12) == (4, 2)
+        monkeypatch.setattr(oracle, "DEFAULT_ENUM_CAP", 12)
+        assert class_counts(1, 2, 3) == (4, 2)
+        monkeypatch.setattr(oracle, "DEFAULT_ENUM_CAP", 11)
         with pytest.raises(ClassTooLarge, match="more pool plots than the cap 11"):
-            class_counts(1, 2, 3, cap=11)
+            class_counts(1, 2, 3)
 
     def test_count_budget_rejects_before_the_pool(self):
         # (583,2,2) is the last class of pairs on two treatments inside the
@@ -501,7 +543,7 @@ class TestEnumerateClass:
     def test_count_classes_in_use_are_within_the_budget(self):
         # classes whose counts the tests, CI and README compute
         for b, v, k in ((2, 2, 2), (4, 3, 2), (3, 4, 2), (4, 4, 2), (5, 4, 2), (2, 3, 2), (140, 2, 2), (6, 4, 3)):
-            assert oracle._ClassWalk(b, v, k, oracle.DEFAULT_ENUM_CAP).n_designs * v * b <= oracle.COUNT_BUDGET
+            assert oracle._ClassWalk(b, v, k).n_designs * v * b <= oracle.COUNT_BUDGET
 
     def test_class_that_cannot_connect_is_not_walked(self, monkeypatch):
         # 9,541,896 designs of two blocks of five plots on 12 treatments,
@@ -554,7 +596,7 @@ class TestWalk:
     )
     def test_slices_match_combinations_with_replacement(self, cls):
         b = cls[0]
-        walk = oracle._ClassWalk(*cls, oracle.DEFAULT_ENUM_CAP)
+        walk = oracle._ClassWalk(*cls)
         slices = list(walk.slices())
         assert all(0 < len(idx) <= oracle.WALK_SLICE and len(mask) == len(idx) for idx, mask in slices)
         idx = np.concatenate([idx for idx, _ in slices])
@@ -632,12 +674,12 @@ class TestClassMinima:
         assert abs(a_criteria(ib, d, ONE)[0] - result.minima["a_cc"]) <= 1e-12
 
 
-def reference_class_minima(b, v, k, aug, cap=oracle.DEFAULT_ENUM_CAP):
+def reference_class_minima(b, v, k, aug):
     """The unchunked loop: one exact intrablock and criteria report per
     enumerated design, in enumeration order, with the same update rule."""
     best, arg = {}, {}
     n_raw = n_connected = 0
-    for d in enumerate_class(b, v, k, cap=cap):
+    for d in enumerate_class(b, v, k):
         n_raw += 1
         try:
             report = criteria.evaluate(d, aug)
@@ -734,7 +776,7 @@ class TestStackedClassMinima:
     def test_classes_in_use_are_within_the_budget(self):
         # classes whose minima the tests, CI, benchmark or README compute
         for b, v, k in ((7, 4, 3), (5, 5, 3), (60, 2, 2), (120, 2, 2), (6, 4, 3), (6, 4, 2)):
-            assert oracle._ClassWalk(b, v, k, oracle.DEFAULT_ENUM_CAP).n_designs * (v + b) ** 2 <= oracle.MINIMA_BUDGET
+            assert oracle._ClassWalk(b, v, k).n_designs * (v + b) ** 2 <= oracle.MINIMA_BUDGET
 
     def test_class_just_over_the_budget_raises_in_bounded_memory(self):
         # (139,2,2) is 1.96e8 and (140,2,2) 2.02e8, one percent over
@@ -792,21 +834,23 @@ class TestStackedClassMinima:
         assert 0 < len(exact) < result.n_connected
 
     @pytest.mark.parametrize(
-        "args, kwargs, error",
+        "args, cap, error",
         [
-            ((3, 1, 2, ONE), {}, InvalidParameters),
-            ((1, 2, 2, ONE), {}, InvalidParameters),
-            ((5, 4, 2, AugmentationSpec.per_block([1, 2])), {}, InvalidParameters),
-            ((0, 2, 2, ONE), {}, InvalidParameters),
-            ((5, 4, 2, ONE), {"cap": 100}, ClassTooLarge),
+            ((3, 1, 2, ONE), None, InvalidParameters),
+            ((1, 2, 2, ONE), None, InvalidParameters),
+            ((5, 4, 2, AugmentationSpec.per_block([1, 2])), None, InvalidParameters),
+            ((0, 2, 2, ONE), None, InvalidParameters),
+            ((5, 4, 2, ONE), 100, ClassTooLarge),
         ],
         ids=["v1", "one-test", "s_list-length", "b0", "cap"],
     )
-    def test_bad_parameters_raise_as_before(self, args, kwargs, error):
+    def test_bad_parameters_raise_as_before(self, monkeypatch, args, cap, error):
+        if cap is not None:
+            monkeypatch.setattr(oracle, "DEFAULT_ENUM_CAP", cap)
         with pytest.raises(error) as got:
-            class_minima(*args, **kwargs)
+            class_minima(*args)
         with pytest.raises(error) as want:
-            reference_class_minima(*args, **kwargs)
+            reference_class_minima(*args)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize(
