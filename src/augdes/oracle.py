@@ -51,22 +51,24 @@ indices at most WALK_SLICE designs at a time. `_walk` generates them in
 numpy, with no Python object per design: one table of every
 non-decreasing s-tuple, unranked in the combinatorial number system,
 supplies the last s indices, and each prefix is joined to the tail of
-the table that may follow it. DEFAULT_ENUM_CAP bounds the pool's
-blocks and plots and the number of designs, and a class of more than
-`criteria.MAX_ORDER` blocks is rejected, all before the pool or a slice
-is built. A class that fails `can_connect` is then answered from its
-size alone, with no walk; of the others, `class_counts` rejects one
-whose designs x v x b exceeds COUNT_BUDGET, and `class_minima` one whose
-designs x (v + b)^2 exceeds MINIMA_BUDGET. Each slice's links are a gather of pool
-columns with the design axis last, shape (v, b, m), and
-`design.stacked_connected` decides the connectivity of the whole slice
-at once. `enumerate_class` builds a design object per yielded design,
-`class_counts` builds none, and `class_minima` screens the connected
-designs in stack-last chunks with `criteria.stacked_criteria`, admits by
-one running floor per criterion only those that could move a minimum,
-scores them exactly in one stacked call per chunk of admitted designs,
-usually one per class, and builds a design object only for an argmin, so
-its minima and argmins are those of one exact score per design.
+the table that may follow it. `_ClassWalk`'s constructor is the one
+gate of a class, before the pool or a slice is built: DEFAULT_ENUM_CAP
+bounds the pool's blocks and plots and the number of designs, a class
+of more than `criteria.MAX_ORDER` blocks is rejected, `connects` records
+whether the class passes `can_connect`, and a walk that names its work
+per design, v x b to count and (v + b)^2 to minimize, rejects a class
+that connects when designs x that work exceeds WALK_BUDGET. A class that
+cannot connect is answered from its size alone, with no walk. Each
+slice's links are a gather of pool columns with the design axis last,
+shape (v, b, m), and `design.stacked_connected` decides the connectivity
+of the whole slice at once. `enumerate_class` reads no connectivity and
+builds a design object per design, `class_counts` builds none, and
+`class_minima` screens the connected designs in stack-last chunks with
+`criteria.stacked_criteria`, admits by one running floor per criterion
+only those that could move a minimum, scores them exactly in one stacked
+call per chunk of admitted designs, usually one per class, and builds a
+design object only for an argmin, so its minima and argmins are those of
+one exact score per design.
 """
 
 from __future__ import annotations
@@ -106,17 +108,15 @@ WALK_SLICE = 4096
 # CHUNK_BUDGET floats.
 CHUNK = 512
 CHUNK_BUDGET = 2**21
-# The largest designs x (v + b)^2 that class_minima walks. Its time grows
-# about as that product, at 7-13 ns per unit on one core of a shared
-# 2-core x86 host: (120,2,2), 1.1e8, took 0.7 s and (7,4,3), 8.0e7, 1.0 s,
-# so a class at the budget takes about 1.5-2.6 s. (140,2,2), 2.02e8, is
-# the first class of two treatments and blocks of two that it rejects.
-MINIMA_BUDGET = 200_000_000
-# The largest designs x v x b that class_counts walks, at 2.3-9.3 ns per
-# unit on the same host: (8,6,2), 1.5e8, took 0.74 s, (583,2,2), 2.0e8,
-# 1.6 s at 111 MB maxrss, and (1000,2,2), 1.0e9, 9.3 s at 174 MB.
-# (584,2,2) is the first two-treatment class of pairs that it rejects.
-COUNT_BUDGET = 200_000_000
+# The most work, designs x the work per design, that a budgeted walk of
+# a class that can connect accepts: v x b per design to count, (v + b)^2
+# to minimize. On one core of a shared 2-core x86 host, counting took
+# 2.3-9.3 ns per unit ((8,6,2), 1.5e8, 0.74 s; (583,2,2), 2.0e8, 1.6 s at
+# 111 MB maxrss; (1000,2,2), 1.0e9, 9.3 s at 174 MB) and minimizing 7-13
+# ns ((120,2,2), 1.1e8, 0.7 s; (7,4,3), 8.0e7, 1.0 s), so a class at the
+# budget takes about 0.5-2.6 s. The first two-treatment classes of pairs
+# rejected are (584,2,2) to count and (140,2,2), 2.02e8, to minimize.
+WALK_BUDGET = 200_000_000
 
 CRITERION_NAMES = ("a_cc", "a_tt", "a_ct", "mv_cc", "mv_tt", "mv_ct")
 
@@ -261,24 +261,6 @@ def verify_design(d: BlockDesign, aug: AugmentationSpec, max_plots: int | None =
     )
 
 
-def _class_size(b: int, v: int, k: int) -> tuple[int, int]:
-    """Numbers of candidate blocks and of designs with b blocks of size k
-    on v treatments, after checking the parameters. DEFAULT_ENUM_CAP, read
-    at the call, bounds the candidate blocks, their plots and the designs;
-    a design of more than `criteria.MAX_ORDER` blocks could not be scored,
-    so such a class is not walked either."""
-    if b < 1 or v < 1 or k < 1:
-        raise InvalidParameters(f"need b, v, k >= 1; got ({b}, {v}, {k})")
-    cap = DEFAULT_ENUM_CAP
-    n_blocks = _comb_within(v + k - 1, k, cap, "candidate blocks")
-    if n_blocks * k > cap:
-        raise ClassTooLarge(f"{n_blocks} candidate blocks of {k} plots: more pool plots than the cap {cap}")
-    n_designs = _comb_within(n_blocks + b - 1, b, cap, "designs")
-    if b > criteria.MAX_ORDER:
-        raise ClassTooLarge(f"{b} blocks: classes of more than {criteria.MAX_ORDER} blocks are not walked")
-    return n_blocks, n_designs
-
-
 def _combinations(ranks: np.ndarray, n: int, k: int) -> np.ndarray:
     """The k-subsets of range(n) with the given lexicographic ranks, as a
     (k, len(ranks)) array whose column j holds the increasing members of
@@ -380,13 +362,38 @@ class _ClassWalk:
     `itertools.combinations_with_replacement(range(n_pool), b)`, generated
     in numpy by `_walk`, and the incidence of a stack of them is a gather
     of pool columns; no Python object is built per design, and no design
-    object until one is asked for. The pool itself is built when first
-    read, after every size check.
+    object until one is asked for.
+
+    The constructor accepts or rejects the class before the pool or a
+    slice is built. DEFAULT_ENUM_CAP, read here, bounds the candidate
+    blocks, their plots and the designs; a design of more than
+    `criteria.MAX_ORDER` blocks could not be scored, so such a class is
+    rejected too. `connects` says whether any design of the class can be
+    connected (`can_connect`). A walk given a `budget`, (its name, how its
+    work per design is written, that work), rejects a class that connects
+    when designs x work exceeds WALK_BUDGET; a class that cannot connect
+    is left to its caller to answer without a walk.
     """
 
-    def __init__(self, b: int, v: int, k: int):
-        self.n_pool, self.n_designs = _class_size(b, v, k)
+    def __init__(self, b: int, v: int, k: int, budget: tuple[str, str, int] | None = None):
+        if b < 1 or v < 1 or k < 1:
+            raise InvalidParameters(f"need b, v, k >= 1; got ({b}, {v}, {k})")
+        cap = DEFAULT_ENUM_CAP
+        self.n_pool = _comb_within(v + k - 1, k, cap, "candidate blocks")
+        if self.n_pool * k > cap:
+            raise ClassTooLarge(f"{self.n_pool} candidate blocks of {k} plots: more pool plots than the cap {cap}")
+        self.n_designs = _comb_within(self.n_pool + b - 1, b, cap, "designs")
+        if b > criteria.MAX_ORDER:
+            raise ClassTooLarge(f"{b} blocks: classes of more than {criteria.MAX_ORDER} blocks are not walked")
         self.b, self.v, self.k = b, v, k
+        self.connects = can_connect(v, b, b * k)
+        if budget is not None and self.connects:
+            name, per_design, unit = budget
+            work = self.n_designs * unit
+            if work > WALK_BUDGET:
+                raise ClassTooLarge(
+                    f"{self.n_designs} designs x {per_design} = {work}: above the {name} budget {WALK_BUDGET}"
+                )
 
     @cached_property
     def pool(self) -> list[tuple[int, ...]]:
@@ -401,23 +408,13 @@ class _ClassWalk:
         np.add.at(counts, (labels - 1, np.arange(self.n_pool).repeat(self.k)), 1.0)
         return counts
 
-    @cached_property
-    def pool_links(self) -> np.ndarray:
-        """`pool_counts` as booleans: whether each treatment is in each
-        pool block."""
-        return self.pool_counts > 0
-
     def slices(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The designs at most WALK_SLICE at a time: an (m, b) array of
-        pool indices and the (m,) mask of the connected ones. When the
-        class fails `can_connect`, the mask is all False without any
-        reachability run."""
-        possible = can_connect(self.v, self.b, self.b * self.k)
+        pool indices and the (m,) mask of the connected ones, decided for
+        the whole slice by `stacked_connected`."""
+        links = self.pool_counts > 0
         for idx in _walk(self.n_pool, self.b):
-            if possible:
-                yield idx, stacked_connected(np.moveaxis(self.stack(self.pool_links, idx), -1, 0))
-            else:
-                yield idx, np.zeros(len(idx), bool)
+            yield idx, stacked_connected(np.moveaxis(self.stack(links, idx), -1, 0))
 
     @staticmethod
     def stack(pool: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -435,33 +432,29 @@ class _ClassWalk:
         return BlockDesign(self.v, tuple(self.pool[i] for i in row))
 
 
-def enumerate_class(b: int, v: int, k: int, connected_only: bool = False) -> Iterator[BlockDesign]:
-    """Yield every design with b blocks of size k on v treatments, or only
-    the connected ones.
+def enumerate_class(b: int, v: int, k: int) -> Iterator[BlockDesign]:
+    """Yield every design with b blocks of size k on v treatments.
 
     Blocks are k-multisets over 1..v and a design is a multiset of such
-    blocks, so non-binary and non-equireplicate designs are included and
-    each design appears exactly once. Connectivity is decided per slice of
-    the index walk by `stacked_connected`.
+    blocks, so non-binary, non-equireplicate and disconnected designs are
+    included and each design appears exactly once. The designs come
+    straight from the index walk, with no connectivity check; filter with
+    `is_connected` for the connected ones.
     """
     walk = _ClassWalk(b, v, k)
-    for idx, connected in walk.slices():
-        for row, ok in zip(idx.tolist(), connected.tolist()):
-            if ok or not connected_only:
-                yield walk.design(row)
+    for idx in _walk(walk.n_pool, b):
+        for row in idx.tolist():
+            yield walk.design(row)
 
 
 def class_counts(b: int, v: int, k: int) -> tuple[int, int]:
     """Number of designs of a class and number of connected ones. A class
-    that fails `can_connect` is not walked; one whose designs x v x b
-    exceeds COUNT_BUDGET is rejected with ClassTooLarge before the pool or
-    a slice is built."""
-    walk = _ClassWalk(b, v, k)
-    if not can_connect(v, b, b * k):
+    that cannot connect is not walked; one that can, and whose designs x
+    v x b exceeds WALK_BUDGET, is rejected by the walk with ClassTooLarge
+    before the pool or a slice is built."""
+    walk = _ClassWalk(b, v, k, ("count", "v x b", v * b))
+    if not walk.connects:
         return walk.n_designs, 0
-    work = walk.n_designs * v * b
-    if work > COUNT_BUDGET:
-        raise ClassTooLarge(f"{walk.n_designs} designs x v x b = {work}: above the count budget {COUNT_BUDGET}")
     return walk.n_designs, sum(int(connected.sum()) for _, connected in walk.slices())
 
 
@@ -483,11 +476,9 @@ def class_minima(b: int, v: int, k: int, aug: AugmentationSpec) -> ClassMinima:
     recording per criterion the first minimizing design in enumeration
     order, with values within MOVE_TOL counted as ties.
 
-    After the class-size checks of the walk, a class that fails
-    `can_connect` is answered at once, with no connected design and no
-    minima, and one whose designs x (v + b)^2 exceeds MINIMA_BUDGET is
-    rejected with ClassTooLarge, before the pool or the first slice is
-    built.
+    The walk accepts or rejects the class first, with (v + b)^2 as its
+    work per design. A class that cannot connect is then answered at
+    once, with no connected design and no minima.
 
     Connected designs are screened with `criteria.stacked_criteria` in
     chunks of at most CHUNK designs, fewer when (v + b)^2 floats per
@@ -511,14 +502,9 @@ def class_minima(b: int, v: int, k: int, aug: AugmentationSpec) -> ClassMinima:
     raises the check's error. A design object is built only for a new
     argmin.
     """
-    walk = _ClassWalk(b, v, k)
-    if not can_connect(v, b, b * k):
+    walk = _ClassWalk(b, v, k, ("minima", f"(v + b)^2 {(v + b) ** 2}", (v + b) ** 2))
+    if not walk.connects:
         return ClassMinima(b, v, k, walk.n_designs, 0, {}, {})
-    work = walk.n_designs * (v + b) ** 2
-    if work > MINIMA_BUDGET:
-        raise ClassTooLarge(
-            f"{walk.n_designs} designs x (v + b)^2 {(v + b) ** 2} = {work}: above the minima budget {MINIMA_BUDGET}"
-        )
     criteria._check_counts(v, b, aug)  # a connected design exists, so a_criteria's checks apply
     chunk = max(1, min(CHUNK, CHUNK_BUDGET // (v + b) ** 2))
     floor = np.full(len(CRITERION_NAMES), np.inf)

@@ -24,6 +24,7 @@ from augdes.design import (
     delete_blocks,
     dual,
     format_design,
+    is_connected,
     lattice_bib,
     repeat_blocks,
 )
@@ -184,7 +185,7 @@ def test_criterion_07_bound_validity_by_exhaustion():
         acc_b, att_b_1, act_b = bounds_by_s[1]
         n_connected = 0
         minima = {name: np.inf for name in frozen}
-        for d in enumerate_class(b, v, k, connected_only=True):
+        for d in filter(is_connected, enumerate_class(b, v, k)):
             n_connected += 1
             ib = intrablock(d)
             mv = mv_criteria(ib, d)

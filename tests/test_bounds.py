@@ -15,7 +15,7 @@ from augdes.bounds import (
     threshold_class,
 )
 from augdes.criteria import a_criteria, intrablock, mv_criteria
-from augdes.design import AugmentationSpec, all_k_subsets, delete_blocks, dual, lattice_bib
+from augdes.design import AugmentationSpec, all_k_subsets, delete_blocks, dual, is_connected, lattice_bib
 from augdes.errors import InvalidParameters
 from augdes.oracle import enumerate_class
 
@@ -169,7 +169,7 @@ class TestBoundValidity:
 
     def test_small_class_exhaustive(self):
         acc_b, att_b, act_b = a_bounds(4, 3, 2, ONE)
-        for d in enumerate_class(4, 3, 2, connected_only=True):
+        for d in filter(is_connected, enumerate_class(4, 3, 2)):
             ib = intrablock(d)
             a_cc, a_tt, a_ct = a_criteria(ib, d, ONE)
             mv_cc, mv_tt, mv_ct = mv_criteria(ib, d)

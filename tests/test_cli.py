@@ -680,7 +680,7 @@ class TestVerify:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
-    def test_every_lattice_and_dual_verifies_under_the_default_caps(self, runner, tmp_path, q):
+    def test_every_lattice_and_dual_verifies(self, runner, tmp_path, q):
         for name, d in (("lattice", lattice_bib(q)), ("dual", dual(lattice_bib(q)))):
             path = write(tmp_path, f"{name}.design", format_design(d))
             for s in ("1", "3"):

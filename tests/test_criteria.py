@@ -422,7 +422,7 @@ class TestStackedExactCriteria:
         "aug", [ONE, AugmentationSpec.per_block([1, 2, 3, 1, 2, 3])], ids=["s1", "s_list"]
     )
     def test_every_connected_6_4_2_design_bit_for_bit(self, aug):
-        designs = list(enumerate_class(6, 4, 2, connected_only=True))
+        designs = list(filter(is_connected, enumerate_class(6, 4, 2)))
         assert len(designs) == 1939
         n = np.array([d.incidence for d in designs], dtype=float)
         exact = stacked_exact_criteria(n, 2, aug)

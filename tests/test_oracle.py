@@ -493,10 +493,14 @@ class TestEnumerateClass:
         assert sum(1 for d in enumerate_class(2, 2, 2) if is_connected(d)) == 3
 
     def test_single_small_block_cannot_connect(self):
-        assert list(enumerate_class(1, 3, 2, connected_only=True)) == []
+        assert list(filter(is_connected, enumerate_class(1, 3, 2))) == []
 
-    def test_connected_only_filter(self):
-        assert all(is_connected(d) for d in enumerate_class(3, 3, 2, connected_only=True))
+    def test_listing_runs_no_connectivity(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerate_class decided connectivity")
+
+        monkeypatch.setattr(oracle, "stacked_connected", refuse)
+        assert len(list(enumerate_class(6, 4, 2))) == 5005
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_ENUM_CAP", 1000)
@@ -529,7 +533,7 @@ class TestEnumerateClass:
     def test_count_budget_rejects_before_the_pool(self):
         # (583,2,2) is the last class of pairs on two treatments inside the
         # budget; (2000,2,2) has 2,003,001 designs, inside the cap, and 8.0e9
-        assert math.comb(585, 2) * 2 * 583 <= oracle.COUNT_BUDGET < math.comb(586, 2) * 2 * 584
+        assert math.comb(585, 2) * 2 * 583 <= oracle.WALK_BUDGET < math.comb(586, 2) * 2 * 584
         tracemalloc.start()
         try:
             for b in (584, 2000):
@@ -542,8 +546,8 @@ class TestEnumerateClass:
 
     def test_count_classes_in_use_are_within_the_budget(self):
         # classes whose counts the tests, CI and README compute
-        for b, v, k in ((2, 2, 2), (4, 3, 2), (3, 4, 2), (4, 4, 2), (5, 4, 2), (2, 3, 2), (140, 2, 2), (6, 4, 3)):
-            assert oracle._ClassWalk(b, v, k).n_designs * v * b <= oracle.COUNT_BUDGET
+        for b, v, k in ((2, 2, 2), (4, 3, 2), (3, 4, 2), (4, 4, 2), (5, 4, 2), (2, 3, 2), (140, 2, 2), (6, 4, 3), (2, 3, 90)):
+            assert oracle._ClassWalk(b, v, k).n_designs * v * b <= oracle.WALK_BUDGET
 
     def test_class_that_cannot_connect_is_not_walked(self, monkeypatch):
         # 9,541,896 designs of two blocks of five plots on 12 treatments,
@@ -569,7 +573,7 @@ class TestEnumerateClass:
         want = [is_connected(d) for d in designs]
         stack = np.array([d.incidence for d in designs])
         assert stacked_connected(stack).tolist() == want
-        assert list(enumerate_class(*cls, connected_only=True)) == [d for d, ok in zip(designs, want) if ok]
+        assert np.concatenate([mask for _, mask in oracle._ClassWalk(*cls).slices()]).tolist() == want
         assert class_counts(*cls) == (len(designs), sum(want))
 
     def test_walk_slices_span_the_class(self, monkeypatch):
@@ -580,9 +584,9 @@ class TestEnumerateClass:
 
     def test_plot_rule_is_exact_on_small_classes(self):
         # a class of b blocks of size k has a connected design exactly when
-        # its b k plots can hold a spanning tree; the walk skips its
-        # reachability run by this rule, so a single-component count over
-        # the unfiltered class checks it independently
+        # its b k plots can hold a spanning tree; class_counts skips its
+        # walk by this rule, so a single-component count over the
+        # enumerated class checks it independently
         for b, v, k in itertools.product(range(1, 5), range(1, 5), range(1, 4)):
             any_connected = any(components(d)[2] == 1 for d in enumerate_class(b, v, k))
             assert can_connect(v, b, b * k) == (class_counts(b, v, k)[1] > 0) == any_connected, (b, v, k)
@@ -631,7 +635,7 @@ class TestClassMinima:
         from augdes.criteria import a_criteria, intrablock, mv_criteria
 
         result = class_minima(4, 3, 2, ONE)
-        designs = list(enumerate_class(4, 3, 2, connected_only=True))
+        designs = list(filter(is_connected, enumerate_class(4, 3, 2)))
         values = [a_criteria(intrablock(d), d, ONE) + mv_criteria(intrablock(d), d) for d in designs]
         for pos, name in enumerate(CRITERION_NAMES):
             low = min(row[pos] for row in values)
@@ -713,6 +717,21 @@ class TestStackedClassMinima:
         assert {n: x.hex() for n, x in result.minima.items()} == {n: x.hex() for n, x in best.items()}
         assert result.argmin == arg
 
+    def test_6_5_2_pinned_bit_for_bit(self):
+        # 38,760 designs, 8,050 connected; minima as float.hex, argmins as blocks
+        result = class_minima(6, 5, 2, ONE)
+        assert (result.n_designs, result.n_connected) == (38760, 8050)
+        spread = ((1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5))
+        got = {name: (result.minima[name].hex(), result.argmin[name].blocks) for name in CRITERION_NAMES}
+        assert got == {
+            "a_cc": ("0x1.8888888888889p+0", spread),
+            "a_tt": ("0x1.ccccccccccccep+1", ((1, 2), (1, 2), (1, 2), (1, 3), (1, 4), (1, 5))),
+            "a_ct": ("0x1.2eeeeeeeeeeeep+1", spread),
+            "mv_cc": ("0x1.0000000000000p+1", spread),
+            "mv_tt": ("0x1.eaaaaaaaaaaaap+1", spread),
+            "mv_ct": ("0x1.6aaaaaaaaaaabp+1", spread),
+        }
+
     def test_chunks_span_the_class(self, monkeypatch):
         # 574 connected designs in chunks of 7: the running floor and the exact folds cross 82 chunk starts
         _, _, best, arg = reference_class_minima(5, 4, 2, ONE)
@@ -776,11 +795,11 @@ class TestStackedClassMinima:
     def test_classes_in_use_are_within_the_budget(self):
         # classes whose minima the tests, CI, benchmark or README compute
         for b, v, k in ((7, 4, 3), (5, 5, 3), (60, 2, 2), (120, 2, 2), (6, 4, 3), (6, 4, 2)):
-            assert oracle._ClassWalk(b, v, k).n_designs * (v + b) ** 2 <= oracle.MINIMA_BUDGET
+            assert oracle._ClassWalk(b, v, k).n_designs * (v + b) ** 2 <= oracle.WALK_BUDGET
 
     def test_class_just_over_the_budget_raises_in_bounded_memory(self):
         # (139,2,2) is 1.96e8 and (140,2,2) 2.02e8, one percent over
-        assert math.comb(141, 2) * 141**2 <= oracle.MINIMA_BUDGET < math.comb(142, 2) * 142**2
+        assert math.comb(141, 2) * 141**2 <= oracle.WALK_BUDGET < math.comb(142, 2) * 142**2
         tracemalloc.start()
         try:
             with pytest.raises(ClassTooLarge, match="minima budget"):

@@ -214,7 +214,7 @@ def test_component_rule_matches_is_connected():
     # the screen lists every replacement; the exact step raises Disconnected
     # on exactly the ones is_connected rejects, which the walk then skips
     cfg = SearchConfig(w_cc=1.0, w_tt=1.0, w_ct=1.0)
-    for d in enumerate_class(4, 3, 2, connected_only=True):
+    for d in filter(is_connected, enumerate_class(4, 3, 2)):
         moves, labels, _ = search._batch(cfg, d, 0, 1)
         assert list(zip(moves.tolist(), labels.tolist())) == _rest_of_pass(d, 0, 1)
         for o, t in zip(moves.tolist(), labels.tolist()):
@@ -258,7 +258,7 @@ def test_pass_matches_exact_reference_pass(weights):
     # the batch walk against a pass that scores every connected replacement
     # exactly, from every connected design of the class
     cfg = SearchConfig(*weights)
-    for d in enumerate_class(4, 3, 2, connected_only=True):
+    for d in filter(is_connected, enumerate_class(4, 3, 2)):
         obj = search._objective(cfg, d)
         want_trace, got_trace = [obj], [obj]
         want = _reference_pass(cfg, d, obj, want_trace)

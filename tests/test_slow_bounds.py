@@ -31,6 +31,14 @@ PINNED_S1 = {
         "mv_tt": ("0x1.5dddddddddddep+1", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (1, 3, 4))),
         "mv_ct": ("0x1.b60b60b60b60cp+0", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4))),
     },
+    (7, 4, 3): {
+        "a_cc": ("0x1.bb13b13b13b13p-2", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (1, 3, 4), (2, 3, 4))),
+        "a_tt": ("0x1.5ab9ab9ab9ab9p+1", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (1, 3, 4), (2, 3, 4))),
+        "a_ct": ("0x1.8393393393393p+0", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (1, 3, 4), (2, 3, 4))),
+        "mv_cc": ("0x1.d89d89d89d89fp-2", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (1, 3, 4), (2, 3, 4))),
+        "mv_tt": ("0x1.5be5be5be5be6p+1", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (1, 3, 4), (2, 3, 4))),
+        "mv_ct": ("0x1.a276276276277p+0", ((1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2, 4), (1, 3, 4), (1, 3, 4), (2, 3, 4))),
+    },
     (5, 5, 3): {
         "a_cc": ("0x1.a2e8ba2e8ba2cp-1", ((1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5))),
         "a_tt": ("0x1.6820202020201p+1", ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (3, 4, 5))),
