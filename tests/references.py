@@ -90,7 +90,9 @@ def _reference_rule(a):
 
 def _reference_mp_inverse(m):
     """(M + J/n)^-1 - J/n of a centered M, as L^-T L^-1 from the Cholesky
-    factor L of the shifted matrix, with the rule on M and on the inverse."""
+    factor L of the shifted matrix, with the rule on M and on the inverse.
+    L^-1 is np.linalg.inv's at every order, also above the package's
+    `matrix.BLOCK_ORDER`, where the package inverts L by blocks."""
     m = _reference_rule(m)
     assert np.abs(m.sum(axis=1)).max() <= 1e-9
     shift = 1.0 / len(m)
@@ -104,7 +106,9 @@ def reference_intrablock(d):
     """P = C+ and Q = C_dual+ of a connected primal with constant block
     size, by the arithmetic the search fixtures were recorded with:
     C = I r - N N^T/k and C_dual = k I - N^T (N/r) from identity products,
-    then `_reference_mp_inverse` of each."""
+    then `_reference_mp_inverse` of each, whose np.linalg.inv of the
+    Cholesky factor is kept at every order: P and Q are the package's bit
+    for bit up to order `matrix.BLOCK_ORDER` and close to them above it."""
     k = d.uniform_block_size()
     n = d.incidence.astype(float)
     r = np.asarray(d.replications, dtype=float)

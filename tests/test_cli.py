@@ -68,6 +68,19 @@ FRESH_DESIGNS = {
 }
 
 
+def _assert_numbers_close(got, want, rel):
+    """got equals the parsed JSON want, except that each float may differ
+    from its recorded value by rel relative."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_numbers_close(got[key], want[key], rel)
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= rel * abs(want)
+    else:
+        assert got == want
+
+
 class TestRounding:
     def test_half_away_from_zero(self):
         assert round3(0.9935) == 0.994
@@ -116,6 +129,25 @@ class TestEval:
         assert result.exit_code == 0
         golden = DATA / f"eval_{path.stem}_{counts}.txt"
         assert result.output.split("\n", 1)[1] == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("q", [11, 13])
+    @pytest.mark.parametrize("side", ["", "_dual"], ids=["primal", "dual"])
+    @pytest.mark.parametrize("counts", ["s1", "s3"])
+    def test_large_lattice_goldens(self, runner, tmp_path, q, side, counts):
+        # lattices q = 11 and 13 and their duals invert matrices of order
+        # 121-182, above matrix.BLOCK_ORDER: every JSON number within 1e-12
+        # relative of the recorded report, the table byte for byte
+        d = lattice_bib(q)
+        path = write(tmp_path, "d.design", format_design(dual(d) if side else d))
+        stem = f"eval_lattice_q{q}{side}_{counts}"
+        result = runner.invoke(cli, ["eval", path, *count_args(path, counts), "--format", "json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        del doc["provenance"]
+        _assert_numbers_close(doc, json.loads((DATA / f"{stem}.json").read_text(encoding="utf-8")), 1e-12)
+        result = runner.invoke(cli, ["eval", path, *count_args(path, counts), "--format", "table"])
+        assert result.exit_code == 0
+        assert result.output.split("\n", 1)[1] == (DATA / f"{stem}.txt").read_text(encoding="utf-8")
 
     def test_json_schema(self, runner, tmp_path):
         result = runner.invoke(cli, ["eval", eight_block_file(tmp_path), "--format", "json"])

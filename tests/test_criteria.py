@@ -545,3 +545,13 @@ class TestIntrablockReferenceBits:
     @given(connected_primals())
     def test_random_connected_designs(self, d):
         _assert_reference_bits(d)
+
+    @pytest.mark.parametrize("q", [11, 13])
+    @pytest.mark.parametrize("side", [lambda d: d, dual], ids=["primal", "dual"])
+    def test_large_lattices_within_1e_13_of_the_reference(self, q, side):
+        # P and Q of order 121-182 come from the blocked inverse above
+        # matrix.BLOCK_ORDER, the reference's from np.linalg.inv
+        d = side(lattice_bib(q))
+        ib = intrablock(d)
+        for got, want in zip((ib.c_plus, ib.c_dual_plus), reference_intrablock(d)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from augdes.errors import AugdesError, DimensionMismatch, NotSymmetric, SingularMatrix
-from augdes.matrix import SymMatrix, invert, mp_inverse_centered
+from augdes.matrix import BLOCK_ORDER, SymMatrix, _triangular_inverse, invert, mp_inverse_centered
 
 
 def sym(rows):
@@ -101,6 +101,51 @@ class TestInvert:
         assert np.max(np.abs(again.a - m.a)) <= 1e-7
 
 
+def _spd(rng, n):
+    """A well-conditioned symmetric positive definite matrix of order n."""
+    base = rng.uniform(-1.0, 1.0, size=(n, n))
+    return base @ base.T / n + np.eye(n)
+
+
+def _inf_norm(a):
+    return np.abs(a).sum(axis=-1).max()
+
+
+def _centered(rng, n):
+    """A random symmetric matrix of order n with zero row sums and rank n - 1."""
+    m = _spd(rng, n)
+    m -= m.mean(axis=1, keepdims=True)
+    m -= m.mean(axis=0, keepdims=True)
+    return m
+
+
+class TestTriangularInverse:
+    def test_up_to_the_block_order_it_is_np_linalg_inv_bit_for_bit(self):
+        # the pinned bits of lattice q = 7 (orders 49 and 56) and of the
+        # (60, 2, 2) minima need np.linalg.inv up to order 64
+        assert BLOCK_ORDER == 64
+        rng = np.random.default_rng(5)
+        for n in range(1, BLOCK_ORDER + 1):
+            factor = np.linalg.cholesky(_spd(rng, n))
+            assert _triangular_inverse(factor).tobytes() == np.linalg.inv(factor).tobytes()
+        stack = np.linalg.cholesky(np.array([_spd(rng, BLOCK_ORDER) for _ in range(3)]))
+        assert _triangular_inverse(stack).tobytes() == np.linalg.inv(stack).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(BLOCK_ORDER + 1, 200),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_above_the_block_order_it_is_a_backward_stable_inverse(self, n, seed, scale):
+        # ||X L - I|| within n eps ||L|| ||X|| in the infinity norm; both
+        # np.linalg.inv and the blocked inverse stay below 1% of it here
+        factor = np.linalg.cholesky(scale * _spd(np.random.default_rng(seed), n))
+        x = _triangular_inverse(factor)
+        residual, bound = _inf_norm(x @ factor - np.eye(n)), _inf_norm(factor) * _inf_norm(x)
+        assert residual <= n * np.finfo(float).eps * bound
+
+
 class TestMoorePenroseCentered:
     def test_two_by_two_contrast(self):
         out = mp_inverse_centered(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -162,6 +207,24 @@ class TestStackedMoorePenroseCentered:
         assert np.isnan(mp_inverse_centered(np.eye(5))).all()
         with pytest.raises(ValueError):
             SymMatrix(asymmetric)
+
+    def test_members_above_the_block_order_match_the_single_path_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        stack = np.array([_centered(rng, 80) for _ in range(4)])
+        stack[2, 1, 3] += 1e-13  # asymmetric within tolerance: symmetrized first
+        got = mp_inverse_centered(stack)
+        for m, row in zip(stack, got):
+            assert not np.isnan(row).any()
+            assert row.tobytes() == mp_inverse_centered(m).tobytes()
+
+    def test_member_above_the_block_order_failing_a_check_is_nan(self):
+        rng = np.random.default_rng(7)
+        good = _centered(rng, 80)
+        asymmetric = _centered(rng, 80)
+        asymmetric[0, 1] += 1e-3
+        got = mp_inverse_centered(np.array([good, np.eye(80), asymmetric]))
+        assert got[0].tobytes() == mp_inverse_centered(good).tobytes()
+        assert np.isnan(got[1]).all() and np.isnan(got[2]).all()
 
     def test_failed_factorization_fails_the_whole_stack(self):
         got = mp_inverse_centered(np.array([5.0 * np.eye(5) - np.ones((5, 5)), np.zeros((5, 5))]))
