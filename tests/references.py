@@ -5,9 +5,9 @@ from collections import Counter
 
 import numpy as np
 
-from augdes import criteria
+from augdes import criteria, search
 from augdes.bounds import bound_quantities
-from augdes.errors import NotEstimable
+from augdes.errors import Disconnected, NotEstimable
 from augdes.matrix import SymMatrix, invert
 from augdes.oracle import ESTIMABLE_TOL
 
@@ -260,3 +260,37 @@ def reference_deviations(d, aug):
         float(np.max(dev_tt[~same], initial=0.0)),
         float(np.max(np.abs(gls[:v, v:] - criteria.v_ct_matrix(ib, d)[:, slot]))),
     )
+
+
+def sequential_improvement_pass(cfg, d, obj, trace):
+    """`search._improvement_pass` as it was before exact scores ran in
+    stacks: each candidate of a batch is built and scored exactly alone,
+    by `search._objective`, in scan order; one that raises `Disconnected`
+    is skipped, and an accepted design starts a new batch at the next
+    label of the same occurrence, screened from its memoized P. Repeats
+    are scored again. A drop-in for `search._improvement_pass`."""
+    k = len(d.blocks[0])
+    widest = max(1, search.MAX_BATCH_MOVES // d.v)
+    first = min(-(-search.FIRST_CHUNK_MOVES // d.v), widest)
+    improved = False
+    o_from, t_from, width = 0, 1, first
+    while o_from < d.b * k:
+        limit = obj - search.MOVE_TOL + search.SCREEN_TOL * max(1.0, abs(obj))
+        o_to = min(d.b * k, o_from + width)
+        moves, labels, screened = search._batch(cfg, d, o_from, t_from, o_to)
+        for i in np.flatnonzero(~(screened >= limit)):  # NaN is confirmed too
+            o, t = int(moves[i]), int(labels[i])
+            cand = search._candidate(d, o, t)
+            try:
+                cand_obj = search._objective(cfg, cand)
+            except Disconnected:
+                continue
+            if cand_obj < obj - search.MOVE_TOL:
+                d, obj = cand, cand_obj
+                trace.append(obj)
+                improved = True
+                o_from, t_from, width = o, t + 1, first
+                break
+        else:
+            o_from, t_from, width = o_to, 1, min(2 * width, widest)
+    return d, obj, improved

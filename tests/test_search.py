@@ -1,5 +1,6 @@
 import hashlib
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from augdes import criteria, design, search
 from augdes.design import AugmentationSpec, BlockDesign, format_design, is_connected
-from augdes.errors import Disconnected, InvalidParameters, NoConnectedStart
+from augdes.errors import Disconnected, InvalidParameters, NoConnectedStart, SingularMatrix
 from augdes.oracle import class_minima, enumerate_class
 from augdes.search import SearchConfig, exchange_search
+
+import references
 
 ONE = AugmentationSpec.common(1)
 
@@ -1453,67 +1456,244 @@ def test_golden_search_56_49_7():
             == "fa07be0122ebd18cfa2e135a14c1e73da541d8946478907bb8739cac3512c2dc")
 
 
-def test_one_connectivity_check_per_exact_step(monkeypatch):
-    # in a sparse class many confirmed moves disconnect the design; the
-    # walk learns that from the union-find inside criteria.intrablock and
-    # runs no second one, so outside the start draws every component
-    # count belongs to exactly one intrablock computation: a connected one,
-    # which inverts twice, or a disconnected one, which raises
-    calls = {"union_finds": 0, "inverses": 0, "disconnected": 0, "start": 0}
-    real_union_find, real_inverse = design._union_find, criteria.mp_inverse_centered
-    real_intrablock, real_start = criteria.intrablock, search._random_connected
+REFERENCE_CASES = (
+    ((4, 7, 3), SearchConfig(1.0, 1.0, 1.0, restarts=3, rng_seed=1)),
+    ((20, 2, 20), SearchConfig(1.0, 1.0, 1.0, restarts=2, rng_seed=0)),
+    ((2, 3, 5), SearchConfig(1.0, 2.0, 0.5, restarts=3, rng_seed=2)),
+    ((12, 6, 3), SearchConfig(1.0, 2.0, 0.5, aug=AugmentationSpec.per_block([1, 2, 3] * 4), restarts=2, rng_seed=5)),
+    ((12, 6, 3), SearchConfig(1.0, 0.0, 0.0, restarts=2, rng_seed=3)),
+    ((10, 5, 3), SearchConfig(0.0, 1.0, 2.0, restarts=2, rng_seed=4)),
+)
+
+
+def _fingerprint(result):
+    return result.design.blocks, result.objective.hex(), [[x.hex() for x in trace] for trace in result.traces]
+
+
+@pytest.mark.parametrize("chain", [1, 2, search.CHAIN])
+def test_search_matches_the_sequential_reference_pass(monkeypatch, chain):
+    # links, stacked flushes, rollbacks and skipped repeats move no bit:
+    # the same designs, objectives and traces as scoring one candidate at
+    # a time; a chain of one flushes every candidate alone
+    with monkeypatch.context() as m:
+        m.setattr(search, "_improvement_pass", references.sequential_improvement_pass)
+        want = [_fingerprint(exchange_search(*bvk, cfg)) for bvk, cfg in REFERENCE_CASES]
+    monkeypatch.setattr(search, "CHAIN", chain)
+    assert [_fingerprint(exchange_search(*bvk, cfg)) for bvk, cfg in REFERENCE_CASES] == want
+
+
+class _Flushes:
+    """Wraps `search._exact_objectives`: records each flush's members in
+    order, and lets a test rewrite the values a flush returns."""
+
+    def __init__(self, monkeypatch, rewrite=None):
+        self.members, self.real, self.rewrite = [], search._exact_objectives, rewrite
+        monkeypatch.setattr(search, "_exact_objectives", self)
+
+    def __call__(self, cfg, members):
+        values, q = self.real(cfg, members)
+        self.members.append(list(members))
+        if self.rewrite is not None:
+            values = self.rewrite(values.copy())
+        return values, q
+
+
+def test_one_connectivity_answer_per_candidate(monkeypatch):
+    # in a sparse class many candidates disconnect the design; each built
+    # candidate is asked once, by at most one union-find, and the exact
+    # scores ask nothing: outside the start draws, every union-find is an
+    # answer or the start objective's intrablock
+    built, answers, calls = [], [], {"union_finds": 0, "answering": 0, "start": 0, "restarts": 0}
+    real_union_find, real_candidate = design._union_find, search._candidate
+    real_connected, real_start = search._connected, search._random_connected
 
     def union_find(d):
         calls["union_finds"] += 1
         return real_union_find(d)
 
-    def inverse(a):
-        calls["inverses"] += 1
-        return real_inverse(a)
+    def candidate(d, o, t):
+        built.append(real_candidate(d, o, t))
+        return built[-1]
 
-    def intrablock(d):
+    def connected(d, cand, o):
         before = calls["union_finds"]
-        try:
-            return real_intrablock(d)
-        except Disconnected:
-            calls["disconnected"] += 1
-            raise
-        finally:
-            assert calls["union_finds"] - before in (0, 1)  # none on a memo hit
+        answers.append((cand, real_connected(d, cand, o)))
+        assert calls["union_finds"] - before in (0, 1)
+        calls["answering"] += calls["union_finds"] - before
+        return answers[-1][1]
 
     def start(*args):
         before = calls["union_finds"]
         d = real_start(*args)
         calls["start"] += calls["union_finds"] - before
+        calls["restarts"] += 1
         return d
 
     monkeypatch.setattr(design, "_union_find", union_find)
-    monkeypatch.setattr(criteria, "mp_inverse_centered", inverse)
-    monkeypatch.setattr(criteria, "intrablock", intrablock)
+    monkeypatch.setattr(search, "_candidate", candidate)
+    monkeypatch.setattr(search, "_connected", connected)
     monkeypatch.setattr(search, "_random_connected", start)
     exchange_search(4, 7, 3, SearchConfig(w_cc=1.0, w_tt=1.0, w_ct=1.0, restarts=2, rng_seed=3))
-    assert calls["disconnected"] > 0
-    assert calls["inverses"] % 2 == 0
-    assert calls["union_finds"] == calls["inverses"] // 2 + calls["disconnected"] + calls["start"]
+    assert [id(cand) for cand, _ in answers] == [id(cand) for cand in built]
+    assert any(not answer for _, answer in answers) and any(answer for _, answer in answers)
+    assert calls["union_finds"] == calls["start"] + calls["restarts"] + calls["answering"]
+    assert calls["answering"] < len(answers)  # some answered without a union-find
 
 
 @pytest.mark.parametrize("bvk, seed", [((12, 6, 3), 1), ((4, 7, 3), 3)], ids=["12-6-3", "4-7-3-sparse"])
-def test_two_inverses_per_exact_score(monkeypatch, bvk, seed):
-    # each batch reads P from the memo that scoring its design filled, so a
-    # search inverts only in its exact scores, two matrices per connected one
-    inverses, scores = [], []
-    real_inverse, real_objective = criteria.mp_inverse_centered, search._objective
+def test_one_p_inverse_per_member_and_one_c_dual_stack_per_flush(monkeypatch, bvk, seed):
+    # each batch reads the P of its design, inverted alone when the design
+    # joined a flush or, for a start, scored by `_objective`; a flush
+    # inverts its members' C_dual as one stack, or alone for one member
+    singles, stacks, starts = [], [], []
+    real_inverse, real_criteria_inverse = search.mp_inverse_centered, criteria.mp_inverse_centered
 
     def inverse(a):
-        inverses.append(len(a))
+        (singles if a.ndim == 2 else stacks).append(len(a))
         return real_inverse(a)
 
-    def objective(cfg, d):
-        value = real_objective(cfg, d)
-        scores.append(value)
-        return value
+    def criteria_inverse(a):
+        starts.append(len(a))
+        return real_criteria_inverse(a)
 
-    monkeypatch.setattr(criteria, "mp_inverse_centered", inverse)
-    monkeypatch.setattr(search, "_objective", objective)
+    flushes = _Flushes(monkeypatch)
+    monkeypatch.setattr(search, "mp_inverse_centered", inverse)
+    monkeypatch.setattr(criteria, "mp_inverse_centered", criteria_inverse)
     exchange_search(*bvk, SearchConfig(w_cc=1.0, w_tt=1.0, w_ct=1.0, restarts=2, rng_seed=seed))
-    assert scores and len(inverses) == 2 * len(scores)
+    sizes = [len(members) for members in flushes.members]
+    assert max(sizes) > 1 and 1 in sizes
+    assert stacks == [size for size in sizes if size > 1]
+    assert len(singles) == sum(sizes) + sizes.count(1)
+    assert len(starts) == 2 * 2  # P and Q of each restart's start design
+
+
+def test_no_move_is_built_twice_in_a_pass_on_one_design(monkeypatch):
+    # in (20,3,20) each block holds several copies of each label, so a move
+    # comes at several occurrences; the sequential pass builds and scores
+    # the rejected ones again, the search builds each move once per design
+    # and pass, with the same result
+    cfg = SearchConfig(w_cc=1.0, w_tt=1.0, w_ct=1.0, restarts=2, rng_seed=0)
+    real_candidate = search._candidate
+
+    def moves_built(improvement_pass):
+        built, passes = [], [0]
+
+        def candidate(d, o, t):
+            built.append((passes[0], d.blocks, search._move(d, o, t)))
+            return real_candidate(d, o, t)
+
+        def counted_pass(*args):
+            passes[0] += 1
+            return improvement_pass(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "_candidate", candidate)
+            m.setattr(search, "_improvement_pass", counted_pass)
+            result = exchange_search(20, 3, 20, cfg)
+        return built, result
+
+    again, want = moves_built(references.sequential_improvement_pass)
+    once, got = moves_built(search._improvement_pass)
+    assert len(set(again)) < len(again) / 2
+    assert len(set(once)) == len(once) == len(set(again))
+    assert _fingerprint(got) == _fingerprint(want)
+
+
+def test_stacked_nan_is_rescored_alone_when_reached(monkeypatch):
+    # with every stacked value NaN, each member is scored again alone, by
+    # `_objective`, only once the scan reaches it: in each flush the
+    # rescored members are a prefix, in scan order, and the result keeps
+    # its bits
+    cfg = SearchConfig(w_cc=1.0, w_tt=2.0, w_ct=0.5, restarts=2, rng_seed=1)
+    want = _fingerprint(exchange_search(12, 6, 3, cfg))
+    rescored, real_objective = [], search._objective
+
+    def objective(cfg, d):
+        rescored.append((len(flushes.members), d))
+        return real_objective(cfg, d)
+
+    flushes = _Flushes(monkeypatch, lambda values: np.full_like(values, np.nan))
+    monkeypatch.setattr(search, "_objective", objective)
+    assert _fingerprint(exchange_search(12, 6, 3, cfg)) == want
+    scored = set()
+    for index, members in enumerate(flushes.members, start=1):
+        designs = [m.design for m in members]
+        reached = [d for flush, d in rescored if flush == index and any(d is m for m in designs)]
+        assert 1 <= len(reached) and all(d is m for d, m in zip(reached, designs))
+        scored.update(map(id, reached))
+    assert len(rescored) == len(scored) + cfg.restarts  # and the start designs
+
+
+def test_member_behind_a_rejected_link_is_never_scored(monkeypatch):
+    # a first link forced to be rejected rolls the pass back: the members
+    # behind it, forced to NaN, are never scored alone
+    rescored, real_objective = [], search._objective
+
+    def objective(cfg, d):
+        rescored.append(d)
+        return real_objective(cfg, d)
+
+    def reject_first(values):
+        if len(values) > 1:
+            values[0], values[1:] = np.inf, np.nan
+        return values
+
+    flushes = _Flushes(monkeypatch, reject_first)
+    monkeypatch.setattr(search, "_objective", objective)
+    result = exchange_search(12, 6, 3, SearchConfig(w_cc=1.0, w_tt=1.0, w_ct=1.0, restarts=2, rng_seed=1))
+    assert is_connected(result.design)
+    behind = {id(m.design) for members in flushes.members if len(members) > 1 for m in members[1:]}
+    assert behind
+    assert not behind & {id(d) for d in rescored}
+
+
+def _penalty(d):
+    """1 for about a third of all designs, picked by their blocks, else 0."""
+    return float(zlib.crc32(repr(d.blocks).encode()) % 3 == 0)
+
+
+@pytest.mark.parametrize("chain", [2, search.CHAIN])
+def test_rejected_links_roll_back_to_the_sequential_result(monkeypatch, chain):
+    # the exact scores, not the screen, add 1 to a third of all designs, so
+    # many clear links fail their flush and roll the pass back; the result
+    # is the sequential pass's under the same scores, bit for bit
+    real_objective = search._objective
+    cases = [((12, 6, 3), SearchConfig(1.0, 1.0, 1.0, restarts=2, rng_seed=4)),
+             ((10, 5, 3), SearchConfig(1.0, 2.0, 0.5, restarts=2, rng_seed=1))]
+    monkeypatch.setattr(search, "_objective", lambda cfg, d: real_objective(cfg, d) + _penalty(d))
+    with monkeypatch.context() as m:
+        m.setattr(search, "_improvement_pass", references.sequential_improvement_pass)
+        want = [_fingerprint(exchange_search(*bvk, cfg)) for bvk, cfg in cases]
+    monkeypatch.setattr(search, "CHAIN", chain)
+    flushes = _Flushes(monkeypatch, lambda values: values + [_penalty(m.design) for m in flushes.members[-1]])
+    assert [_fingerprint(exchange_search(*bvk, cfg)) for bvk, cfg in cases] == want
+    assert any(_penalty(m.design) for members in flushes.members for m in members[:-1])
+
+
+def test_singular_member_raises_as_scored_alone(monkeypatch):
+    # a member whose stacked score is NaN because its inverse failed raises
+    # SingularMatrix when the scan reaches it, as scoring it alone does in
+    # the sequential pass
+    cfg = SearchConfig(w_cc=1.0, w_tt=1.0, w_ct=1.0, restarts=1, max_passes=1, rng_seed=2)
+    target = exchange_search(12, 6, 3, cfg).design.blocks
+    real_objective = search._objective
+
+    def objective(cfg, d):
+        if d.blocks == target:
+            raise SingularMatrix("an information matrix of a connected design is numerically singular")
+        return real_objective(cfg, d)
+
+    def nan_target(values):
+        for i, m in enumerate(flushes.members[-1]):
+            if m.design.blocks == target:
+                values[i] = np.nan
+        return values
+
+    monkeypatch.setattr(search, "_objective", objective)
+    with monkeypatch.context() as m:
+        m.setattr(search, "_improvement_pass", references.sequential_improvement_pass)
+        with pytest.raises(SingularMatrix):
+            exchange_search(12, 6, 3, cfg)
+    flushes = _Flushes(monkeypatch, nan_target)
+    with pytest.raises(SingularMatrix):
+        exchange_search(12, 6, 3, cfg)
