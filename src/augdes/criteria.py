@@ -29,6 +29,22 @@ its value, and a failed call stores nothing. A primal with more than
 MAX_ORDER treatments or blocks is rejected before anything of order v or
 b is built.
 
+P is the centered inverse of C. Q is the centered inverse of C_dual up to
+`matrix.BLOCK_ORDER` blocks, the orders every pinned bit comes from; above
+it, Q comes from P by the dual identity
+
+    Q = Pi_b (I/k + N^T P N / k^2) Pi_b,   Pi_b = I - J/b,
+
+in `_dual_from_primal`, so such a design takes one Moore-Penrose inverse:
+C_dual is neither built nor inverted. `intrablock`, `stacked_exact_criteria`
+and the search's stacked exact scores all take Q this way, so a member of a
+stack keeps the bits it gets alone. Q then lies within 7e-15 of the
+inverse of C_dual, relative to max |Q|, on the lattices q = 11 and 13,
+their duals and the v = b = 300 cycle. Q alone takes 0.50 against 1.4-2.0
+ms for lattice q = 13 and 0.21 against 0.6-0.95 ms for q = 11, and
+`intrablock` of a two-treatment design with 2,000 blocks 57-63 against
+410 ms (one core of a shared host, one BLAS thread).
+
 The same `Intrablock` also holds what does not depend on the counts,
 each computed the first time it is asked for and never again for that
 object:
@@ -53,11 +69,13 @@ import numpy as np
 
 from .design import AugmentationSpec, BlockDesign, is_connected
 from .errors import Disconnected, InvalidParameters, NonUniformBlockSize, SingularMatrix
-from .matrix import mp_inverse_centered
+from .matrix import BLOCK_ORDER, mp_inverse_centered
 
 # The largest v or b scored. At v = b = 2,000 (a cycle of two-plot blocks),
-# scoring at s=1 and then per block peaks at 214 MiB by tracemalloc, about
-# 3.5 x 8 (v^2 + b^2) bytes, and leaves 107 MiB in the memo.
+# scoring at s=1 and then per block peaks at 199 MiB by tracemalloc, about
+# 3.25 x 8 (v^2 + b^2) bytes, and leaves 107 MiB in the memo; at v = b =
+# 1,000 one report at s=1 peaks at 49.7 MiB. Q of such a design comes from
+# P (see above), whose inverse holds the peak.
 MAX_ORDER = 2_000
 
 
@@ -86,7 +104,9 @@ class CriteriaReport:
 
 
 def intrablock(d: BlockDesign) -> Intrablock:
-    """The Moore-Penrose inverses of both information matrices.
+    """The Moore-Penrose inverses of both information matrices: P of C,
+    and Q of C_dual up to `matrix.BLOCK_ORDER` blocks and from P by the
+    dual identity above (`_dual_plus`).
 
     Requires a connected design with constant block size, and at most
     MAX_ORDER treatments and blocks, which is checked before connectivity
@@ -105,8 +125,10 @@ def intrablock(d: BlockDesign) -> Intrablock:
     check_order(d.v, d.b)
     if not is_connected(d):
         raise Disconnected("criteria are defined only for connected primals")
+    n = d.incidence.astype(float)
     r = np.asarray(d.replications, dtype=float)
-    c_plus, c_dual_plus = map(mp_inverse_centered, _information(d.incidence.astype(float), r, k))
+    c_plus = mp_inverse_centered(_primal_information(n, r, k))
+    c_dual_plus = _dual_plus(c_plus, n, r, k)
     if np.isnan(c_plus[0, 0]) or np.isnan(c_dual_plus[0, 0]):
         # a failed inverse is all NaN; the design is connected, so the failure is numerical
         raise SingularMatrix("an information matrix of a connected design is numerically singular")
@@ -123,19 +145,57 @@ def check_order(v: int, b: int, why: str = "are not scored") -> None:
         raise InvalidParameters(f"{v} treatments and {b} blocks: orders above {MAX_ORDER} {why}")
 
 
-def _information(n: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """C = diag(r) - N N^T / k and C_dual = k I - N^T (N / r) of a float
-    incidence N with replications r and block size k, or of a stack of
-    them (shapes (..., v, b) and (..., v)). The diagonals are added
-    through views with the last two axes flattened, so an off-diagonal
-    zero is -0.0."""
-    v, b = n.shape[-2:]
-    nt = n.swapaxes(-1, -2)
-    c = -(n @ nt) / k
-    c_dual = -(nt @ (n / r[..., :, None]))
+def _primal_information(n: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+    """C = diag(r) - N N^T / k of a float incidence N with replications r
+    and block size k, or of a stack of them (shapes (..., v, b) and
+    (..., v)). The diagonal is added through a view with the last two axes
+    flattened, so an off-diagonal zero is -0.0."""
+    v = n.shape[-2]
+    c = -(n @ n.swapaxes(-1, -2)) / k
     c.reshape(*c.shape[:-2], v * v)[..., :: v + 1] += r
+    return c
+
+
+def _dual_information(n: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+    """C_dual = k I - N^T (N / r) of the operands of `_primal_information`,
+    with the diagonal added as there."""
+    b = n.shape[-1]
+    c_dual = -(n.swapaxes(-1, -2) @ (n / r[..., :, None]))
     c_dual.reshape(*c_dual.shape[:-2], b * b)[..., :: b + 1] += k
-    return c, c_dual
+    return c_dual
+
+
+def _dual_plus(p: np.ndarray, n: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+    """Q = C_dual+ of one primal or of a stack, given its P = C+, float
+    incidence N, replications r and block size k: up to
+    `matrix.BLOCK_ORDER` blocks `mp_inverse_centered` of C_dual, above it
+    `_dual_from_primal`, which builds and inverts nothing of order b."""
+    if n.shape[-1] <= BLOCK_ORDER:
+        return mp_inverse_centered(_dual_information(n, r, k))
+    return _dual_from_primal(p, n, k)
+
+
+def _dual_from_primal(p: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
+    """Q = C_dual+ from P = C+ of one primal, or of each in a stack
+    (shapes (..., v, v) and (..., v, b)), by the identity
+
+        Q = Pi_b (I/k + N^T P N / k^2) Pi_b,   Pi_b = I - J/b.
+
+    With H the symmetrized N^T P N / k^2 and h its row means,
+    Q = H - (h 1^T + 1 h^T) + mean(h) - 1/(b k) + I/k, every step
+    elementwise on a bitwise-symmetric matrix, so Q is bitwise symmetric;
+    its rows sum to zero up to rounding. Each member of a stack gets the
+    bits it gets alone. Every block holds a plot, so each entry of Q
+    reads a nonzero multiple of some entry of P: Q is all NaN when P is."""
+    b = n.shape[-1]
+    q = n.swapaxes(-1, -2) @ (p @ n)
+    q = q + q.swapaxes(-1, -2)
+    q *= 0.5 / k**2
+    rows = q.mean(axis=-1)
+    q -= rows[..., :, None] + rows[..., None, :]
+    q += (rows.mean(axis=-1) - 1.0 / (b * k))[..., None, None]
+    q.reshape(*q.shape[:-2], b * b)[..., :: b + 1] += 1.0 / k
+    return q
 
 
 def _pairwise(m: np.ndarray) -> np.ndarray:
@@ -155,12 +215,13 @@ def v_tt_matrix(ib: Intrablock) -> np.ndarray:
     return _pairwise(ib.c_dual_plus)
 
 
-def _ct_matrix(q: np.ndarray, n: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _ct_matrix(q: np.ndarray, n: np.ndarray, r: np.ndarray, gq: np.ndarray | None = None) -> np.ndarray:
     """v x b control-vs-test multipliers from Q, the incidence N and the
     replications r, or a stack of them (shapes (..., b, b), (..., v, b)
-    and (..., v))."""
+    and (..., v)), reading G Q, G = N / r, from gq when it is given."""
     g = n / r[..., :, None]
-    gq = g @ q
+    if gq is None:
+        gq = g @ q
     own = np.einsum("...ij,...ij->...i", gq, g)
     dq = np.diagonal(q, axis1=-2, axis2=-1)
     return 1.0 + (1.0 / r)[..., :, None] + dq[..., None, :] - 2.0 * gq + own[..., :, None]
@@ -200,14 +261,17 @@ def _a_cc(p):
     return 2.0 * _sum(p.diagonal(axis1=-2, axis2=-1)) / (p.shape[-1] - 1)
 
 
-def _common_a_values(p, q, n, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _common_a_values(p, q, n, r, gq=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A_cc, tr Q and A_ct at any common count, the part of `_a_values`
     that is free of the count, on P = C+, Q = C_dual+, the incidence N and
-    the replications r of one primal, or of a stack of them."""
+    the replications r of one primal, or of a stack of them, reading
+    G Q, G = N / r, from gq when it is given."""
     v, b = n.shape[-2:]
     t_dual = _sum(q.diagonal(axis1=-2, axis2=-1))
     g = n / r[..., :, None]
-    return _a_cc(p), t_dual, 1.0 + (1.0 / r).sum(axis=-1) / v + t_dual / b + _sum((g @ q) * g, 2) / v
+    if gq is None:
+        gq = g @ q
+    return _a_cc(p), t_dual, 1.0 + (1.0 / r).sum(axis=-1) / v + t_dual / b + _sum(gq * g, 2) / v
 
 
 def _common_a_tt(t_dual, b: int, s: int):
@@ -225,12 +289,12 @@ def _a_values(p, q, n, r, aug: AugmentationSpec) -> tuple[np.ndarray, np.ndarray
     return _a_cc(p), *_per_block_a(*_count_free(q, n, r), v, b, aug)
 
 
-def _count_free(q, n, r) -> tuple[np.ndarray, np.ndarray]:
+def _count_free(q, n, r, gq=None) -> tuple[np.ndarray, np.ndarray]:
     """The count-free matrices of one primal, or of each in a stack, from
     Q = C_dual+, the incidence N and the replications r: the pairwise-Q
     entries above the diagonal, row by row, and the v x b control-test
-    multipliers."""
-    return _upper(_pairwise(q)), _ct_matrix(q, n, r)
+    multipliers (`_ct_matrix`, given gq)."""
+    return _upper(_pairwise(q)), _ct_matrix(q, n, r, gq)
 
 
 def _per_block_a(tt, ct, v: int, b: int, aug: AugmentationSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -261,16 +325,16 @@ def _memo(ib: Intrablock, d: BlockDesign, key: str, compute):
     return memo[key]
 
 
+def _read_only(matrices: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """matrices, each made read-only."""
+    for m in matrices:
+        m.setflags(write=False)
+    return matrices
+
+
 def _stored_count_free(ib: Intrablock, d: BlockDesign) -> tuple[np.ndarray, np.ndarray]:
     """`_count_free` of d as read-only arrays, from d's intrablock memo."""
-
-    def compute():
-        matrices = _count_free(*_operands(ib, d)[1:])
-        for m in matrices:
-            m.setflags(write=False)
-        return matrices
-
-    return _memo(ib, d, "count_free", compute)
+    return _memo(ib, d, "count_free", lambda: _read_only(_count_free(*_operands(ib, d)[1:])))
 
 
 def _check_counts(v: int, b: int, aug: AugmentationSpec) -> None:
@@ -446,7 +510,8 @@ def stacked_exact_criteria(n: np.ndarray, k: int, aug: AugmentationSpec) -> np.n
     factorization of the stack fails.
     """
     r = n.sum(axis=2)
-    p, q = map(mp_inverse_centered, _information(n, r, k))
+    p = mp_inverse_centered(_primal_information(n, r, k))
+    q = _dual_plus(p, n, r, k)
     return np.column_stack((*_a_values(p, q, n, r, aug), *_mv_values(p, q, n, r)))
 
 
@@ -479,6 +544,16 @@ def mv_criteria(ib: Intrablock, d: BlockDesign) -> tuple[float, float, float]:
 
 
 def evaluate(d: BlockDesign, aug: AugmentationSpec) -> CriteriaReport:
-    """Full report of the A- and MV-criteria for a primal."""
+    """Full report of the A- and MV-criteria for a primal. At a common
+    count, on a memo that holds neither the common-count values nor the
+    count-free matrices, both are stored from one product G Q, G = N / r,
+    which each would otherwise form; they are the same bits either way."""
     ib = intrablock(d)
+    memo = ib.__dict__
+    if aug.is_common and "common_a" not in memo and "count_free" not in memo:
+        _check_counts(d.v, d.b, aug)  # before anything is stored, as in a_criteria
+        p, q, n, r = _operands(ib, d)
+        gq = (n / r[:, None]) @ q
+        _memo(ib, d, "common_a", lambda: _common_a_values(p, q, n, r, gq))
+        _memo(ib, d, "count_free", lambda: _read_only(_count_free(q, n, r, gq)))
     return CriteriaReport(*a_criteria(ib, d, aug), *mv_criteria(ib, d))

@@ -44,6 +44,13 @@ class BlockDesign:
         return len(self.blocks)
 
     @cached_property
+    def labels(self) -> np.ndarray:
+        """The labels of every block in order, as one read-only array."""
+        labels = np.fromiter(itertools.chain.from_iterable(self.blocks), dtype=int)
+        labels.setflags(write=False)
+        return labels
+
+    @cached_property
     def incidence(self) -> np.ndarray:
         """v x b matrix whose (i, j) entry counts the occurrences of
         treatment i+1 in block j+1; entries may exceed one for non-binary

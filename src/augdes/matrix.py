@@ -30,7 +30,9 @@ CENTERED_TOL = 1e-9
 # at order 121, .65/.80/.81/1.22 (1.21); 182, .89/.88/1.16/1.12 (1.98);
 # 351, 6.0/5.8/6.6/6.7 (15.6). 48 saves from order 49 on, but every bit a test
 # pins comes from orders <= 64 (lattice q = 7 at 49 and 56, the (60, 2, 2)
-# minima), and at 64 those keep np.linalg.inv's bits.
+# minima), and at 64 those keep np.linalg.inv's bits. `criteria` reads the
+# same cut-off on the number of blocks: above it, Q = C_dual+ comes from
+# P = C+ by the dual identity, and C_dual is not inverted at all.
 BLOCK_ORDER = 64
 
 

@@ -59,7 +59,7 @@ import numpy as np
 from . import criteria
 from .design import AugmentationSpec, BlockDesign, can_connect, is_connected
 from .errors import InvalidParameters, NoConnectedStart
-from .matrix import mp_inverse_centered
+from .matrix import BLOCK_ORDER, mp_inverse_centered
 
 # Objective values closer than this are ties. A move must improve by more,
 # which prevents cycling through numerically equal designs; across restarts,
@@ -79,10 +79,12 @@ SCREEN_TOL = 1e-9
 FIRST_CHUNK_MOVES = 256
 MAX_BATCH_MOVES = 2**20
 # A flush scores at most CHAIN candidates, and at most STACK_FLOATS //
-# (v^2 + b^2): a stack saves numpy's per-call cost, but numpy's product
-# L^-T L^-1 is symmetric only on one matrix, so large stacks lose. Exact
-# score per member alone / in stacks of 4 / of 16, one shared core:
-# (30,25,5) 75/52/47 us, (56,49,7) 151/128/165, (132,121,11) 515/762/789.
+# (v^2 + b^2): a stack saves numpy's per-call cost, but large stacks lose.
+# Up to BLOCK_ORDER blocks numpy's product L^-T L^-1 of the C_dual stack is
+# symmetric only on one matrix; above it Q comes from P with no inverse,
+# and the stacked products of that identity still lose to single ones.
+# Exact score per member alone / in stacks of 4 / of 16, one shared core:
+# (30,25,5) 85/57/61 us, (56,49,7) 170/204/217, (132,121,11) 351/758/781.
 # Whole searches were fastest at 2^14 of 2^13..2^15: (30,25,5), (48,40,5)
 # and (56,49,7) chain 10, 4 and 2 candidates, and classes from order 90 on
 # one. On the benchmark's search classes, all of chain 16, CHAIN = 16 and
@@ -182,7 +184,7 @@ def _batch(
     screened objective from d's P = C+ (its memoized one by default), for
     every t != a, connected or not."""
     k = len(d.blocks[0])
-    labels = np.asarray(d.blocks).reshape(-1)[o_from:o_to]
+    labels = d.labels[o_from:o_to]
     keep = labels[:, None] != np.arange(1, d.v + 1)  # every t != a of each occurrence
     keep[:1, : t_from - 1] = False
     o, t = np.nonzero(keep)
@@ -200,12 +202,18 @@ def _batch(
 
 def _candidate(d: BlockDesign, o: int, t: int) -> BlockDesign:
     """d with occurrence o (index j k + pos) replaced by label t. Its
-    incidence and replications are d's with one count moved from a to t,
-    stored as the cached properties would store them."""
-    j, pos = divmod(o, len(d.blocks[0]))
+    labels, incidence and replications are d's with block j's labels
+    replaced and one count moved from a to t, stored as the cached
+    properties would store them."""
+    k = len(d.blocks[0])
+    j, pos = divmod(o, k)
     block = d.blocks[j]
     a = block[pos]
-    cand = BlockDesign(d.v, d.blocks[:j] + (tuple(sorted(block[:pos] + block[pos + 1 :] + (t,))),) + d.blocks[j + 1 :])
+    new_block = tuple(sorted(block[:pos] + block[pos + 1 :] + (t,)))
+    cand = BlockDesign(d.v, d.blocks[:j] + (new_block,) + d.blocks[j + 1 :])
+    labels = d.labels.copy()
+    labels[j * k : (j + 1) * k] = new_block
+    labels.setflags(write=False)
     n = d.incidence.copy()
     n[a - 1, j] -= 1
     n[t - 1, j] += 1
@@ -213,7 +221,7 @@ def _candidate(d: BlockDesign, o: int, t: int) -> BlockDesign:
     r = list(d.replications)
     r[a - 1] -= 1
     r[t - 1] += 1
-    cand.__dict__.update(incidence=n, replications=tuple(r), block_sizes=d.block_sizes)
+    cand.__dict__.update(labels=labels, incidence=n, replications=tuple(r), block_sizes=d.block_sizes)
     return cand
 
 
@@ -231,38 +239,43 @@ class _Step:
     """A design of a pass with what its scan and its exact score read: its
     P = C+, inverted alone; est, the objective the screen's limits start
     from, its exact objective once accepted and its screened one while a
-    link; the move (o, t) that made it from its parent; its C_dual, until
-    the flush that scores it; and the (block, a, t) moves rejected on it."""
+    link; the move (o, t) that made it from its parent; and the (block, a,
+    t) moves rejected on it."""
 
     design: BlockDesign
     p: np.ndarray
     est: float
     o: int = -1
     t: int = 0
-    c_dual: np.ndarray | None = None
     rejected: set[tuple[int, int, int]] = field(default_factory=set)
 
 
 def _step(cand: BlockDesign, o: int, t: int, est: float) -> _Step:
-    """The connected candidate cand, made by move (o, t), with C and C_dual
-    as `criteria.intrablock` builds them and P = C+ inverted alone."""
+    """The connected candidate cand, made by move (o, t), with P = C+
+    inverted alone from C as `criteria.intrablock` builds it."""
     r = np.asarray(cand.replications, dtype=float)
-    c, c_dual = criteria._information(cand.incidence.astype(float), r, len(cand.blocks[0]))
-    return _Step(cand, mp_inverse_centered(c), est, o, t, c_dual)
+    c = criteria._primal_information(cand.incidence.astype(float), r, len(cand.blocks[0]))
+    return _Step(cand, mp_inverse_centered(c), est, o, t)
 
 
 def _exact_objectives(cfg: SearchConfig, members: list[_Step]) -> tuple[np.ndarray, np.ndarray]:
-    """The exact objectives of connected steps, from their P, one stacked
-    inverse of their C_dual and `criteria._a_values` on the stack, and
-    their Q = C_dual+, as a stack. Each member gets the bits `_objective`
-    gives it alone; one that fails a check of an inverse scores NaN, and
-    so does every member when the stack's factorization fails. A single
-    step is scored as one design, not as a stack of one, which costs
-    about 30 us more at every order."""
-    parts = [(m.p, m.c_dual, m.design.incidence, m.design.replications) for m in members]
-    p, c_dual, n, r = parts[0] if len(parts) == 1 else map(np.stack, zip(*parts))
-    q = mp_inverse_centered(c_dual)
-    a_cc, a_tt, a_ct = criteria._a_values(p, q, n, np.asarray(r, dtype=float), cfg.aug)
+    """The exact objectives of connected steps, from their P, their
+    Q = C_dual+ taken as `criteria._dual_plus` takes it (one inverse of
+    the stack of their C_dual up to BLOCK_ORDER blocks,
+    `criteria._dual_from_primal` of their P above) and `criteria._a_values`
+    on the stack, and their Q, as a stack. Each member gets the bits
+    `_objective` gives it alone; one that fails a check of an inverse
+    scores NaN, and so does every member when the stack's factorization
+    fails. A single step is scored as one design, not as a stack of one,
+    which costs about 30 us more at every order."""
+    parts = [(m.p, m.design.incidence, m.design.replications) for m in members]
+    p, n, r = parts[0] if len(parts) == 1 else map(np.stack, zip(*parts))
+    n_float, r, k = n.astype(float), np.asarray(r, dtype=float), len(members[0].design.blocks[0])
+    if n.shape[-1] > BLOCK_ORDER:
+        q = criteria._dual_from_primal(p, n_float, k)
+    else:
+        q = mp_inverse_centered(criteria._dual_information(n_float, r, k))
+    a_cc, a_tt, a_ct = criteria._a_values(p, q, n, r, cfg.aug)
     values = cfg.w_cc * a_cc + cfg.w_tt * a_tt + cfg.w_ct * a_ct
     return np.reshape(values, -1), q.reshape(len(members), *q.shape[-2:])
 
@@ -306,7 +319,7 @@ def _improvement_pass(
                 m.p.setflags(write=False)
                 q_i.setflags(write=False)
                 m.design.__dict__["_intrablock"] = criteria.Intrablock(c_plus=m.p, c_dual_plus=q_i)
-            m.est, m.c_dual, base, improved = value, None, m, True
+            m.est, base, improved = value, m, True
             trace.append(value)
         return len(members)
 

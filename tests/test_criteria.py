@@ -34,7 +34,7 @@ from augdes.design import (
     read_design,
 )
 from augdes.errors import Disconnected, InvalidParameters, NonUniformBlockSize, SingularMatrix
-from augdes.matrix import SymMatrix, mp_inverse_centered
+from augdes.matrix import BLOCK_ORDER, CENTERED_TOL, SymMatrix, mp_inverse_centered
 from augdes.oracle import CRITERION_NAMES, enumerate_class
 from references import dual_inverse, reference_intrablock, trace_identities
 
@@ -44,9 +44,11 @@ ONE = AugmentationSpec.common(1)
 
 
 def information(d):
-    """C and C_dual of a primal, as `intrablock` builds them before it inverts them."""
+    """C and C_dual of a primal, as `intrablock` builds them, C_dual only up
+    to BLOCK_ORDER blocks, before it inverts them."""
     r = np.asarray(d.replications, dtype=float)
-    return criteria._information(d.incidence.astype(float), r, d.uniform_block_size())
+    n, k = d.incidence.astype(float), d.uniform_block_size()
+    return criteria._primal_information(n, r, k), criteria._dual_information(n, r, k)
 
 
 def _difference(m, a, b):
@@ -464,6 +466,138 @@ class TestDualInverse:
             ib = intrablock(d)
             q = dual_inverse(ib.c_plus, d.incidence.astype(float), d.uniform_block_size())
             assert np.max(np.abs(q - ib.c_dual_plus)) <= 1e-12 * np.max(np.abs(ib.c_dual_plus))
+
+
+def _linked_blocks(v, b):
+    """b two-plot blocks linking v treatments in turn: (1, 2), (2, 3), ...,
+    (v, 1), (1, 2), ..., a connected design for any v >= 2."""
+    return BlockDesign(v, tuple(tuple(sorted((j % v + 1, (j + 1) % v + 1))) for j in range(b)))
+
+
+def _seeded_design(seed, b, v, k):
+    """A connected design of (b, v, k) drawn from a seeded generator."""
+    rng = np.random.default_rng(seed)
+    while True:
+        d = BlockDesign(v, tuple(tuple(sorted(int(x) for x in rng.integers(1, v + 1, k))) for _ in range(b)))
+        if is_connected(d):
+            return d
+
+
+LARGE_DUALS = {
+    "lattice-q11": lambda: lattice_bib(11),
+    "lattice-q11-dual": lambda: dual(lattice_bib(11)),
+    "lattice-q13": lambda: lattice_bib(13),
+    "lattice-q13-dual": lambda: dual(lattice_bib(13)),
+    "120-2-2": lambda: _seeded_design(3, 120, 2, 2),
+    "cycle-300": lambda: _linked_blocks(300, 300),
+}
+
+
+class TestDualFromPrimal:
+    """Above matrix.BLOCK_ORDER blocks, Q = C_dual+ comes from P by the
+    dual identity, with no C_dual built or inverted."""
+
+    @pytest.mark.parametrize("name", LARGE_DUALS)
+    def test_within_1e_13_of_the_cholesky_q(self, name):
+        d = LARGE_DUALS[name]()
+        assert d.b > BLOCK_ORDER
+        ib = intrablock(d)
+        cholesky = mp_inverse_centered(information(d)[1])
+        reference = dual_inverse(ib.c_plus, d.incidence.astype(float), d.uniform_block_size())
+        for want in (cholesky, reference):
+            assert np.abs(ib.c_dual_plus - want).max() <= 1e-13 * np.abs(want).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_symmetric_centered_and_inverse_on_the_contrasts(self, data):
+        b = data.draw(st.integers(BLOCK_ORDER + 1, 160))
+        v = data.draw(st.integers(2, 6))
+        k = data.draw(st.integers(2, 4))
+        blocks = data.draw(
+            st.lists(st.lists(st.integers(1, v), min_size=k, max_size=k), min_size=b, max_size=b)
+        )
+        d = BlockDesign(v, tuple(tuple(sorted(block)) for block in blocks))
+        assume(is_connected(d))
+        q = intrablock(d).c_dual_plus
+        c_dual = information(d)[1]
+        assert np.array_equal(q.view(np.uint64), q.T.view(np.uint64))
+        assert np.abs(q.sum(axis=1)).max() <= CENTERED_TOL
+        # Q C_dual is the projector onto the block contrasts, to rounding
+        # in a product of order b
+        bound = 16 * b * np.finfo(float).eps * np.abs(q).max() * np.abs(c_dual).max()
+        assert np.abs(q @ c_dual - (np.eye(b) - 1.0 / b)).max() <= bound
+
+    @pytest.mark.parametrize("counts", ["common", "per_block"])
+    def test_stacked_members_keep_the_single_bits(self, counts):
+        designs = [_seeded_design(seed, 70, 3, 2) for seed in range(6)]
+        aug = ONE if counts == "common" else AugmentationSpec.per_block(1 + j % 3 for j in range(70))
+        n = np.array([d.incidence for d in designs], dtype=float)
+        exact = stacked_exact_criteria(n, 2, aug)
+        p = mp_inverse_centered(criteria._primal_information(n, n.sum(axis=2), 2))
+        q = criteria._dual_from_primal(p, n, 2)
+        for i, d in enumerate(designs):
+            report = evaluate(d, aug)
+            assert [x.hex() for x in exact[i].tolist()] == [getattr(report, name).hex() for name in CRITERION_NAMES]
+            assert q[i].tobytes() == intrablock(d).c_dual_plus.tobytes()
+
+    def test_nan_p_gives_nan_q_and_raises_singular_matrix(self, monkeypatch):
+        d = _linked_blocks(3, BLOCK_ORDER + 1)
+        nan_p = np.full((d.v, d.v), np.nan)
+        assert np.isnan(criteria._dual_from_primal(nan_p, d.incidence.astype(float), 2)).all()
+        monkeypatch.setattr(criteria, "mp_inverse_centered", lambda a: np.full(a.shape, np.nan))
+        with pytest.raises(SingularMatrix):
+            intrablock(d)
+
+    @pytest.mark.parametrize("b", [BLOCK_ORDER, BLOCK_ORDER + 1])
+    def test_route_changes_above_block_order(self, monkeypatch, b):
+        # up to BLOCK_ORDER blocks C and C_dual are both inverted, and Q
+        # keeps the bits of its Cholesky inverse; above, only C is
+        inverted = []
+        real = criteria.mp_inverse_centered
+
+        def counting(a):
+            inverted.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(criteria, "mp_inverse_centered", counting)
+        d = _linked_blocks(3, b)
+        ib = intrablock(d)
+        cholesky = real(information(d)[1])
+        if b <= BLOCK_ORDER:
+            assert inverted == [(3, 3), (b, b)]
+            assert ib.c_dual_plus.tobytes() == cholesky.tobytes()
+        else:
+            assert inverted == [(3, 3)]
+            identity = criteria._dual_from_primal(ib.c_plus, d.incidence.astype(float), 2)
+            assert ib.c_dual_plus.tobytes() == identity.tobytes()
+            assert np.abs(ib.c_dual_plus - cholesky).max() <= 1e-13 * np.abs(cholesky).max()
+
+    @pytest.mark.parametrize("name", ["lattice-q11", "120-2-2"])
+    def test_report_forms_g_q_once_with_the_same_bits(self, monkeypatch, name):
+        # evaluate hands one G Q to the common-count values and to the
+        # count-free matrices; scoring them apart gives the same bits
+        shared = []
+        real_common, real_ct = criteria._common_a_values, criteria._ct_matrix
+
+        def common(p, q, n, r, gq=None):
+            shared.append(gq)
+            return real_common(p, q, n, r, gq)
+
+        def ct(q, n, r, gq=None):
+            shared.append(gq)
+            return real_ct(q, n, r, gq)
+
+        d, twin = LARGE_DUALS[name](), LARGE_DUALS[name]()
+        with monkeypatch.context() as m:
+            m.setattr(criteria, "_common_a_values", common)
+            m.setattr(criteria, "_ct_matrix", ct)
+            report = evaluate(d, ONE)
+        assert len(shared) == 2 and shared[0] is shared[1] is not None
+        ib = intrablock(twin)
+        apart = (*a_criteria(ib, twin, ONE), *mv_criteria(ib, twin))
+        assert [float(x).hex() for x in apart] == [float(x).hex() for x in dataclasses.astuple(report)]
+        for got, want in zip(vars(intrablock(d))["count_free"], vars(ib)["count_free"]):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMVCriteria:

@@ -38,7 +38,7 @@ def connected_designs(draw):
 def information(d):
     """C of a primal, as `criteria.intrablock` builds it before inverting it."""
     r = np.asarray(d.replications, dtype=float)
-    return criteria._information(d.incidence.astype(float), r, d.uniform_block_size())[0]
+    return criteria._primal_information(d.incidence.astype(float), r, d.uniform_block_size())
 
 
 def _replaced(d, j, pos, t):
@@ -1565,6 +1565,29 @@ def test_one_p_inverse_per_member_and_one_c_dual_stack_per_flush(monkeypatch, bv
     assert stacks == [size for size in sizes if size > 1]
     assert len(singles) == sum(sizes) + sizes.count(1)
     assert len(starts) == 2 * 2  # P and Q of each restart's start design
+
+
+ABOVE_BLOCK_ORDER_CASES = (
+    ((70, 3, 2), SearchConfig(1.0, 1.0, 1.0, restarts=1, rng_seed=0)),
+    ((66, 2, 3), SearchConfig(1.0, 2.0, 0.5, aug=AugmentationSpec.per_block([1, 2, 3] * 22), restarts=2, rng_seed=1)),
+)
+
+
+def test_search_above_block_order_matches_the_sequential_reference_pass(monkeypatch):
+    # above matrix.BLOCK_ORDER blocks no C_dual is built, and each Q comes
+    # from P by the dual identity, alone and in stacks: (70,3,2) chains
+    # three links; the bits are those of scoring one at a time
+    with monkeypatch.context() as m:
+        m.setattr(search, "_improvement_pass", references.sequential_improvement_pass)
+        want = [_fingerprint(exchange_search(*bvk, cfg)) for bvk, cfg in ABOVE_BLOCK_ORDER_CASES]
+
+    def no_dual_information(*args):
+        raise AssertionError("C_dual was built")
+
+    flushes = _Flushes(monkeypatch)
+    monkeypatch.setattr(criteria, "_dual_information", no_dual_information)
+    assert [_fingerprint(exchange_search(*bvk, cfg)) for bvk, cfg in ABOVE_BLOCK_ORDER_CASES] == want
+    assert max(len(members) for members in flushes.members) > 1
 
 
 def test_no_move_is_built_twice_in_a_pass_on_one_design(monkeypatch):
