@@ -69,6 +69,22 @@ only those that could move a minimum, scores them exactly in one stacked
 call per chunk of admitted designs, usually one per class, and builds a
 design object only for an argmin, so its minima and argmins are those of
 one exact score per design.
+
+At a common count every criterion is invariant under relabelling the v
+controls (Read 1978, Ann. Discrete Math. 2:107-120; McKay 1998, J.
+Algorithms 26:306-324), so `class_minima` screens about one
+design per relabelling orbit. `_ClassWalk.swaps` holds, for each
+adjacent swap of labels (i, i + 1), the pool index of every pool block's
+image: (v - 1) x n_pool integers, built once per walk. `earliest` drops
+each connected design that some swap maps to an earlier design of the
+walk once the image is sorted. The earliest member of an orbit is never
+dropped, so every criterion's first minimizer is kept, with its argmin.
+A dropped design has an earlier kept twin that scores the same up to
+rounding; it could lower a running minimum only if that minimum sat
+within that rounding of MOVE_TOL above the twin, the tie MOVE_TOL exists
+to keep from deciding a result. Per-block counts attach to sorted block
+positions, so relabelling is no symmetry there, and every connected
+design is screened.
 """
 
 from __future__ import annotations
@@ -115,7 +131,9 @@ CHUNK_BUDGET = 2**21
 # 111 MB maxrss; (1000,2,2), 1.0e9, 9.3 s at 174 MB) and minimizing 7-13
 # ns ((120,2,2), 1.1e8, 0.7 s; (7,4,3), 8.0e7, 1.0 s), so a class at the
 # budget takes about 0.5-2.6 s. The first two-treatment classes of pairs
-# rejected are (584,2,2) to count and (140,2,2), 2.02e8, to minimize.
+# rejected are (584,2,2) to count and (140,2,2), 2.02e8, to minimize. The
+# orbit filter of class_minima leaves the budget as it was: per-block
+# walks still screen every connected design.
 WALK_BUDGET = 200_000_000
 
 CRITERION_NAMES = ("a_cc", "a_tt", "a_ct", "mv_cc", "mv_tt", "mv_ct")
@@ -341,6 +359,26 @@ def _walk(n: int, b: int) -> Iterator[np.ndarray]:
             first += 1
 
 
+def _rank_weights(rows: int, cols: int) -> np.ndarray:
+    """The (rows + 1, cols + 1) int64 table of C(r - 1 + d, r), r and d
+    from 0. Row r is the running sum of row r - 1, by Pascal's rule, so
+    its largest entry, C(rows - 1 + cols, rows), bounds every entry; both
+    callers keep that within a count the cap has already checked.
+
+    The lexicographic rank of a non-decreasing s-tuple t over range(n),
+    among all of them, is C(n + s - 1, s) - 1 - sum_j w[s - j, n - 1 -
+    t_j] with w = _rank_weights(s, n - 1): the combinatorial number
+    system of `_combinations` for the s-subset t_j + j. The rank of a
+    k-multiset over range(v) is read off its "bars" instead, as in
+    `_tuples`: with d_j the plots of labels above j, it is sum_j
+    w[v - 1 - j, d_j] over j < v - 1, w = _rank_weights(v - 1, k)."""
+    table = np.zeros((rows + 1, cols + 1), dtype=np.int64)
+    table[0, 1:] = 1
+    for r in range(1, rows + 1):
+        table[r] = np.cumsum(table[r - 1])
+    return table
+
+
 def _join(prefixes: np.ndarray, lengths: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Each prefix row followed by each of the last `lengths` tuples of
     the table, prefix by prefix, as an (m, b) array with contiguous
@@ -407,6 +445,58 @@ class _ClassWalk:
         counts = np.zeros((self.v, self.n_pool))
         np.add.at(counts, (labels - 1, np.arange(self.n_pool).repeat(self.k)), 1.0)
         return counts
+
+    @cached_property
+    def swaps(self) -> np.ndarray:
+        """The (v - 1, n_pool) pool index of each pool block with labels i
+        and i + 1 swapped, one row per adjacent swap. The swap moves only
+        the bar between the two labels, so each row is the pool's own
+        index plus the change of one `_rank_weights` term."""
+        v, k = self.v, self.k
+        weights = _rank_weights(v - 1, k)
+        counts = self.pool_counts.astype(np.intp)
+        out = np.empty((v - 1, self.n_pool), dtype=np.intp)
+        above = np.full(self.n_pool, k, dtype=np.intp)  # plots of labels > i
+        for i in range(v - 1):
+            above -= counts[i]
+            row = weights[v - 1 - i]
+            out[i] = np.arange(self.n_pool) + row[above + counts[i] - counts[i + 1]] - row[above]
+        return out
+
+    @cached_property
+    def codes(self) -> np.ndarray | None:
+        """(b + 1)^(n_pool - 1 - p) for each pool index p, or None when a
+        design's sum of them could pass int64. That sum reads the design's
+        multiplicity of each pool index as a digit in base b + 1, so it
+        falls as the design's rank in walk order rises, with no sort."""
+        if self.n_pool * self.b.bit_length() > 62:
+            return None
+        return (self.b + 1) ** np.arange(self.n_pool - 1, -1, -1, dtype=np.int64)
+
+    @cached_property
+    def order_weights(self) -> np.ndarray:
+        """The flat (b x n_pool) weights w[j, t] whose sum over a sorted
+        design's positions, w[j, t_j], falls as its rank in walk order
+        rises (`_rank_weights`)."""
+        return _rank_weights(self.b, self.n_pool - 1)[self.b - np.arange(self.b), ::-1].ravel()
+
+    def earliest(self, rows: np.ndarray) -> np.ndarray:
+        """The mask of the (m, b) pool index rows that no adjacent swap of
+        labels maps to an earlier design of the walk, the image sorted. The
+        earliest design of each relabelling orbit is among them. Each image
+        is compared by its sum of `codes` or, where those could overflow,
+        sorted and compared by its sum of `order_weights`; either way no
+        array it makes holds more than (v - 1) x b x m integers."""
+        cols = rows.T
+        if self.codes is not None:
+            swapped = self.codes[self.swaps]
+            return (np.take(swapped, cols, axis=1).sum(axis=1) <= self.codes[cols].sum(axis=0)).all(axis=0)
+        images = np.take(self.swaps, cols, axis=1)
+        images.sort(axis=1)
+        offsets = np.arange(self.b)[:, None] * self.n_pool
+        images += offsets
+        keys = np.take(self.order_weights, images).sum(axis=1)
+        return (keys <= np.take(self.order_weights, cols + offsets).sum(axis=0)).all(axis=0)
 
     def slices(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The designs at most WALK_SLICE at a time: an (m, b) array of
@@ -501,6 +591,20 @@ def class_minima(b: int, v: int, k: int, aug: AugmentationSpec) -> ClassMinima:
     factorization fails, is scored alone by `evaluate` instead, which
     raises the check's error. A design object is built only for a new
     argmin.
+
+    At a common count, each slice's connected designs pass through
+    `_ClassWalk.earliest` first, which drops those that an adjacent swap
+    of labels maps to an earlier design; relabelling the controls moves
+    no criterion but by rounding. The earliest design of every orbit is
+    kept, so every first minimizer and its argmin are. A dropped design
+    has an earlier kept twin e, and could update only if exact(d) <
+    best - MOVE_TOL <= exact(e), which needs a running best within the
+    twins' rounding of exact(e) + MOVE_TOL: the tie MOVE_TOL keeps from
+    deciding a result, as SCREEN_TOL bounds the screen's drift. Per-block
+    counts are no symmetry, and there every connected design is screened.
+    The swap table holds (v - 1) x n_pool integers, and each array of a
+    slice's filter at most (v - 1) x b x WALK_SLICE. `n_designs` and
+    `n_connected` count every design of the walk.
     """
     walk = _ClassWalk(b, v, k, ("minima", f"(v + b)^2 {(v + b) ** 2}", (v + b) ** 2))
     if not walk.connects:
@@ -513,7 +617,10 @@ def class_minima(b: int, v: int, k: int, aug: AugmentationSpec) -> ClassMinima:
     n_connected = 0
     for idx, connected in walk.slices():
         n_connected += int(connected.sum())
-        pending = np.concatenate((pending, idx[connected]))
+        rows = idx[connected]
+        if aug.is_common:
+            rows = rows[walk.earliest(rows)]
+        pending = np.concatenate((pending, rows))
         while len(pending) >= chunk:
             admitted.append(_admit(walk, pending[:chunk], aug, floor))
             pending = pending[chunk:]

@@ -745,13 +745,14 @@ class TestEnumerate:
         assert doc["minima"]["a_cc"]["blocks"]
 
     def test_minima_json_golden(self, runner):
-        # (5,4,2), and (6,4,2): 1,939 connected designs in four stacked chunks
-        for b in ("5", "6"):
-            result = runner.invoke(
-                cli, ["enumerate", "--b", b, "--v", "4", "--k", "2", "--minima", "--format", "json"]
-            )
+        # (5,4,2) and (6,4,2), whose 1,939 connected designs the orbit filter
+        # cuts to 158, and (7,4,3) and (5,5,3), golden before the filter, which
+        # compares their relabelled designs by codes and by sorted ranks
+        for b, v, k in ((5, 4, 2), (6, 4, 2), (7, 4, 3), (5, 5, 3)):
+            args = ["enumerate", "--b", str(b), "--v", str(v), "--k", str(k), "--minima", "--format", "json"]
+            result = runner.invoke(cli, args)
             assert result.exit_code == 0
-            assert result.output == (DATA / f"enumerate_b{b}_v4_k2_minima.json").read_text(encoding="utf-8")
+            assert result.output == (DATA / f"enumerate_b{b}_v{v}_k{k}_minima.json").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("cls", [(4, 3, 2), (5, 4, 2), (1, 3, 2)], ids=lambda c: "-".join(map(str, c)))
     def test_counts_json_golden(self, runner, cls):

@@ -53,6 +53,7 @@ from references import (
 )
 
 ONE = AugmentationSpec.common(1)
+SLIST_542 = AugmentationSpec.per_block([1, 2, 3, 1, 4])
 RCBD2 = from_blocks(2, [[1, 2], [1, 2]])
 DESIGNS = Path(__file__).resolve().parent.parent / "designs"
 
@@ -698,6 +699,80 @@ def reference_class_minima(b, v, k, aug):
     return n_raw, n_connected, best, arg
 
 
+def record_screens(monkeypatch):
+    """Patch `criteria.stacked_criteria` to append the size of each screen
+    to the returned list."""
+    original = criteria.stacked_criteria
+    sizes = []
+
+    def recording(n, k, aug):
+        sizes.append(len(n))
+        return original(n, k, aug)
+
+    monkeypatch.setattr(criteria, "stacked_criteria", recording)
+    return sizes
+
+
+def relabelled(walk, row, perm):
+    """The sorted pool index row of a design of the walk with each label x
+    replaced by perm[x - 1]."""
+    index = {block: i for i, block in enumerate(walk.pool)}
+    return sorted(index[tuple(sorted(perm[x - 1] for x in walk.pool[i]))] for i in row)
+
+
+def adjacent_swaps(v):
+    """The permutations of 1..v that swap labels i and i + 1, as tuples."""
+    return [tuple(range(1, i + 1)) + (i + 2, i + 1) + tuple(range(i + 3, v + 1)) for i in range(v - 1)]
+
+
+class TestOrbitFilter:
+    def test_swaps_relabel_the_pool(self):
+        # k below, at and above v - 1, where the pool's ranks are read off its bars
+        for v, k in itertools.product(range(1, 7), range(1, 6)):
+            walk = oracle._ClassWalk(1, v, k)
+            want = [[relabelled(walk, [p], perm)[0] for p in range(walk.n_pool)] for perm in adjacent_swaps(v)]
+            assert walk.swaps.shape == (v - 1, walk.n_pool) and walk.swaps.tolist() == want, (v, k)
+
+    def test_keys_fall_in_walk_order(self):
+        # the sums of codes and of order_weights both fall strictly along the walk
+        for n, b in itertools.product(range(1, 7), range(1, 7)):
+            walk = oracle._ClassWalk(b, 2, n - 1) if n > 1 else oracle._ClassWalk(b, 1, 1)
+            assert walk.n_pool == n
+            rows = np.concatenate(list(oracle._walk(n, b)))
+            offsets = np.arange(b) * n
+            ranks = math.comb(n + b - 1, b) - 1 - walk.order_weights[rows + offsets].sum(axis=1)
+            assert ranks.tolist() == list(range(len(rows))), (n, b)
+            assert np.all(np.diff(walk.codes[rows].sum(axis=1)) < 0), (n, b)
+        assert oracle._ClassWalk(7, 4, 3).codes is not None
+        assert oracle._ClassWalk(5, 5, 3).codes is None and oracle._ClassWalk(3, 5, 3).codes is None
+
+    @pytest.mark.parametrize("compare", ["codes", "ranks"])
+    @pytest.mark.parametrize("cls", [(5, 4, 2), (4, 3, 3)], ids=lambda c: "-".join(map(str, c)))
+    def test_keeps_the_earliest_of_every_orbit(self, monkeypatch, cls, compare):
+        # brute force over all v! relabellings: every orbit's earliest
+        # connected design is kept, and a design is dropped exactly when an
+        # adjacent swap maps it to an earlier one
+        if compare == "ranks":
+            monkeypatch.setattr(oracle._ClassWalk, "codes", None)
+        walk = oracle._ClassWalk(*cls)
+        rows = np.concatenate([idx[connected] for idx, connected in walk.slices()])
+        kept = walk.earliest(rows)
+        connected = set(map(tuple, rows.tolist()))
+        for row, keep in zip(rows.tolist(), kept.tolist()):
+            earliest = min(relabelled(walk, row, perm) for perm in itertools.permutations(range(1, walk.v + 1)))
+            assert tuple(earliest) in connected
+            if earliest == row:
+                assert keep, row
+            assert keep == all(relabelled(walk, row, perm) >= row for perm in adjacent_swaps(walk.v)), row
+        assert 0 < kept.sum() < len(rows)
+
+    @pytest.mark.parametrize("cls", [(5, 4, 2), (4, 3, 3)], ids=lambda c: "-".join(map(str, c)))
+    def test_per_block_counts_screen_every_connected_design(self, monkeypatch, cls):
+        sizes = record_screens(monkeypatch)
+        result = class_minima(*cls, AugmentationSpec.per_block([1 + j % 3 for j in range(cls[0])]))
+        assert sum(sizes) == result.n_connected == class_counts(*cls)[1]
+
+
 class TestStackedClassMinima:
     @pytest.mark.parametrize(
         "cls, aug",
@@ -706,9 +781,17 @@ class TestStackedClassMinima:
             ((3, 4, 2), ONE),
             ((5, 4, 2), ONE),
             ((5, 4, 2), AugmentationSpec.common(3)),
-            ((5, 4, 2), AugmentationSpec.per_block([1, 2, 3, 1, 4])),
+            ((5, 4, 2), SLIST_542),
+            ((6, 4, 2), ONE),
+            ((6, 4, 2), AugmentationSpec.common(3)),
+            ((10, 3, 2), ONE),
+            ((10, 3, 2), AugmentationSpec.common(3)),
+            ((5, 3, 3), ONE),
+            ((5, 3, 3), AugmentationSpec.common(3)),
+            ((3, 5, 3), ONE),
         ],
-        ids=["4-3-2", "3-4-2", "5-4-2", "5-4-2-s3", "5-4-2-s_list"],
+        ids=["4-3-2", "3-4-2", "5-4-2", "5-4-2-s3", "5-4-2-s_list", "6-4-2", "6-4-2-s3", "10-3-2", "10-3-2-s3",
+             "5-3-3", "5-3-3-s3", "3-5-3-ranks"],
     )
     def test_matches_one_exact_score_per_design(self, cls, aug):
         n_raw, n_connected, best, arg = reference_class_minima(*cls, aug)
@@ -733,13 +816,19 @@ class TestStackedClassMinima:
         }
 
     def test_chunks_span_the_class(self, monkeypatch):
-        # 574 connected designs in chunks of 7: the running floor and the exact folds cross 82 chunk starts
-        _, _, best, arg = reference_class_minima(5, 4, 2, ONE)
+        # chunks of 7: at s=1 the 47 designs the orbit filter keeps cross 7
+        # chunk starts of the running floor and the exact folds; per block
+        # all 574 connected designs are screened and cross 82
         monkeypatch.setattr(oracle, "CHUNK", 7)
-        result = class_minima(5, 4, 2, ONE)
-        assert result.minima == best and result.argmin == arg
+        sizes = record_screens(monkeypatch)
+        for aug, screens in ((ONE, 7), (SLIST_542, 82)):
+            _, _, best, arg = reference_class_minima(5, 4, 2, aug)
+            sizes.clear()
+            result = class_minima(5, 4, 2, aug)
+            assert len(sizes) == screens and max(sizes) == 7
+            assert result.minima == best and result.argmin == arg
 
-    @pytest.mark.parametrize("cls, most", [((5, 4, 2), 59), ((6, 4, 2), 89)], ids=["5-4-2", "6-4-2"])
+    @pytest.mark.parametrize("cls, most", [((5, 4, 2), 15), ((6, 4, 2), 29)], ids=["5-4-2", "6-4-2"])
     def test_one_exact_call_per_class(self, monkeypatch, cls, most):
         # the running floor admits few designs, and they are scored in one stacked call
         original = criteria.stacked_exact_criteria
@@ -754,20 +843,17 @@ class TestStackedClassMinima:
         assert len(calls) == 1 and calls[0] <= most
 
     def test_chunks_capped_by_budget(self, monkeypatch):
-        # a budget of 7 designs' (v + b)^2 = 81 floats gives screens of at most 7 designs
-        _, _, best, arg = reference_class_minima(5, 4, 2, ONE)
-        original = criteria.stacked_criteria
-        sizes = []
-
-        def recording(n, k, aug):
-            sizes.append(len(n))
-            return original(n, k, aug)
-
+        # a budget of 7 designs' (v + b)^2 = 81 floats gives screens of at
+        # most 7 designs; at s=1 they hold the 47 designs the orbit filter
+        # keeps, per block all 574 connected ones
         monkeypatch.setattr(oracle, "CHUNK_BUDGET", 7 * 81 + 80)
-        monkeypatch.setattr(criteria, "stacked_criteria", recording)
-        result = class_minima(5, 4, 2, ONE)
-        assert max(sizes) == 7 and sum(sizes) == 574
-        assert result.minima == best and result.argmin == arg
+        sizes = record_screens(monkeypatch)
+        for aug, screened in ((ONE, 47), (SLIST_542, 574)):
+            _, _, best, arg = reference_class_minima(5, 4, 2, aug)
+            sizes.clear()
+            result = class_minima(5, 4, 2, aug)
+            assert max(sizes) == 7 and sum(sizes) == screened
+            assert result.minima == best and result.argmin == arg
 
     def test_many_blocks_bounded_memory(self):
         # at b = 60 the screen keeps one (b, b, m) array and the exact

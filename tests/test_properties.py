@@ -131,6 +131,20 @@ def test_stacked_criteria_match_exact_report(d, data):
         assert abs(got - want) <= REL * abs(want)
 
 
+@settings(max_examples=80, deadline=None)
+@given(connected_designs(), st.data())
+def test_relabelled_design_scores_within_rel(d, data):
+    # the premise of the orbit filter in oracle.class_minima: at a common
+    # count, relabelling the controls (blocks sorted again, as the class
+    # walk holds them) moves no criterion by more than rounding
+    perm = data.draw(st.permutations(range(1, d.v + 1)))
+    twin = BlockDesign(d.v, tuple(sorted(tuple(sorted(perm[x - 1] for x in block)) for block in d.blocks)))
+    aug = AugmentationSpec.common(data.draw(st.integers(1, 5)))
+    want, got = evaluate(d, aug), evaluate(twin, aug)
+    for name in CRITERION_NAMES:
+        assert abs(getattr(got, name) - getattr(want, name)) <= REL * abs(getattr(want, name)), name
+
+
 @st.composite
 def design_stacks(draw):
     """Up to six designs on the same v <= 8 treatments and b blocks; blocks
